@@ -178,7 +178,7 @@ def _segment_losses(traj, wp, metric) -> list[float]:
     from .reconstruction import SegmentScorer
 
     scorer = SegmentScorer(traj, metric)
-    return [scorer.loss(a, b) for a, b in zip(wp.indices, wp.indices[1:])]
+    return scorer.chord_losses(wp.indices[:-1], wp.indices[1:]).tolist()
 
 
 def _cmd_compare(args, parser) -> int:

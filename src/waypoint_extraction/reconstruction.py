@@ -148,11 +148,18 @@ class _StateArrays:
         return len(self.pos) if self.kind is StateKind.EE else len(self.vec)
 
 
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis. einsum sums each row in the same
+    order whatever the batch size or broadcasting, and faster than
+    np.sum(x * y, axis=-1)."""
+    return np.einsum("...i,...i->...", x, y)
+
+
 def _slerp_rows(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise slerp; qa/qb broadcast against u along axis 0."""
     qa = np.broadcast_to(qa, (len(u), 4))
     qb = np.broadcast_to(qb, (len(u), 4))
-    dots = np.sum(qa * qb, axis=1)
+    dots = _rowdot(qa, qb)
     sign = np.where(dots < 0.0, -1.0, 1.0)
     qb = qb * sign[:, None]
     dots = np.minimum(np.abs(dots), 1.0)
@@ -162,61 +169,201 @@ def _slerp_rows(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
     wa = np.where(near, 1.0 - u, np.sin((1.0 - u) * theta) / sin_theta)
     wb = np.where(near, u, np.sin(u * theta) / sin_theta)
     out = wa[:, None] * qa + wb[:, None] * qb
-    return out / np.linalg.norm(out, axis=1, keepdims=True)
+    return out / np.sqrt(_rowdot(out, out))[:, None]
 
 
-def _chord_distances(
+def _row_distances(
     points: _StateArrays,
-    ts: np.ndarray,
     anchors: _StateArrays,
-    i: int,
-    j: int,
+    t,
+    src,
+    dst,
     cfg: MetricConfig,
 ) -> np.ndarray:
-    """Distances of points[ts] to the chord between anchors i and j."""
+    """Distance of points[t[k]] to the chord anchors[src[k]] -> anchors[dst[k]].
+
+    The one vectorized chord-distance kernel. Index arguments broadcast, so
+    scalar src and dst score many frames against one chord. Each row is
+    computed from its own inputs alone, so its value does not depend on the
+    rest of the batch: the solver's screen, its exact checks and
+    SegmentScorer.loss agree bit for bit.
+    """
     if points.kind is StateKind.EE:
-        a = anchors.pos[i]
-        span = anchors.pos[j] - a
-        pts = points.pos[ts]
-        denom = float(span @ span)
-        if denom == 0.0:
-            u = np.zeros(len(ts))
-        else:
-            u = np.clip((pts - a) @ span / denom, 0.0, 1.0)
-        proj = a + u[:, None] * span
-        out = cfg.position_weight * np.linalg.norm(pts - proj, axis=1)
-        qs = _slerp_rows(anchors.quat[i], anchors.quat[j], u)
-        dots = np.minimum(np.abs(np.sum(points.quat[ts] * qs, axis=1)), 1.0)
-        out = out + cfg.orientation_weight * 2.0 * np.arccos(dots)
-        if cfg.include_gripper:
-            g = anchors.grip[i] + u * (anchors.grip[j] - anchors.grip[i])
-            out = out + cfg.gripper_weight * np.abs(points.grip[ts] - g)
-        return out
-    a = anchors.vec[i]
-    span = anchors.vec[j] - a
-    pts = points.vec[ts]
-    denom = float(span @ span)
-    if denom == 0.0:
-        u = np.zeros(len(ts))
+        a = anchors.pos[src]
+        span = anchors.pos[dst] - a
+        pts = points.pos[t]
     else:
-        u = np.clip((pts - a) @ span / denom, 0.0, 1.0)
-    proj = a + u[:, None] * span
-    weights = cfg.joint_weights(anchors.vec.shape[1])
-    return np.linalg.norm((pts - proj) * weights, axis=1)
+        a = anchors.vec[src]
+        span = anchors.vec[dst] - a
+        pts = points.vec[t]
+    denom = _rowdot(span, span)
+    safe = np.where(denom == 0.0, 1.0, denom)
+    u = np.clip(_rowdot(pts - a, span) / safe, 0.0, 1.0)
+    u = np.where(denom == 0.0, 0.0, u)
+    off = pts - (a + u[:, None] * span)
+    if points.kind is StateKind.JOINT:
+        off = off * cfg.joint_weights(anchors.vec.shape[1])
+        return np.sqrt(_rowdot(off, off))
+    out = cfg.position_weight * np.sqrt(_rowdot(off, off))
+    qs = _slerp_rows(anchors.quat[src], anchors.quat[dst], u)
+    # rotation angle 4 asin(|q - s qs| / 2) with s = sign(q . qs), so
+    # |q - s qs| <= sqrt(2): exact 0 for equal quaternions, where
+    # 2 acos(|q . qs|) reads one ulp of the dot product as 3e-8 rad
+    qt = points.quat[t]
+    gap = qt - np.copysign(1.0, _rowdot(qt, qs))[:, None] * qs
+    out = out + cfg.orientation_weight * 4.0 * np.arcsin(0.5 * np.sqrt(_rowdot(gap, gap)))
+    if cfg.include_gripper:
+        g = anchors.grip[src] + u * (anchors.grip[dst] - anchors.grip[src])
+        out = out + cfg.gripper_weight * np.abs(points.grip[t] - g)
+    return out
+
+
+def _batches(sizes: np.ndarray, cap: int):
+    """Consecutive slices of sizes, each summing to at most cap unless it
+    holds a single item."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(sizes):
+        stop = int(np.searchsorted(ends, ends[start] - sizes[start] + cap, side="right"))
+        stop = max(start + 1, stop)
+        yield slice(start, stop)
+        start = stop
+
+
+def _ranks(sizes: np.ndarray) -> np.ndarray:
+    """0 .. n-1 for each n in sizes, concatenated."""
+    return np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise angle between unit vectors, accurate near 0 and pi."""
+    return 2.0 * np.arctan2(np.linalg.norm(a - b, axis=1), np.linalg.norm(a + b, axis=1))
+
+
+# Added to the radius of every cap built around a lens in _reach_horizon.
+_LENS_SLACK = 2.0**-23
+
+
+def _meet_caps(a1, r1, a2, r2, theta):
+    """A cap containing the intersection of caps (a1, r1) and (a2, r2), row
+    by row: the smallest of the two caps and, when their boundary circles
+    cross, the cap around their lens. Radii are below pi/2 and the axes are
+    theta <= r1 + r2 apart.
+
+    In the plane of the axes, with phi measured from a1 towards a2, the lens
+    spans phi in [lo, hi]; its other extreme points are the corners where
+    the circles cross, all equally far from any point of that plane. The cap
+    centred at phi = (lo + hi) / 2 with radius max((hi - lo) / 2, corner
+    distance) therefore holds the lens.
+    """
+    lo = np.maximum(-r1, theta - r2)
+    hi = np.minimum(r1, theta + r2)
+    psi = 0.5 * (lo + hi)
+    lens = theta > np.abs(r1 - r2)
+    # a corner has components (cos r1, beta) along a1 and the in-plane normal
+    beta = (np.cos(r2) - np.cos(r1) * np.cos(theta)) / np.where(lens, np.sin(theta), 1.0)
+    corner = np.arccos(np.clip(np.cos(psi) * np.cos(r1) + np.sin(psi) * beta, -1.0, 1.0))
+    radius = np.where(lens, np.maximum(0.5 * (hi - lo), corner) + _LENS_SLACK, np.inf)
+    normal = a2 - np.sum(a1 * a2, axis=1)[:, None] * a1
+    length = np.linalg.norm(normal, axis=1)
+    normal = normal / np.where(length > 0.0, length, 1.0)[:, None]
+    axis = np.cos(psi)[:, None] * a1 + np.sin(psi)[:, None] * normal
+    axis = axis / np.linalg.norm(axis, axis=1)[:, None]
+    for a, r in ((a1, r1), (a2, r2)):
+        smaller = r < radius
+        axis[smaller] = a[smaller]
+        radius = np.where(smaller, r, radius)
+    return axis, radius
+
+
+def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
+    """horizon[i]: every chord (i, j) with j > horizon[i] has loss above eta.
+
+    coords are the weighted position coordinates Y of the frames. For an
+    interior frame k of chord (i, j) the kernel's loss is at least the
+    distance from Y_k to the segment [Y_i, Y_j]: end-effector orientation
+    and gripper terms are >= 0, and in joint space the weighted distance at
+    the unweighted projection u* is >= its minimum over all u. That distance
+    is at least the distance to the ray from Y_i through Y_j. So when
+    |Y_k - Y_i| > r (r = eta before rounding), a fitting chord's direction
+    Y_j - Y_i lies in the cone around Y_k - Y_i of half-angle
+    asin(r / |Y_k - Y_i|), a cap on the sphere of directions; and
+    Y_j = Y_i does not fit at all. Scanning k = i+1, i+2, ..., one cap is
+    kept that contains the intersection of the caps so far (_meet_caps);
+    the first cap disjoint from it ends the scan at k, since every j > k
+    has all those frames inside its chord. Caps of radius pi/2 or more are
+    skipped (dropping a constraint is sound), so every cap is convex and two
+    caps are disjoint exactly when their axes are further apart than the sum
+    of their radii. This is the min-# wedge
+    argument of Imai and Iri (1988) in d dimensions (Barequet et al.,
+    2002). The kept cap can be larger than the intersection, which loosens
+    the bound but keeps it sound.
+
+    Rounding, with u = 2**-53, d = coords.shape[1], M = max |Y_k| and
+    tau = 512 (d + 16) u:
+    - the computed loss is within a few d u (dist + M) of the real
+      distance, and Y itself within u M of the weights times the stored
+      values, so a real distance above R = (eta + tau M)(1 + tau) already
+      puts the computed loss above eta; the cones use r = R (1 + tau),
+      which also covers the rounding of |Y_k - Y_i|, so no computed
+      half-angle is below the real one (asin is monotone);
+    - half-angles get + tau and the disjointness test - tau, for the few
+      ulps of the unit axes and of the atan2 angle;
+    - a cap around a lens gets + 2**-23 on its radius, above the
+      4 sqrt(u) ~ 4.2e-8 that arccos near 1 can add to the corner distance.
+    """
+    T, dim = coords.shape
+    horizon = np.full(T, T - 1)
+    tau = (dim + 16) * 2.0**-44
+    r = (eta + tau * float(np.linalg.norm(coords, axis=1).max(initial=0.0))) * (1.0 + tau) ** 2
+    if T < 4 or float(np.linalg.norm(np.ptp(coords, axis=0))) <= r:
+        return horizon
+    active = np.arange(T - 3)
+    axis = np.zeros((active.size, dim))
+    radius = np.full(active.size, np.inf)  # inf until the first cone
+    offset = 0
+    while active.size:
+        offset += 1
+        k = active + offset
+        live = k < T - 1
+        active, axis, radius, k = active[live], axis[live], radius[live], k[live]
+        v = coords[k] - coords[active]
+        dist = np.linalg.norm(v, axis=1)
+        rows = np.flatnonzero(dist > r)
+        r2 = np.arcsin(r / dist[rows]) + tau
+        convex = r2 < 0.5 * np.pi
+        rows, r2 = rows[convex], r2[convex]
+        if rows.size == 0:
+            continue
+        a2 = v[rows] / dist[rows, None]
+        a1 = axis[rows]
+        r1 = radius[rows]
+        theta = _angle(a1, a2)
+        cut = theta - tau > r1 + r2
+        horizon[active[rows[cut]]] = k[rows[cut]]
+        # a source's first cone becomes its cap
+        first = np.isinf(r1)
+        a1[first] = a2[first]
+        r1[first] = r2[first]
+        axis[rows], radius[rows] = _meet_caps(a1, r1, a2, r2, np.where(first, 0.0, theta))
+        keep = np.ones(active.size, dtype=bool)
+        keep[rows[cut]] = False
+        active, axis, radius = active[keep], axis[keep], radius[keep]
+    return horizon
 
 
 class SegmentScorer:
     """Cached per-trajectory evaluator for chord losses.
 
+    Every query goes through _row_distances, so losses from loss(),
+    chord_losses() and probe_pass() are the same floating-point numbers. Rows
+    are scored in chunks of about _CHUNK_ROWS (a longer chord goes alone),
+    which keeps temporaries near 1 MB however many chords a call holds.
     Matches segment_loss / reconstruction_loss up to floating-point
-    reassociation while scoring many chords without rebuilding arrays. The
-    solver leans on two extras: loss() can stop early once a chord is proven
-    over budget, and probe_pass() screens whole batches of candidate chords
-    with a cheap single-frame lower bound.
+    reassociation.
     """
 
-    _FIRST_BLOCK = 16
-    _MAX_BLOCK = 256
+    _CHUNK_ROWS = 2048
 
     def __init__(self, traj: Trajectory, cfg: MetricConfig = DEFAULT_METRIC):
         self.cfg = cfg
@@ -228,86 +375,64 @@ class SegmentScorer:
     def __len__(self) -> int:
         return len(self.arrays)
 
-    def frame_distances(self, i: int, j: int, ts: np.ndarray) -> np.ndarray:
-        return _chord_distances(self.arrays, ts, self.arrays, i, j, self.cfg)
+    def _rows(self, t, src, dst) -> np.ndarray:
+        return _row_distances(self.arrays, self.arrays, t, src, dst, self.cfg)
 
-    def loss(self, i: int, j: int, stop_above: float | None = None) -> float:
-        """Segment loss of chord (i, j), scanning interior frames in growing
-        blocks; with stop_above set, returns early (with a value above the
-        bound) as soon as the chord is proven infeasible."""
-        if j <= i + 1:
-            return 0.0
-        worst = 0.0
-        lo = i + 1
-        block = self._FIRST_BLOCK
-        while lo < j:
-            hi = min(j, lo + block)
-            worst = max(worst, float(self.frame_distances(i, j, np.arange(lo, hi)).max()))
-            if stop_above is not None and worst > stop_above:
-                return worst
-            lo = hi
-            block = min(self._MAX_BLOCK, block * 2)
-        return worst
+    def chord_losses(self, src, dst) -> np.ndarray:
+        """Segment losses of the chords (src[k], dst[k]): the worst distance
+        of each chord's interior frames, 0 for adjacent frames."""
+        src = np.asarray(src, dtype=np.intp)
+        dst = np.asarray(dst, dtype=np.intp)
+        out = np.zeros(src.shape)
+        inner = np.flatnonzero(dst - src > 1)
+        sizes = dst[inner] - src[inner] - 1
+        for part in _batches(sizes, self._CHUNK_ROWS):
+            k, n = inner[part], sizes[part]
+            s = np.repeat(src[k], n)
+            rows = self._rows(s + 1 + _ranks(n), s, np.repeat(dst[k], n))
+            out[k] = np.maximum.reduceat(rows, np.cumsum(n) - n)
+        return out
 
-    # Screening slack: the row-wise probe kernel and the exact kernel round
-    # differently (arccos near 1 turns ulp-level dot differences into ~1e-8
-    # of angle), so a chord sitting exactly on the budget could otherwise be
-    # screened out here yet accepted by loss(). Over-include near the
-    # boundary; the exact check decides.
-    _PROBE_SLACK = 1e-6
+    def loss(self, i: int, j: int) -> float:
+        """Segment loss of chord (i, j)."""
+        return float(self.chord_losses([i], [j])[0])
 
-    def _probe_distances(self, sources: np.ndarray, probes: np.ndarray, j: int) -> np.ndarray:
-        """Distance of frame probes[k] to the chord (sources[k], j), rowwise."""
+    def probe_pass(self, src, dst, eta: float) -> np.ndarray:
+        """False where chord (src[k], dst[k]) is certainly over eta, judged by
+        three spread interior frames. Their distances are rows of the exact
+        loss, so a rejected chord's loss is over eta too, with no slack.
+        Three samples rather than one keep periodic paths from aliasing
+        straight through the screen."""
+        src = np.asarray(src, dtype=np.intp)
+        dst = np.asarray(dst, dtype=np.intp)
+        keep = np.ones(src.shape, dtype=bool)
+        wide = np.flatnonzero(dst - src > 1)
+        step = self._CHUNK_ROWS // 3
+        for lo in range(0, wide.size, step):
+            k = wide[lo : lo + step]
+            s, d = src[k], dst[k]
+            probes = np.clip(s + np.outer((1, 2, 3), d - s) // 4, s + 1, d - 1)
+            rows = self._rows(probes.ravel(), np.tile(s, 3), np.tile(d, 3))
+            keep[k] = rows.reshape(3, -1).max(axis=0) <= eta
+        return keep
+
+    def horizon(self, eta: float) -> np.ndarray:
+        """Per-frame reach bound under eta; see _reach_horizon. With zero
+        position weight every frame reaches the end."""
         arrays = self.arrays
-        cfg = self.cfg
         if arrays.kind is StateKind.EE:
-            a = arrays.pos[sources]
-            span = arrays.pos[j] - a
-            pts = arrays.pos[probes]
-            denom = np.sum(span * span, axis=1)
-            safe = np.where(denom == 0.0, 1.0, denom)
-            u = np.clip(np.sum((pts - a) * span, axis=1) / safe, 0.0, 1.0)
-            u = np.where(denom == 0.0, 0.0, u)
-            proj = a + u[:, None] * span
-            out = cfg.position_weight * np.linalg.norm(pts - proj, axis=1)
-            qs = _slerp_rows(arrays.quat[sources], arrays.quat[j], u)
-            dots = np.minimum(np.abs(np.sum(arrays.quat[probes] * qs, axis=1)), 1.0)
-            out = out + cfg.orientation_weight * 2.0 * np.arccos(dots)
-            if cfg.include_gripper:
-                g = arrays.grip[sources] + u * (arrays.grip[j] - arrays.grip[sources])
-                out = out + cfg.gripper_weight * np.abs(arrays.grip[probes] - g)
-            return out
-        a = arrays.vec[sources]
-        span = arrays.vec[j] - a
-        pts = arrays.vec[probes]
-        denom = np.sum(span * span, axis=1)
-        safe = np.where(denom == 0.0, 1.0, denom)
-        u = np.clip(np.sum((pts - a) * span, axis=1) / safe, 0.0, 1.0)
-        u = np.where(denom == 0.0, 0.0, u)
-        proj = a + u[:, None] * span
-        weights = cfg.joint_weights(arrays.vec.shape[1])
-        return np.linalg.norm((pts - proj) * weights, axis=1)
-
-    def probe_pass(self, sources: np.ndarray, j: int, eta: float) -> np.ndarray:
-        """Screen chords (sources[k], j): False entries are certainly over
-        budget, judged by the worst of three sampled interior frames (each a
-        lower bound on the full segment loss). True entries still need
-        loss(). Three spread samples rather than one keep periodic paths
-        from aliasing straight through the screen."""
-        sources = np.asarray(sources, dtype=int)
-        lb = self._probe_distances(sources, (sources + j) // 2, j)
-        lb = np.maximum(lb, self._probe_distances(sources, (3 * sources + j) // 4, j))
-        lb = np.maximum(lb, self._probe_distances(sources, (sources + 3 * j) // 4, j))
-        # adjacent chords have no interior frames and are always feasible
-        bound = eta + self._PROBE_SLACK + 1e-9 * eta
-        return (lb <= bound) | (j - sources <= 1)
+            coords = self.cfg.position_weight * arrays.pos
+        else:
+            weights = self.cfg.joint_weights(arrays.vec.shape[1])
+            coords = (arrays.vec * weights)[:, weights > 0.0]
+        return _reach_horizon(coords, eta)
 
     def global_loss(self, indices: Sequence[int]) -> float:
         """Reconstruction loss of the polyline through the given indices."""
         ts = np.arange(len(self))
         best = None
         for a, b in zip(indices, indices[1:]):
-            d = self.frame_distances(int(a), int(b), ts)
+            d = self._rows(ts, int(a), int(b))
             best = d if best is None else np.minimum(best, d)
         return float(best.max())
 
@@ -324,6 +449,6 @@ def min_distances_to_polyline(
     ts = np.arange(len(states))
     best = None
     for i in range(len(anchors) - 1):
-        d = _chord_distances(points, ts, chain, i, i + 1, cfg)
+        d = _row_distances(points, chain, ts, i, i + 1, cfg)
         best = d if best is None else np.minimum(best, d)
     return best

@@ -8,9 +8,12 @@ index sequence so results are reproducible.
 
 The search is a breadth-first minimum-node path over the chord feasibility
 graph, which optimizes the same segment-decomposed objective as the
-recursive split-and-merge formulation but gives a flat table with cheap
-screening. extract_waypoints_bruteforce is the independent check: it
-enumerates subsequences by cardinality and must agree with the solver.
+recursive split-and-merge formulation. A sound reach horizon per frame
+(SegmentScorer.horizon) limits the chords a frame can start, so each BFS
+layer screens and checks O(T W) chords rather than O(T^2) when the
+weighted position term moves. extract_waypoints_bruteforce is the
+independent check: it enumerates subsequences by cardinality and must
+agree with the solver.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .reconstruction import SegmentScorer, _checked_indices
+from .reconstruction import SegmentScorer, _batches, _checked_indices, _ranks
 from .state_space import DEFAULT_METRIC, MetricConfig, Trajectory
 
 __all__ = [
@@ -98,115 +101,86 @@ class WaypointSet:
 
 @dataclass
 class SolveStats:
-    """Work counters for one extraction."""
+    """Work counters for one extraction; all but wall_time are deterministic.
+
+    subproblems_evaluated counts frames that received a hop count (the end
+    frame included). chords_screened counts (source, frontier) pairs inside
+    the reach horizon, segment_loss_evaluations the non-adjacent chords that
+    survived the screen and were evaluated exactly. Each BFS layer checks
+    every survivor rather than stopping at a source's first feasible chord,
+    so segment_loss_evaluations is larger than a first-hit search would
+    report.
+    """
 
     subproblems_evaluated: int = 0
     segment_loss_evaluations: int = 0
+    chords_screened: int = 0
+    bfs_layers: int = 0
     wall_time: float = 0.0
 
 
-class _Feasibility:
-    """Memoized chord feasibility on top of a SegmentScorer."""
-
-    def __init__(self, scorer: SegmentScorer, eta: float):
-        self.scorer = scorer
-        self.eta = eta
-        self.verdict: dict[tuple[int, int], bool] = {}
-        self.full_loss: dict[tuple[int, int], float] = {}
-        self.evaluations = 0
-
-    def feasible(self, i: int, j: int) -> bool:
-        if j <= i + 1:
-            return True
-        key = (i, j)
-        v = self.verdict.get(key)
-        if v is None:
-            self.evaluations += 1
-            loss = self.scorer.loss(i, j, stop_above=self.eta)
-            v = loss <= self.eta
-            self.verdict[key] = v
-            if v:
-                # early exit never fired, so this value is the exact loss
-                self.full_loss[key] = loss
-        return v
-
-    def exact_loss(self, i: int, j: int) -> float:
-        if j <= i + 1:
-            return 0.0
-        key = (i, j)
-        if key not in self.full_loss:
-            self.evaluations += 1
-            self.full_loss[key] = self.scorer.loss(i, j)
-        return self.full_loss[key]
+# Most (source, frontier) pairs handled at once in a BFS layer.
+_PAIR_BLOCK = 1 << 15
 
 
-def _min_hops_to_end(T: int, feas: _Feasibility, stats: SolveStats) -> list[int | None]:
-    """Backward BFS: hops[i] = fewest chords from frame i to frame T-1.
+def _min_hop_successors(scorer: SegmentScorer, eta: float, stats: SolveStats):
+    """Backward BFS over feasible chords, layer by layer from frame T-1.
 
-    Always terminates because adjacent chords are free, so the largest
-    unassigned frame can reach an assigned one each layer. Candidate edges
-    are screened in bulk with the scorer's lower bound before any exact
-    segment evaluation.
+    A frame first reached in layer L has L chords to go, and its successor
+    is the smallest frame of layer L-1 it reaches: following successors
+    from frame 0 gives the lexicographically smallest minimal path. A layer
+    pairs every unassigned frame i with the previous layer's frames j in
+    (i, horizon[i]], screens all pairs in one pass and evaluates the
+    survivors exactly in another. Adjacent chords always fit, so each layer
+    reaches at least the largest unassigned frame and the search ends.
+
+    Returns successor indices and the loss of each frame's chord to its
+    successor; frames the search never reached hold -1.
     """
-    hops: list[int | None] = [None] * T
-    hops[T - 1] = 0
-    stats.subproblems_evaluated += 1
-    unassigned = list(range(T - 1))
-    frontier = [T - 1]
-    layer = 0
-    while hops[0] is None:
-        layer += 1
-        pool = np.array(unassigned, dtype=int)
-        candidates: dict[int, list[int]] = {}
-        for j in frontier:
-            sources = pool[pool < j]
-            if sources.size == 0:
-                continue
-            keep = feas.scorer.probe_pass(sources, j, feas.eta)
-            for i in sources[keep]:
-                candidates.setdefault(int(i), []).append(j)
-        reached = []
-        for i in sorted(candidates):
-            for j in sorted(candidates[i], key=lambda jj: jj - i):
-                if feas.feasible(i, j):
-                    hops[i] = layer
-                    reached.append(i)
-                    stats.subproblems_evaluated += 1
-                    break
-        assert reached, "BFS stalled; adjacent chords guarantee progress"
-        assigned = set(reached)
-        unassigned = [i for i in unassigned if i not in assigned]
-        frontier = reached
-    return hops
-
-
-def _lex_smallest_path(T: int, hops: list[int | None], feas: _Feasibility) -> list[int]:
-    """Greedy front-to-back reconstruction of the minimal path, always taking
-    the smallest next index that still finishes in the remaining hop count."""
-    path = [0]
-    cur = 0
-    while cur != T - 1:
-        need = hops[cur] - 1
-        for j in range(cur + 1, T):
-            if hops[j] == need and feas.feasible(cur, j):
-                path.append(j)
-                cur = j
-                break
-        else:
-            raise AssertionError("no continuation found on a minimal path")
-    return path
+    T = len(scorer)
+    horizon = scorer.horizon(eta)
+    succ = np.full(T, -1)
+    succ_loss = np.zeros(T)
+    unassigned = np.arange(T - 1)
+    frontier = np.array([T - 1])
+    stats.subproblems_evaluated = 1
+    while succ[0] < 0:
+        stats.bfs_layers += 1
+        first = np.searchsorted(frontier, unassigned, side="right")
+        counts = np.searchsorted(frontier, horizon[unassigned], side="right") - first
+        for part in _batches(counts, _PAIR_BLOCK):
+            n = counts[part]
+            src = np.repeat(unassigned[part], n)
+            dst = frontier[np.repeat(first[part], n) + _ranks(n)]
+            stats.chords_screened += src.size
+            keep = scorer.probe_pass(src, dst, eta)
+            src, dst = src[keep], dst[keep]
+            losses = scorer.chord_losses(src, dst)
+            stats.segment_loss_evaluations += int(np.count_nonzero(dst - src > 1))
+            fits = losses <= eta
+            src, dst, losses = src[fits], dst[fits], losses[fits]
+            # pairs run by source, then by ascending frontier frame
+            _, head = np.unique(src, return_index=True)
+            succ[src[head]] = dst[head]
+            succ_loss[src[head]] = losses[head]
+        reached = succ[unassigned] >= 0
+        assert reached.any(), "BFS stalled; adjacent chords guarantee progress"
+        frontier = unassigned[reached]
+        unassigned = unassigned[~reached]
+        stats.subproblems_evaluated += frontier.size
+    return succ, succ_loss
 
 
 def _solve(scorer: SegmentScorer, eta: float) -> tuple[WaypointSet, SolveStats]:
     stats = SolveStats()
     start = time.perf_counter()
     T = len(scorer)
-    feas = _Feasibility(scorer, eta)
-    hops = _min_hops_to_end(T, feas, stats)
-    indices = _lex_smallest_path(T, hops, feas)
-    seg = max(feas.exact_loss(a, b) for a, b in itertools.pairwise(indices))
+    succ, succ_loss = _min_hop_successors(scorer, eta, stats)
+    indices = [0]
+    while indices[-1] != T - 1:
+        indices.append(int(succ[indices[-1]]))
+    seg = float(succ_loss[indices[:-1]].max())
     glob = scorer.global_loss(indices)
-    stats.segment_loss_evaluations = feas.evaluations
     stats.wall_time = time.perf_counter() - start
     wp = WaypointSet(tuple(indices), eta_used=eta, achieved_segment_loss=seg, achieved_global_loss=glob)
     return wp, stats
@@ -233,15 +207,16 @@ def extract_waypoints_bruteforce(traj: Trajectory, budget: ErrorBudget) -> Waypo
     if T > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force is limited to {BRUTE_FORCE_LIMIT} frames, got {T}")
     scorer = SegmentScorer(traj, budget.metric)
-    feas = _Feasibility(scorer, budget.eta)
+    src, dst = np.triu_indices(T, 1)
+    loss = dict(zip(zip(src.tolist(), dst.tolist()), scorer.chord_losses(src, dst).tolist()))
     interior = range(1, T - 1)
     for k in range(0, T - 1):
         for combo in itertools.combinations(interior, k):
             seq = (0, *combo, T - 1)
-            if all(feas.feasible(a, b) for a, b in itertools.pairwise(seq)):
-                seg = max(feas.exact_loss(a, b) for a, b in itertools.pairwise(seq))
-                glob = scorer.global_loss(seq)
-                return WaypointSet(seq, budget.eta, seg, glob)
+            chords = list(itertools.pairwise(seq))
+            if all(loss[c] <= budget.eta for c in chords):
+                seg = max(loss[c] for c in chords)
+                return WaypointSet(seq, budget.eta, seg, scorer.global_loss(seq))
     raise AssertionError("the full frame sequence is always feasible")
 
 
@@ -267,6 +242,6 @@ def annotate_losses(traj: Trajectory, waypoints, metric: MetricConfig = DEFAULT_
     e.g. one produced by a heuristic selector."""
     indices = _checked_indices(traj, waypoints)
     scorer = SegmentScorer(traj, metric)
-    seg = max(scorer.loss(a, b) for a, b in itertools.pairwise(indices))
+    seg = float(scorer.chord_losses(indices[:-1], indices[1:]).max())
     glob = scorer.global_loss(indices)
     return WaypointSet(indices, eta_used=None, achieved_segment_loss=seg, achieved_global_loss=glob)

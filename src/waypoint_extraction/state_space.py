@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +105,19 @@ def quaternion_to_axis_angle(q) -> np.ndarray:
 
 
 def quaternion_geodesic_angle(q1, q2) -> float:
-    """Rotation angle between two orientations, in [0, pi]."""
-    d = abs(float(np.dot(q1, q2)))
-    return 2.0 * math.acos(min(1.0, d))
+    """Rotation angle between two orientations, in [0, pi].
+
+    Kahan's form 4 atan2(|q1 - s q2|, |q1 + s q2|) with s = sign(q1 . q2):
+    exactly 0 for equal quaternions and accurate at small angles, where
+    2 acos(|q1 . q2|) turns one ulp of the dot product into ~1e-8 rad.
+    """
+    a = np.asarray(q1, dtype=float).tolist()
+    b = np.asarray(q2, dtype=float).tolist()
+    minus = math.dist(a, b)
+    plus = math.hypot(*map(operator.add, a, b))
+    if sum(map(operator.mul, a, b)) < 0.0:
+        minus, plus = plus, minus
+    return 4.0 * math.atan2(minus, plus)
 
 
 def quaternion_slerp(qa, qb, u: float) -> np.ndarray:

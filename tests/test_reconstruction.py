@@ -111,14 +111,26 @@ def test_scorer_matches_scalar_segment_loss(rng):
             assert abs(scorer.loss(i, j) - segment_loss(traj, i, j)) < 1e-11
 
 
-def test_scorer_early_exit_overestimates_only_when_infeasible(rng):
-    traj = make_random_walk_trajectory(rng, 40)
+@pytest.mark.parametrize("kind", ["ee", "joint"])
+def test_batched_losses_equal_single_chord_losses_bit_for_bit(rng, kind):
+    traj = make_random_walk_trajectory(rng, 60, kind, joint_dim=8)
+    cfg = MetricConfig(include_gripper=True) if kind == "ee" else MetricConfig(joint_mask=(1, 0, 2, 1, 1, 0, 1, 3))
+    scorer = SegmentScorer(traj, cfg)
+    src, dst = np.triu_indices(60, 1)
+    pick = rng.permutation(src.size)[:400]
+    batched = scorer.chord_losses(src[pick], dst[pick])
+    assert batched.tolist() == [scorer.loss(int(a), int(b)) for a, b in zip(src[pick], dst[pick])]
+
+
+def test_probe_pass_rejects_only_chords_over_budget(rng):
+    traj = make_random_walk_trajectory(rng, 50)
     scorer = SegmentScorer(traj)
-    exact = scorer.loss(0, 39)
-    eta = exact / 2
-    early = scorer.loss(0, 39, stop_above=eta)
-    assert early > eta  # verdict is what matters, not the value
-    assert scorer.loss(0, 39, stop_above=exact + 1.0) == exact
+    src, dst = np.triu_indices(50, 1)
+    exact = scorer.chord_losses(src, dst)
+    for eta in np.quantile(exact, [0.1, 0.5, 0.9]):
+        keep = scorer.probe_pass(src, dst, eta)
+        assert np.all(keep[exact <= eta])
+        assert not keep.all()
 
 
 # ---------------------------------------------------------------------------

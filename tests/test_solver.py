@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import ee_trajectory
-from waypoint_extraction.reconstruction import segment_loss
+from conftest import ee_trajectory, joint_trajectory
+from waypoint_extraction.reconstruction import SegmentScorer, segment_loss
 from waypoint_extraction.solver import (
     BRUTE_FORCE_LIMIT,
     ErrorBudget,
@@ -12,8 +12,8 @@ from waypoint_extraction.solver import (
     extract_waypoints_dp,
     sweep_eta,
 )
-from waypoint_extraction.state_space import EEState, Frame, StateKind, Trajectory
-from waypoint_extraction.synthetic import make_random_walk_trajectory
+from waypoint_extraction.state_space import EEState, Frame, MetricConfig, StateKind, Trajectory
+from waypoint_extraction.synthetic import make_random_walk_trajectory, make_segmented_ee_trajectory
 
 
 def l_path_trajectory():
@@ -75,8 +75,6 @@ def test_dp_matches_bruteforce(rng, kind):
 def test_dp_matches_bruteforce_at_knife_edge_budgets(rng):
     # a budget exactly equal to some chord's loss once made the screening
     # probe (different rounding than the exact kernel) drop a feasible edge
-    from waypoint_extraction.reconstruction import SegmentScorer
-
     for _ in range(60):
         T = int(rng.integers(3, 14))
         traj = make_random_walk_trajectory(rng, T)
@@ -227,3 +225,153 @@ def test_annotate_losses_matches_public_ops(rng):
     seg = max(segment_loss(traj, 0, 7), segment_loss(traj, 7, 14))
     assert abs(wp.achieved_segment_loss - seg) < 1e-11
     assert abs(wp.achieved_global_loss - reconstruction_loss(traj, [0, 7, 14])) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# reach horizon and batched BFS on adversarial families
+# ---------------------------------------------------------------------------
+
+
+def _shifted(traj, offset):
+    return Trajectory(
+        traj.name,
+        StateKind.EE,
+        traj.frequency_hz,
+        tuple(Frame(f.t, EEState(f.state.position + offset, f.state.orientation, f.state.gripper)) for f in traj.frames),
+    )
+
+
+def _small_family(name, rng):
+    """(trajectory, metric) pairs for the brute-force differential."""
+    T = int(rng.integers(4, 15))
+    if name == "walk":
+        return make_random_walk_trajectory(rng, T), MetricConfig()
+    if name == "orientation-only":
+        return make_random_walk_trajectory(rng, T), MetricConfig(position_weight=0.0)
+    if name == "masked-joints":
+        traj = make_random_walk_trajectory(rng, T, StateKind.JOINT, joint_dim=5)
+        return traj, MetricConfig(joint_mask=(1.0, 0.0, 2.0, 0.0, 0.5))
+    if name == "far-from-origin":
+        return _shifted(make_random_walk_trajectory(rng, T), np.array([1e6, -1e6, 1e6])), MetricConfig()
+    assert name == "pauses"
+    return make_random_walk_trajectory(rng, T, pause_prob=0.5), MetricConfig()
+
+
+@pytest.mark.parametrize("family", ["walk", "orientation-only", "masked-joints", "far-from-origin", "pauses"])
+def test_dp_matches_bruteforce_on_adversarial_families(rng, family):
+    for _ in range(25):
+        traj, metric = _small_family(family, rng)
+        scorer = SegmentScorer(traj, metric)
+        a = int(rng.integers(0, len(traj) - 1))
+        b = int(rng.integers(a + 1, len(traj)))
+        # a random budget and a knife-edge one, equal to some chord's loss
+        for eta in (float(np.exp(rng.uniform(np.log(1e-3), np.log(2.0)))), scorer.loss(a, b) or 1e-6):
+            budget = ErrorBudget(eta, metric)
+            wp, _ = extract_waypoints_dp(traj, budget)
+            assert wp.indices == extract_waypoints_bruteforce(traj, budget).indices
+
+
+def _ee_curve(points, rng, jitter=1e-4):
+    points = np.asarray(points) + rng.normal(0.0, jitter, size=np.shape(points))
+    turns = [(0.0, 0.0, 0.3 * np.sin(0.05 * t)) for t in range(len(points))]
+    return ee_trajectory(points, axis_angles=turns)
+
+
+def _long_family(name, rng):
+    T = int(rng.integers(100, 151))
+    s = np.linspace(0.0, 1.0, T)
+    if name == "loops":
+        w = 2 * np.pi * 3
+        return _ee_curve(np.c_[0.1 * np.cos(w * s), 0.1 * np.sin(w * s), np.zeros(T)], rng), MetricConfig()
+    if name == "back-and-forth":
+        sweep = 0.2 * np.abs(((4 * s) % 2) - 1)
+        return _ee_curve(np.c_[sweep, 0.01 * s, np.zeros(T)], rng), MetricConfig()
+    if name == "helix":
+        w = 2 * np.pi * 2.5
+        return _ee_curve(np.c_[0.1 * np.cos(w * s), 0.1 * np.sin(w * s), 0.15 * s], rng), MetricConfig()
+    assert name == "joint-loops"
+    w = 2 * np.pi * 3
+    joints = np.c_[np.cos(w * s), np.sin(w * s), np.sin(2 * w * s), 0.3 * s, np.cos(5 * w * s)]
+    joints = joints + rng.normal(0.0, 1e-3, size=joints.shape)
+    return joint_trajectory(joints), MetricConfig(joint_mask=(1.0, 1.0, 0.5, 1.0, 0.0))
+
+
+def _all_chord_losses(scorer):
+    """loss[i, j] for every chord; chord_losses gives scorer.loss bit for bit
+    (tested in test_reconstruction) in one call."""
+    T = len(scorer)
+    src, dst = np.triu_indices(T, 1)
+    loss = np.zeros((T, T))
+    loss[src, dst] = scorer.chord_losses(src, dst)
+    return loss
+
+
+def _plain_min_hop_path(loss, eta):
+    """O(T^2) minimum-hop DP over all chord losses with no horizon and no
+    screen, taking the smallest successor among equally short completions."""
+    T = len(loss)
+    hops = [0] * T
+    succ = [None] * T
+    for i in range(T - 2, -1, -1):
+        hops[i] = T
+        for j in range(i + 1, T):
+            if hops[j] + 1 < hops[i] and loss[i, j] <= eta:
+                hops[i], succ[i] = hops[j] + 1, j
+    path = [0]
+    while path[-1] != T - 1:
+        path.append(succ[path[-1]])
+    return tuple(path)
+
+
+LONG_FAMILIES = ["loops", "back-and-forth", "helix", "joint-loops"]
+
+
+@pytest.mark.parametrize("family", LONG_FAMILIES)
+def test_dp_matches_plain_dp_on_long_families(rng, family):
+    traj, metric = _long_family(family, rng)
+    loss = _all_chord_losses(SegmentScorer(traj, metric))
+    for eta in (0.002, 0.005, 0.02):
+        wp, _ = extract_waypoints_dp(traj, ErrorBudget(eta, metric))
+        assert wp.indices == _plain_min_hop_path(loss, eta)
+
+
+@pytest.mark.parametrize("family", LONG_FAMILIES + ["segmented"])
+def test_horizon_is_sound(rng, family):
+    if family == "segmented":
+        traj = make_segmented_ee_trajectory(rng, eta=0.005, n_segments=3, frames_per_segment=45)
+        metric = MetricConfig()
+    else:
+        traj, metric = _long_family(family, rng)
+    scorer = SegmentScorer(traj, metric)
+    loss = _all_chord_losses(scorer)
+    T = len(traj)
+    src, dst = np.triu_indices(T, 1)
+    for eta in (0.002, 0.005, 0.02):
+        horizon = scorer.horizon(eta)
+        assert np.all(horizon[:-1] > np.arange(T - 1))
+        beyond = dst > horizon[src]
+        assert np.all(loss[src[beyond], dst[beyond]] > eta)
+    assert beyond.any(), "the horizon should cut something on this family"
+
+
+def test_horizon_without_position_term_reaches_the_end(rng):
+    traj = make_random_walk_trajectory(rng, 40)
+    horizon = SegmentScorer(traj, MetricConfig(position_weight=0.0)).horizon(1e-3)
+    assert np.all(horizon == 39)
+
+
+def test_stats_counters_pinned():
+    traj = make_segmented_ee_trajectory(np.random.default_rng(7), eta=0.01, n_segments=3, frames_per_segment=40)
+    wp, stats = extract_waypoints_dp(traj, ErrorBudget(0.01))
+    assert (len(traj), len(wp)) == PINNED_SIZES
+    assert (
+        stats.subproblems_evaluated,
+        stats.segment_loss_evaluations,
+        stats.chords_screened,
+        stats.bfs_layers,
+    ) == PINNED_COUNTERS
+    assert stats.bfs_layers == len(wp) - 1
+
+
+PINNED_SIZES = (121, 7)
+PINNED_COUNTERS = (113, 632, 1518, 6)

@@ -179,6 +179,22 @@ def test_distance_symmetric_and_translation_invariant(p1, v1, p2, v2, shift):
     assert abs(d - state_distance(a2, b2)) < 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    vec3,
+    st.tuples(finite, finite, finite, finite).filter(lambda q: np.linalg.norm(q) > 1e-3),
+    st.floats(min_value=0.0, max_value=0.1),
+    st.lists(finite, min_size=1, max_size=9),
+)
+def test_distance_to_itself_is_exactly_zero(p, q, grip, joints):
+    cfg = MetricConfig(include_gripper=True, gripper_weight=3.0)
+    x = EEState(p, q, grip)
+    assert state_distance(x, x, cfg) == 0.0
+    assert state_distance(x, EEState(p, -np.asarray(q), grip), cfg) == 0.0
+    y = JointState(np.asarray(joints))
+    assert state_distance(y, y) == 0.0
+
+
 @settings(max_examples=50, deadline=None)
 @given(vec3, rotvec_strategy(), vec3, rotvec_strategy())
 def test_distance_matches_scipy_oracle(p1, v1, p2, v2):
