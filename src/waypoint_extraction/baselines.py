@@ -62,20 +62,18 @@ class CalibrationResult:
 
 def _frame_speeds(traj: Trajectory) -> np.ndarray:
     """Single-step finite differences of the position (or joint) part."""
-    if traj.state_space is StateKind.EE:
-        return np.linalg.norm(np.diff(traj.positions(), axis=0), axis=1)
-    return np.linalg.norm(np.diff(traj.joints(), axis=0), axis=1)
+    coords = traj.pos if traj.state_space is StateKind.EE else traj.joints
+    return np.linalg.norm(np.diff(coords, axis=0), axis=1)
 
 
 def _gripper_flip_frames(traj: Trajectory, delta: float) -> np.ndarray:
     """Frames where the binarized gripper signal changes from the previous frame."""
     if traj.state_space is StateKind.EE:
-        signals = traj.grippers()[:, None]
+        signals = traj.grip[:, None]
+    elif traj.gripper_dims:
+        signals = traj.joints[:, list(traj.gripper_dims)]
     else:
-        dims = traj.frames[0].state.gripper_dims
-        if not dims:
-            return np.array([], dtype=int)
-        signals = traj.joints()[:, list(dims)]
+        return np.array([], dtype=int)
     flips = np.zeros(len(traj), dtype=bool)
     for col in signals.T:
         lo, hi = float(col.min()), float(col.max())

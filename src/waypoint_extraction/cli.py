@@ -29,12 +29,13 @@ from .replay import default_follower_config, replay_waypoints
 from .solver import (
     BRUTE_FORCE_LIMIT,
     ErrorBudget,
+    WaypointSet,
     annotate_losses,
     extract_waypoints_bruteforce,
     extract_waypoints_dp,
     sweep_eta,
 )
-from .state_space import MetricConfig
+from .state_space import DEFAULT_METRIC, MetricConfig
 from .trajfile import (
     TrajectoryFileError,
     TrajectoryParseError,
@@ -181,6 +182,20 @@ def _segment_losses(traj, wp, metric) -> list[float]:
     return scorer.chord_losses(wp.indices[:-1], wp.indices[1:]).tolist()
 
 
+def compare_selectors(traj, awe: WaypointSet, methods, metric: MetricConfig = DEFAULT_METRIC,
+                      control_multiplier: int = 10) -> dict[str, tuple[WaypointSet, float]]:
+    """Per method: its waypoint set, with achieved losses, and its replay
+    deviation. "awe" is the budgeted solver's set awe, always included; each
+    heuristic in methods is calibrated to its count."""
+    follower = default_follower_config(traj, awe.eta_used, control_multiplier=control_multiplier, metric=metric)
+    rows = {"awe": (awe, replay_waypoints(traj, awe, follower).max_tracking_deviation)}
+    for method in methods:
+        if method != "awe":
+            wp = annotate_losses(traj, calibrate_to_count(traj, method, len(awe)).waypoints, metric)
+            rows[method] = (wp, replay_waypoints(traj, wp, follower).max_tracking_deviation)
+    return rows
+
+
 def _cmd_compare(args, parser) -> int:
     eta = _resolve_eta(args, parser)
     metric = _metric(args)
@@ -196,31 +211,18 @@ def _cmd_compare(args, parser) -> int:
     for f in _input_files(args.input):
         traj = load_trajectory(f)
         awe_wp, _ = extract_waypoints_dp(traj, budget)
-        follower = default_follower_config(
-            traj, eta, control_multiplier=args.control_multiplier, metric=metric
-        )
-        awe_replay = replay_waypoints(traj, awe_wp, follower)
-        results = {}
+        rows = compare_selectors(traj, awe_wp, methods, metric, args.control_multiplier)
         for method in methods:
-            if method == "awe":
-                wp = awe_wp
-                replay = awe_replay
-            else:
-                wp = annotate_losses(traj, calibrate_to_count(traj, method, len(awe_wp)).waypoints, metric)
-                replay = replay_waypoints(traj, wp, follower)
-            results[method] = (wp, replay)
+            wp, deviation = rows[method]
             print(
                 f"{traj.name:<24} {method:<10} {len(wp):>5} {wp.achieved_segment_loss:>12.6f} "
-                f"{wp.achieved_global_loss:>12.6f} {replay.max_tracking_deviation:>12.6f}"
+                f"{wp.achieved_global_loss:>12.6f} {deviation:>12.6f}"
             )
-        for method, (wp, replay) in results.items():
-            if method == "awe":
-                continue
-            wins[method]["n"] += 1
-            if awe_wp.achieved_global_loss <= wp.achieved_global_loss:
-                wins[method]["global"] += 1
-            if awe_replay.max_tracking_deviation <= replay.max_tracking_deviation:
-                wins[method]["replay"] += 1
+        for method, tally in wins.items():
+            wp, deviation = rows[method]
+            tally["n"] += 1
+            tally["global"] += awe_wp.achieved_global_loss <= wp.achieved_global_loss
+            tally["replay"] += rows["awe"][1] <= deviation
     for method, tally in wins.items():
         if tally["n"]:
             print(

@@ -7,13 +7,15 @@ distance to any chord. The global loss is never larger than the worst
 per-segment loss, because a frame may project onto a chord other than the
 one containing it.
 
-Everything here is pure; SegmentScorer just caches the trajectory's arrays
-so repeated chord queries stay cheap.
+Everything here is pure. The vectorized code reads the trajectory's columns
+directly; the scalar reference path (project_onto_chord, segment_loss)
+works on state views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +27,7 @@ from .state_space import (
     StateKind,
     Trajectory,
     _check_same_kind,
+    _state_columns,
     interpolate,
     state_distance,
 )
@@ -81,11 +84,11 @@ def segment_loss(traj: Trajectory, i: int, j: int, cfg: MetricConfig = DEFAULT_M
     """
     if not (0 <= i < j < len(traj)):
         raise IndexError(f"segment ({i}, {j}) out of range for trajectory of length {len(traj)}")
-    a = traj.frames[i].state
-    b = traj.frames[j].state
+    a = traj.state(i)
+    b = traj.state(j)
     worst = 0.0
     for t in range(i + 1, j):
-        worst = max(worst, project_onto_chord(traj.frames[t].state, a, b, cfg).distance)
+        worst = max(worst, project_onto_chord(traj.state(t), a, b, cfg).distance)
     return worst
 
 
@@ -116,36 +119,10 @@ def _checked_indices(traj: Trajectory, waypoints) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class _StateArrays:
-    """Dense array view of a state sequence for vectorized chord math."""
-
-    __slots__ = ("kind", "pos", "quat", "grip", "vec")
-
-    def __init__(self, kind: StateKind, pos=None, quat=None, grip=None, vec=None):
-        self.kind = kind
-        self.pos = pos
-        self.quat = quat
-        self.grip = grip
-        self.vec = vec
-
-    @classmethod
-    def from_states(cls, states: Sequence[State]) -> "_StateArrays":
-        kind = states[0].kind
-        if kind is StateKind.EE:
-            return cls(
-                kind,
-                pos=np.stack([s.position for s in states]),
-                quat=np.stack([s.orientation for s in states]),
-                grip=np.array([s.gripper for s in states]),
-            )
-        return cls(kind, vec=np.stack([s.joints for s in states]))
-
-    @classmethod
-    def from_trajectory(cls, traj: Trajectory) -> "_StateArrays":
-        return cls.from_states([f.state for f in traj.frames])
-
-    def __len__(self) -> int:
-        return len(self.pos) if self.kind is StateKind.EE else len(self.vec)
+def _stack(states: Sequence[State]) -> SimpleNamespace:
+    """A state sequence stacked into the columns a Trajectory keeps."""
+    columns = {k: np.array(v) for k, v in _state_columns(states).items()}
+    return SimpleNamespace(joints=columns.pop("joints", None), **columns)
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -172,37 +149,32 @@ def _slerp_rows(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out / np.sqrt(_rowdot(out, out))[:, None]
 
 
-def _row_distances(
-    points: _StateArrays,
-    anchors: _StateArrays,
-    t,
-    src,
-    dst,
-    cfg: MetricConfig,
-) -> np.ndarray:
+def _row_distances(points, anchors, t, src, dst, cfg: MetricConfig) -> np.ndarray:
     """Distance of points[t[k]] to the chord anchors[src[k]] -> anchors[dst[k]].
 
-    The one vectorized chord-distance kernel. Index arguments broadcast, so
+    The one vectorized chord-distance kernel; points and anchors hold state
+    columns as a Trajectory names them. Index arguments broadcast, so
     scalar src and dst score many frames against one chord. Each row is
     computed from its own inputs alone, so its value does not depend on the
     rest of the batch: the solver's screen, its exact checks and
     SegmentScorer.loss agree bit for bit.
     """
-    if points.kind is StateKind.EE:
+    joint = points.joints is not None
+    if not joint:
         a = anchors.pos[src]
         span = anchors.pos[dst] - a
         pts = points.pos[t]
     else:
-        a = anchors.vec[src]
-        span = anchors.vec[dst] - a
-        pts = points.vec[t]
+        a = anchors.joints[src]
+        span = anchors.joints[dst] - a
+        pts = points.joints[t]
     denom = _rowdot(span, span)
     safe = np.where(denom == 0.0, 1.0, denom)
     u = np.clip(_rowdot(pts - a, span) / safe, 0.0, 1.0)
     u = np.where(denom == 0.0, 0.0, u)
     off = pts - (a + u[:, None] * span)
-    if points.kind is StateKind.JOINT:
-        off = off * cfg.joint_weights(anchors.vec.shape[1])
+    if joint:
+        off = off * cfg.joint_weights(anchors.joints.shape[1])
         return np.sqrt(_rowdot(off, off))
     out = cfg.position_weight * np.sqrt(_rowdot(off, off))
     qs = _slerp_rows(anchors.quat[src], anchors.quat[dst], u)
@@ -352,6 +324,17 @@ def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
     return horizon
 
 
+def _nearest_chord(points, count: int, anchors, chain, cfg: MetricConfig) -> np.ndarray:
+    """Distance of points 0..count-1 to the nearest chord (chain[k],
+    chain[k+1]) of anchors; chords are taken in order."""
+    ts = np.arange(count)
+    best = None
+    for a, b in zip(chain, chain[1:]):
+        d = _row_distances(points, anchors, ts, int(a), int(b), cfg)
+        best = d if best is None else np.minimum(best, d)
+    return best
+
+
 class SegmentScorer:
     """Cached per-trajectory evaluator for chord losses.
 
@@ -367,16 +350,16 @@ class SegmentScorer:
 
     def __init__(self, traj: Trajectory, cfg: MetricConfig = DEFAULT_METRIC):
         self.cfg = cfg
-        self.arrays = _StateArrays.from_trajectory(traj)
-        if self.arrays.kind is StateKind.JOINT:
+        self.traj = traj
+        if traj.joints is not None:
             # fail fast on a mask/dimension mismatch
-            cfg.joint_weights(self.arrays.vec.shape[1])
+            cfg.joint_weights(traj.joints.shape[1])
 
     def __len__(self) -> int:
-        return len(self.arrays)
+        return len(self.traj)
 
     def _rows(self, t, src, dst) -> np.ndarray:
-        return _row_distances(self.arrays, self.arrays, t, src, dst, self.cfg)
+        return _row_distances(self.traj, self.traj, t, src, dst, self.cfg)
 
     def chord_losses(self, src, dst) -> np.ndarray:
         """Segment losses of the chords (src[k], dst[k]): the worst distance
@@ -419,36 +402,29 @@ class SegmentScorer:
     def horizon(self, eta: float) -> np.ndarray:
         """Per-frame reach bound under eta; see _reach_horizon. With zero
         position weight every frame reaches the end."""
-        arrays = self.arrays
-        if arrays.kind is StateKind.EE:
-            coords = self.cfg.position_weight * arrays.pos
+        if self.traj.joints is None:
+            coords = self.cfg.position_weight * self.traj.pos
         else:
-            weights = self.cfg.joint_weights(arrays.vec.shape[1])
-            coords = (arrays.vec * weights)[:, weights > 0.0]
+            weights = self.cfg.joint_weights(self.traj.joints.shape[1])
+            coords = (self.traj.joints * weights)[:, weights > 0.0]
         return _reach_horizon(coords, eta)
 
     def global_loss(self, indices: Sequence[int]) -> float:
         """Reconstruction loss of the polyline through the given indices."""
-        ts = np.arange(len(self))
-        best = None
-        for a, b in zip(indices, indices[1:]):
-            d = self._rows(ts, int(a), int(b))
-            best = d if best is None else np.minimum(best, d)
-        return float(best.max())
+        return float(_nearest_chord(self.traj, len(self), self.traj, indices, self.cfg).max())
 
 
 def min_distances_to_polyline(
-    states: Sequence[State], anchors: Sequence[State], cfg: MetricConfig = DEFAULT_METRIC
+    states: Sequence[State], anchors: Trajectory | Sequence[State], cfg: MetricConfig = DEFAULT_METRIC
 ) -> np.ndarray:
-    """Per-state distance to the nearest chord of the polyline through anchors."""
+    """Per-state distance to the nearest chord of the polyline through
+    anchors, a trajectory (read from its columns) or a state sequence."""
     if len(anchors) < 2:
         raise ValueError("polyline needs at least two anchors")
-    _check_same_kind(states[0], anchors[0])
-    points = _StateArrays.from_states(states)
-    chain = _StateArrays.from_states(anchors)
-    ts = np.arange(len(states))
-    best = None
-    for i in range(len(anchors) - 1):
-        d = _row_distances(points, chain, ts, i, i + 1, cfg)
-        best = d if best is None else np.minimum(best, d)
-    return best
+    chain = range(len(anchors))
+    if isinstance(anchors, Trajectory):
+        _check_same_kind(states[0], anchors.state(0))
+    else:
+        _check_same_kind(states[0], anchors[0])
+        anchors = _stack(anchors)
+    return _nearest_chord(_stack(states), len(states), anchors, chain, cfg)

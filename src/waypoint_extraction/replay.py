@@ -114,8 +114,7 @@ def replay_waypoints(traj: Trajectory, wp: WaypointSet, cfg: FollowerConfig) -> 
             dist = state_distance(current, target, cfg.metric)
         reached_flags.append(dist <= cfg.reach_tolerance)
         prev_idx = idx
-    anchors = [f.state for f in traj.frames]
-    deviation = max_deviation_from_polyline(executed, anchors, cfg.metric)
+    deviation = max_deviation_from_polyline(executed, traj, cfg.metric)
     return ReplayReport(
         reached_final=reached_flags[-1],
         per_waypoint_reached=tuple(reached_flags),
@@ -126,8 +125,9 @@ def replay_waypoints(traj: Trajectory, wp: WaypointSet, cfg: FollowerConfig) -> 
 
 
 def max_deviation_from_polyline(states, anchors, cfg: MetricConfig = DEFAULT_METRIC) -> float:
-    """Worst distance from any state to the polyline interpolating anchors."""
-    return float(min_distances_to_polyline(list(states), list(anchors), cfg).max())
+    """Worst distance from any state to the polyline interpolating anchors,
+    a trajectory or a sequence of states."""
+    return float(min_distances_to_polyline(list(states), anchors, cfg).max())
 
 
 def default_follower_config(

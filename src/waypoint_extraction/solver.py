@@ -189,8 +189,6 @@ def _solve(scorer: SegmentScorer, eta: float) -> tuple[WaypointSet, SolveStats]:
 def extract_waypoints_dp(traj: Trajectory, budget: ErrorBudget) -> tuple[WaypointSet, SolveStats]:
     """Smallest endpoint-containing waypoint subsequence whose every chord
     stays within budget.eta; deterministic for identical inputs."""
-    if len(traj) < 2:
-        raise ValueError("trajectory needs at least 2 frames")
     scorer = SegmentScorer(traj, budget.metric)
     return _solve(scorer, budget.eta)
 

@@ -3,7 +3,10 @@
 A demonstration frame is either an end-effector pose (position, orientation,
 gripper width) or a joint vector. Orientations are unit quaternions in
 (w, x, y, z) order, stored with a non-negative scalar part so the double
-cover never leaks into distances. All types are immutable and every
+cover never leaks into distances. A Trajectory keeps its frames as
+read-only columns, one array per component, which the vectorized code reads
+directly; Frame and state objects of a trajectory are views of one row,
+built on demand for the scalar code paths. All types are immutable and every
 operation is pure, so values can be shared across worker processes without
 synchronization.
 """
@@ -11,6 +14,7 @@ synchronization.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -44,12 +48,12 @@ class StateKind(str, enum.Enum):
     JOINT = "joint"
 
 
-def _finite_vector(value, length: int | None, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float).copy()
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    if length is not None and arr.shape[0] != length:
-        raise ValueError(f"{name} must have {length} components, got {arr.shape[0]}")
+def _finite_array(values, shape: tuple[int | None, ...], name: str) -> np.ndarray:
+    """values as a nonempty, finite, read-only float array of the given shape;
+    None in shape matches any length."""
+    arr = np.array(values, dtype=float)
+    if arr.ndim != len(shape) or arr.size == 0 or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        raise ValueError(f"{name} must have shape {shape} (None: any length), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
@@ -171,7 +175,7 @@ class EEState:
     source_axis_angle: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _finite_vector(self.position, 3, "position"))
+        object.__setattr__(self, "position", _finite_array(self.position, (3,), "position"))
         quat = canonicalize_quaternion(self.orientation)
         quat.setflags(write=False)
         object.__setattr__(self, "orientation", quat)
@@ -181,7 +185,7 @@ class EEState:
         object.__setattr__(self, "gripper", grip)
         if self.source_axis_angle is not None:
             object.__setattr__(
-                self, "source_axis_angle", _finite_vector(self.source_axis_angle, 3, "source_axis_angle")
+                self, "source_axis_angle", _finite_array(self.source_axis_angle, (3,), "source_axis_angle")
             )
 
     @classmethod
@@ -207,9 +211,7 @@ class JointState:
     gripper_dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        joints = _finite_vector(self.joints, None, "joints")
-        if joints.shape[0] < 1:
-            raise ValueError("joints must have at least one dimension")
+        joints = _finite_array(self.joints, (None,), "joints")
         object.__setattr__(self, "joints", joints)
         if self.gripper_dims is not None:
             dims = tuple(int(d) for d in self.gripper_dims)
@@ -251,77 +253,124 @@ class Frame:
     state: State
     obs_ref: str | None = None
 
-    def __post_init__(self):
-        t = int(self.t)
-        if t < 0:
-            raise ValueError("frame time index must be >= 0")
-        object.__setattr__(self, "t", t)
+
+def _state_columns(states) -> dict:
+    """pos, quat and grip, or joints, of states of one kind as lists of rows."""
+    if states and states[0].kind is StateKind.JOINT:
+        return {"joints": [s.joints for s in states]}
+    return {"pos": [s.position for s in states], "quat": [s.orientation for s in states],
+            "grip": [s.gripper for s in states]}
 
 
-@dataclass(frozen=True, eq=False)
+def _view(cls, **fields):
+    """A frozen dataclass instance holding fields as given, without
+    __post_init__: canonicalize_quaternion is not idempotent bit for bit."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class Trajectory:
-    """An ordered demonstration: at least two frames of one state kind,
-    time indices strictly increasing from 0."""
+    """An ordered demonstration of one state kind, stored as read-only columns.
+
+    Every trajectory has t (time indices, strictly increasing from 0) and
+    obs_ref. End-effector trajectories fill pos (T, 3), quat (T, 4, unit,
+    scalar part >= 0), grip (T,) and axis_angle (T, 3, the rotation vectors
+    a file stores); joint-space ones fill joints (T, D) and gripper_dims.
+    The other kind's columns are None. Frame and state objects are views
+    built on demand by frames and state(i); they carry the rows unchanged.
+    """
 
     name: str
     state_space: StateKind
     frequency_hz: float
-    frames: tuple[Frame, ...]
+    t: np.ndarray
+    obs_ref: tuple[str | None, ...]
+    pos: np.ndarray | None = None
+    quat: np.ndarray | None = None
+    grip: np.ndarray | None = None
+    axis_angle: np.ndarray | None = None
+    joints: np.ndarray | None = None
+    gripper_dims: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "state_space", StateKind(self.state_space))
-        object.__setattr__(self, "frames", tuple(self.frames))
-        freq = float(self.frequency_hz)
+    def __init__(self, name: str, state_space, frequency_hz: float, frames):
+        """Stack frames of one state kind; gripper_dims come from the first."""
+        kind = StateKind(state_space)
+        states = [f.state for f in frames]
+        for i, state in enumerate(states):
+            if state.kind is not kind:
+                raise ValueError(f"frames[{i}]: state kind {state.kind.value} does not match "
+                                 f"trajectory state space {kind.value}")
+        columns = _state_columns(states)
+        if kind is StateKind.EE:
+            columns["axis_angle"] = [s.axis_angle() for s in states]
+        else:
+            columns["gripper_dims"] = states[0].gripper_dims if states else None
+        t, obs_ref = [f.t for f in frames], [f.obs_ref for f in frames]
+        self.__dict__.update(vars(type(self).from_columns(name, kind, frequency_hz, t, obs_ref, **columns)))
+
+    @classmethod
+    def from_columns(cls, name: str, state_space, frequency_hz: float, t, obs_ref=None, pos=None, quat=None,
+                     grip=None, axis_angle=None, joints=None, gripper_dims=None) -> "Trajectory":
+        """A trajectory owning copies of the given columns, named as above,
+        and the one place that validates a trajectory. End effectors need
+        pos, grip and axis_angle; quat, when not given as canonical rows, is
+        derived row by row exactly as EEState.from_axis_angle derives it.
+        obs_ref defaults to None."""
+        freq = float(frequency_hz)
         if not (math.isfinite(freq) and freq > 0):
             raise ValueError("frequency_hz must be a positive finite scalar")
-        object.__setattr__(self, "frequency_hz", freq)
-        if len(self.frames) < 2:
+        if len(t) < 2:
             raise ValueError("trajectory needs at least 2 frames")
-        if self.frames[0].t != 0:
-            raise ValueError(f"frame 0: time index must start at 0, got {self.frames[0].t}")
-        prev_t = -1
-        joint_dim = None
-        for i, frame in enumerate(self.frames):
-            if frame.state.kind is not self.state_space:
-                raise ValueError(f"frame {i}: state kind {frame.state.kind.value} does not match "
-                                 f"trajectory state space {self.state_space.value}")
-            if frame.t <= prev_t:
-                raise ValueError(f"frame {i}: t={frame.t} not greater than previous t={prev_t}")
-            prev_t = frame.t
-            if isinstance(frame.state, JointState):
-                if joint_dim is None:
-                    joint_dim = frame.state.dim
-                elif frame.state.dim != joint_dim:
-                    raise ValueError(f"frame {i}: joint dimension {frame.state.dim} differs from {joint_dim}")
+        t = np.array(t, dtype=np.int64)
+        if t[0] != 0:
+            raise ValueError(f"frames[0]: time index must start at 0, got {t[0]}")
+        bad = np.flatnonzero(np.diff(t) <= 0) + 1
+        if bad.size:
+            raise ValueError(f"frames[{bad[0]}]: t={t[bad[0]]} not greater than previous t={t[bad[0] - 1]}")
+        t.setflags(write=False)
+        obs_ref = (None,) * len(t) if obs_ref is None else tuple(obs_ref)
+        fields = dict(name=name, state_space=StateKind(state_space), frequency_hz=freq, t=t, obs_ref=obs_ref)
+        if fields["state_space"] is StateKind.EE:
+            axis_angle = _finite_array(axis_angle, (None, 3), "axis_angle")
+            if quat is None:
+                quat = [canonicalize_quaternion(axis_angle_to_quaternion(v)) for v in axis_angle]
+            fields.update(
+                pos=_finite_array(pos, (None, 3), "pos"),
+                quat=_finite_array(quat, (None, 4), "quat"),
+                grip=_finite_array(grip, (None,), "grip"),
+                axis_angle=axis_angle,
+            )
+        else:
+            rows = list(joints)
+            for i, row in enumerate(rows):
+                if len(row) != len(rows[0]):
+                    raise ValueError(f"frames[{i}]: joint dimension {len(row)} differs from "
+                                     f"the {len(rows[0])} dims of earlier frames")
+            fields["joints"] = _finite_array(rows, (None, len(rows[0])), "joints")
+            fields["gripper_dims"] = None if gripper_dims is None else tuple(map(int, gripper_dims))
+        traj = object.__new__(cls)
+        traj.__dict__.update(fields)
+        return traj
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.t)
+
+    @functools.cached_property
+    def frames(self) -> tuple[Frame, ...]:
+        """One Frame view per row, built on first use and then kept."""
+        if self.state_space is StateKind.EE:
+            states = [
+                _view(EEState, position=p, orientation=q, gripper=g, source_axis_angle=a)
+                for p, q, g, a in zip(self.pos, self.quat, self.grip.tolist(), self.axis_angle)
+            ]
+        else:
+            states = [_view(JointState, joints=j, gripper_dims=self.gripper_dims) for j in self.joints]
+        return tuple(Frame(t, s, ref) for t, s, ref in zip(self.t.tolist(), states, self.obs_ref))
 
     def state(self, i: int) -> State:
         return self.frames[i].state
-
-    def times(self) -> np.ndarray:
-        return np.array([f.t for f in self.frames], dtype=int)
-
-    def positions(self) -> np.ndarray:
-        if self.state_space is not StateKind.EE:
-            raise ValueError("positions() is only defined for end-effector trajectories")
-        return np.stack([f.state.position for f in self.frames])
-
-    def quaternions(self) -> np.ndarray:
-        if self.state_space is not StateKind.EE:
-            raise ValueError("quaternions() is only defined for end-effector trajectories")
-        return np.stack([f.state.orientation for f in self.frames])
-
-    def grippers(self) -> np.ndarray:
-        if self.state_space is not StateKind.EE:
-            raise ValueError("grippers() is only defined for end-effector trajectories")
-        return np.array([f.state.gripper for f in self.frames])
-
-    def joints(self) -> np.ndarray:
-        if self.state_space is not StateKind.JOINT:
-            raise ValueError("joints() is only defined for joint-space trajectories")
-        return np.stack([f.state.joints for f in self.frames])
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,10 @@ import math
 import numpy as np
 
 from .state_space import (
-    EEState,
-    Frame,
-    JointState,
     StateKind,
     Trajectory,
     axis_angle_to_quaternion,
+    canonicalize_quaternion,
     quaternion_multiply,
     quaternion_slerp,
     quaternion_to_axis_angle,
@@ -105,23 +103,22 @@ def make_segmented_ee_trajectory(
         else:
             grippers.append(grippers[-1])
 
-    nominal = []
+    pos, axis_angle, grip = [], [], []
     for seg in range(n_segments):
         m = frames_per_segment[seg]
         steps = m + 1 if seg == n_segments - 1 else m
         for s in range(steps):
             u = s / m
-            pos = (1.0 - u) * positions[seg] + u * positions[seg + 1]
+            pos.append((1.0 - u) * positions[seg] + u * positions[seg + 1])
             quat = quaternion_slerp(orientations[seg], orientations[seg + 1], u)
-            grip = grippers[seg + 1] if u == 1.0 else grippers[seg]
-            nominal.append((pos, quaternion_to_axis_angle(quat), grip))
+            axis_angle.append(quaternion_to_axis_angle(quat))
+            grip.append(grippers[seg + 1] if u == 1.0 else grippers[seg])
 
-    noise = _band_limited_noise(rng, len(nominal), 6, sigma, noise_window)
-    frames = []
-    for t, (pos, axis_angle, grip) in enumerate(nominal):
-        state = EEState.from_axis_angle(pos + noise[t, :3], axis_angle + noise[t, 3:], grip)
-        frames.append(Frame(t, state))
-    return Trajectory(name, StateKind.EE, frequency_hz, tuple(frames))
+    noise = _band_limited_noise(rng, len(grip), 6, sigma, noise_window)
+    return Trajectory.from_columns(
+        name, StateKind.EE, frequency_hz, np.arange(len(grip)),
+        pos=np.array(pos) + noise[:, :3], axis_angle=np.array(axis_angle) + noise[:, 3:], grip=grip,
+    )
 
 
 def make_corpus(
@@ -147,22 +144,27 @@ def make_random_walk_trajectory(
     if length < 2:
         raise ValueError("length must be >= 2")
     kind = StateKind(kind)
-    frames = []
+    times = np.arange(length)
     if kind is StateKind.EE:
         pos = rng.uniform(-0.5, 0.5, size=3)
         quat = _random_quaternion(rng)
         grip = float(rng.uniform(0.0, 0.08))
+        rows = []
         for t in range(length):
             if t > 0 and rng.random() >= pause_prob:
                 pos = pos + rng.normal(0.0, 0.25, size=3)
                 turn = axis_angle_to_quaternion(abs(rng.normal(0.0, 0.3)) * _random_unit(rng))
                 quat = quaternion_multiply(turn, quat)
                 grip = float(np.clip(grip + rng.normal(0.0, 0.01), 0.0, 0.08))
-            frames.append(Frame(t, EEState(pos, quat, grip)))
-    else:
-        joints = rng.uniform(-1.0, 1.0, size=joint_dim)
-        for t in range(length):
-            if t > 0 and rng.random() >= pause_prob:
-                joints = joints + rng.normal(0.0, 0.4, size=joint_dim)
-            frames.append(Frame(t, JointState(joints)))
-    return Trajectory(name, kind, 50.0, tuple(frames))
+            rows.append((pos, canonicalize_quaternion(quat), grip))
+        positions, quats, grips = zip(*rows)
+        axis_angles = [quaternion_to_axis_angle(q) for q in quats]
+        return Trajectory.from_columns(name, kind, 50.0, times, pos=positions, quat=quats, grip=grips,
+                                       axis_angle=axis_angles)
+    joints = rng.uniform(-1.0, 1.0, size=joint_dim)
+    rows = []
+    for t in range(length):
+        if t > 0 and rng.random() >= pause_prob:
+            joints = joints + rng.normal(0.0, 0.4, size=joint_dim)
+        rows.append(joints)
+    return Trajectory.from_columns(name, kind, 50.0, times, joints=rows)

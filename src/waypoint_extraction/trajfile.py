@@ -24,14 +24,11 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .relabel import RelabeledDataset, RelabeledFrame
 from .solver import WaypointSet
 from .state_space import (
     EEState,
-    Frame,
     JointState,
     MetricConfig,
     State,
@@ -104,31 +101,23 @@ def _vector(value, length: int, where: str) -> list[float]:
     return [_number(v, f"{where}[{k}]") for k, v in enumerate(value)]
 
 
-def _float_list(values) -> list[float]:
-    return [float(v) for v in np.asarray(values, dtype=float)]
-
-
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:
-    frames = []
-    for frame in traj.frames:
-        if traj.state_space is StateKind.EE:
-            state = frame.state
-            record = {
-                "t": frame.t,
-                "pos": _float_list(state.position),
-                "axis_angle": _float_list(state.axis_angle()),
-                "gripper": float(state.gripper),
-            }
-        else:
-            record = {"t": frame.t, "joints": _float_list(frame.state.joints)}
-        if frame.obs_ref is not None:
-            record["obs_ref"] = frame.obs_ref
-        frames.append(record)
+    t = traj.t.tolist()
+    if traj.state_space is StateKind.EE:
+        frames = [
+            {"t": ti, "pos": p, "axis_angle": a, "gripper": g}
+            for ti, p, a, g in zip(t, traj.pos.tolist(), traj.axis_angle.tolist(), traj.grip.tolist())
+        ]
+    else:
+        frames = [{"t": ti, "joints": j} for ti, j in zip(t, traj.joints.tolist())]
+    for record, obs_ref in zip(frames, traj.obs_ref):
+        if obs_ref is not None:
+            record["obs_ref"] = obs_ref
     return {
         "schema_version": TRAJECTORY_SCHEMA,
         "name": traj.name,
@@ -138,7 +127,25 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
     }
 
 
+def _state_fields(doc: dict, where: str, joint: bool) -> tuple:
+    """The type-checked values of one state record: (joints,) or
+    (pos, axis_angle, gripper)."""
+    if joint:
+        joints = _require(doc, "joints", where)
+        if not isinstance(joints, list) or not joints:
+            raise TrajectorySchemaError(f"{where}.joints: expected a nonempty list of numbers")
+        return (_vector(joints, len(joints), f"{where}.joints"),)
+    return (
+        _vector(_require(doc, "pos", where), 3, f"{where}.pos"),
+        _vector(_require(doc, "axis_angle", where), 3, f"{where}.axis_angle"),
+        _number(_require(doc, "gripper", where), f"{where}.gripper"),
+    )
+
+
 def trajectory_from_dict(doc: dict, where: str = "trajectory") -> Trajectory:
+    """Check the JSON types field by field, then hand the columns to
+    Trajectory.from_columns, which checks the time axis and the joint
+    dimension."""
     if not isinstance(doc, dict):
         raise TrajectorySchemaError(f"{where}: expected a JSON object")
     version = _require(doc, "schema_version", where)
@@ -156,9 +163,8 @@ def trajectory_from_dict(doc: dict, where: str = "trajectory") -> Trajectory:
     if not isinstance(raw_frames, list) or not raw_frames:
         raise TrajectorySchemaError(f"{where}: frames must be a nonempty list")
 
-    frames = []
-    prev_t = None
-    joint_dim = None
+    joint = kind is StateKind.JOINT
+    times, obs_refs, states = [], [], []
     for i, rec in enumerate(raw_frames):
         here = f"{where}.frames[{i}]"
         if not isinstance(rec, dict):
@@ -166,36 +172,16 @@ def trajectory_from_dict(doc: dict, where: str = "trajectory") -> Trajectory:
         t_val = _require(rec, "t", here)
         if isinstance(t_val, bool) or not isinstance(t_val, int):
             raise TrajectorySchemaError(f"{here}: t must be an integer")
-        if i == 0 and t_val != 0:
-            raise TrajectoryValidationError(f"{here}: t must start at 0, got {t_val}")
-        if prev_t is not None and t_val <= prev_t:
-            raise TrajectoryValidationError(f"{here}: t={t_val} not greater than previous t={prev_t}")
-        prev_t = t_val
+        times.append(t_val)
         obs_ref = rec.get("obs_ref")
         if obs_ref is not None and not isinstance(obs_ref, str):
             raise TrajectorySchemaError(f"{here}: obs_ref must be a string")
-        state: State
-        if kind is StateKind.EE:
-            pos = _vector(_require(rec, "pos", here), 3, f"{here}.pos")
-            axis_angle = _vector(_require(rec, "axis_angle", here), 3, f"{here}.axis_angle")
-            gripper = _number(_require(rec, "gripper", here), f"{here}.gripper")
-            state = EEState.from_axis_angle(pos, axis_angle, gripper)
-        else:
-            joints_val = _require(rec, "joints", here)
-            if not isinstance(joints_val, list) or not joints_val:
-                raise TrajectorySchemaError(f"{here}: joints must be a nonempty list of numbers")
-            if joint_dim is None:
-                joint_dim = len(joints_val)
-            elif len(joints_val) != joint_dim:
-                raise TrajectoryValidationError(
-                    f"{here}: joints has {len(joints_val)} dims but earlier frames have {joint_dim}"
-                )
-            joints = _vector(joints_val, len(joints_val), f"{here}.joints")
-            state = JointState(joints)
-        frames.append(Frame(t_val, state, obs_ref))
+        obs_refs.append(obs_ref)
+        states.append(_state_fields(rec, here, joint))
+    columns = dict(zip(("joints",) if joint else ("pos", "axis_angle", "grip"), zip(*states)))
     try:
-        return Trajectory(name, kind, frequency, tuple(frames))
-    except ValueError as exc:
+        return Trajectory.from_columns(name, kind, frequency, times, obs_refs, **columns)
+    except (OverflowError, ValueError) as exc:  # OverflowError: t beyond 64 bits
         raise TrajectoryValidationError(f"{where}: {exc}") from exc
 
 
@@ -243,11 +229,19 @@ def metric_from_dict(doc: dict, where: str = "metric") -> MetricConfig:
     if unknown:
         raise TrajectorySchemaError(f"{where}: unknown fields {sorted(unknown)}")
     kwargs = dict(doc)
-    if kwargs.get("joint_mask") is not None:
-        kwargs["joint_mask"] = tuple(float(v) for v in kwargs["joint_mask"])
+    for key in ("position_weight", "orientation_weight", "gripper_weight"):
+        if key in kwargs:
+            kwargs[key] = _number(kwargs[key], f"{where}.{key}")
+    if not isinstance(kwargs.get("include_gripper", False), bool):
+        raise TrajectorySchemaError(f"{where}.include_gripper: expected true or false")
+    mask = kwargs.get("joint_mask")
+    if mask is not None:
+        if not isinstance(mask, list):
+            raise TrajectorySchemaError(f"{where}.joint_mask: expected a list of numbers or null")
+        kwargs["joint_mask"] = tuple(_number(v, f"{where}.joint_mask[{k}]") for k, v in enumerate(mask))
     try:
         return MetricConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise TrajectoryValidationError(f"{where}: {exc}") from exc
 
 
@@ -326,25 +320,19 @@ def load_waypoints(path) -> tuple[WaypointSet, dict]:
 def _state_to_dict(state: State) -> dict:
     if isinstance(state, EEState):
         return {
-            "pos": _float_list(state.position),
-            "axis_angle": _float_list(state.axis_angle()),
+            "pos": state.position.tolist(),
+            "axis_angle": state.axis_angle().tolist(),
             "gripper": float(state.gripper),
         }
-    return {"joints": _float_list(state.joints)}
+    return {"joints": state.joints.tolist()}
 
 
 def _state_from_dict(doc: dict, where: str) -> State:
     if not isinstance(doc, dict):
         raise TrajectorySchemaError(f"{where}: expected a JSON object")
     if "joints" in doc:
-        joints = doc["joints"]
-        if not isinstance(joints, list) or not joints:
-            raise TrajectorySchemaError(f"{where}.joints: expected a nonempty list")
-        return JointState(_vector(joints, len(joints), f"{where}.joints"))
-    pos = _vector(_require(doc, "pos", where), 3, f"{where}.pos")
-    axis_angle = _vector(_require(doc, "axis_angle", where), 3, f"{where}.axis_angle")
-    gripper = _number(_require(doc, "gripper", where), f"{where}.gripper")
-    return EEState.from_axis_angle(pos, axis_angle, gripper)
+        return JointState(*_state_fields(doc, where, joint=True))
+    return EEState.from_axis_angle(*_state_fields(doc, where, joint=False))
 
 
 def save_relabeled(path, ds: RelabeledDataset, metric: MetricConfig | None = None, created_at=None) -> None:
@@ -394,6 +382,8 @@ def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
             raise TrajectorySchemaError(f"{here}: expected a JSON object")
         if not rows:
             prov = record.get("provenance") or {}
+            if not isinstance(prov, dict):
+                raise TrajectorySchemaError(f"{here}: provenance must be a JSON object")
             version = prov.get("schema_version")
             if version != RELABEL_SCHEMA:
                 raise TrajectorySchemaError(f"{here}: schema_version {version!r} is not {RELABEL_SCHEMA!r}")

@@ -13,16 +13,13 @@ import numpy as np
 import pytest
 
 from oracles import oracle_next_waypoint
-from waypoint_extraction.cli import EXIT_OK, main
-from waypoint_extraction.baselines import calibrate_to_count
+from waypoint_extraction.cli import EXIT_OK, compare_selectors, main
 from waypoint_extraction.defaults import TASK_ETA_DEFAULTS, resolve_task_eta
 from waypoint_extraction.reconstruction import reconstruction_loss, segment_loss
 from waypoint_extraction.relabel import relabel_corpus, relabel_trajectory
-from waypoint_extraction.replay import default_follower_config, replay_waypoints
 from waypoint_extraction.solver import (
     ErrorBudget,
     WaypointSet,
-    annotate_losses,
     extract_waypoints_bruteforce,
     extract_waypoints_dp,
 )
@@ -143,15 +140,13 @@ def test_criterion_5_heuristic_comparison(corpus_extractions):
     wins = {"zero-vel": {"global": 0, "replay": 0, "n": 0}, "fixed": {"global": 0, "replay": 0, "n": 0}}
     unmatched = 0
     for traj, awe in corpus_extractions:
-        follower = default_follower_config(traj, CORPUS_ETA)
-        awe_dev = replay_waypoints(traj, awe, follower).max_tracking_deviation
+        rows = compare_selectors(traj, awe, list(wins))
+        awe_dev = rows["awe"][1]
         for method in wins:
-            cal = calibrate_to_count(traj, method, len(awe))
-            if abs(len(cal.waypoints) - len(awe)) > 2:
+            heur, heur_dev = rows[method]
+            if abs(len(heur) - len(awe)) > 2:
                 unmatched += 1
                 continue
-            heur = annotate_losses(traj, cal.waypoints)
-            heur_dev = replay_waypoints(traj, cal.waypoints, follower).max_tracking_deviation
             wins[method]["n"] += 1
             wins[method]["global"] += awe.achieved_global_loss <= heur.achieved_global_loss
             wins[method]["replay"] += awe_dev <= heur_dev

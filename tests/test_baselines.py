@@ -140,7 +140,7 @@ def test_calibrate_zero_velocity_dense_sweep_oracle(rng):
         traj = make_random_walk_trajectory(rng, 60, pause_prob=0.25)
         res = calibrate_to_count(traj, "zero-vel", target)
         # oracle: evaluate the count at every distinct speed threshold
-        speeds = np.linalg.norm(np.diff(traj.positions(), axis=0), axis=1)
+        speeds = np.linalg.norm(np.diff(traj.pos, axis=0), axis=1)
         counts = set()
         for thr in np.unique(np.concatenate(([0.0], speeds))):
             wp = heuristic_zero_velocity(traj, HeuristicConfig(velocity_threshold=float(thr)))

@@ -111,6 +111,28 @@ def test_extract_metric_config(tmp_path, demo_file):
     assert json.loads(out.read_text())["provenance"]["metric"]["orientation_weight"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "doc, code",
+    [
+        ({"joint_mask": 3}, EXIT_SCHEMA),
+        ({"joint_mask": ["a"]}, EXIT_SCHEMA),
+        ({"joint_mask": [1.0, True]}, EXIT_SCHEMA),
+        ({"position_weight": "1.0"}, EXIT_SCHEMA),
+        ({"orientation_weight": True}, EXIT_SCHEMA),
+        ({"gripper_weight": None}, EXIT_SCHEMA),
+        ({"include_gripper": 1}, EXIT_SCHEMA),
+        ({"position_weight": -1.0}, EXIT_VALIDATION),
+        ({"joint_mask": [0.0, 0.0]}, EXIT_VALIDATION),
+    ],
+)
+def test_malformed_metric_config_exit_codes(tmp_path, demo_file, capsys, doc, code):
+    mpath = tmp_path / "metric.json"
+    mpath.write_text(json.dumps(doc))
+    argv = ["extract", "--input", str(demo_file), "--eta", "0.01", "--output", str(tmp_path / "wp.json")]
+    assert main(argv + ["--metric-config", str(mpath)]) == code
+    assert "error: " in capsys.readouterr().err
+
+
 def test_relabel_directory(tmp_path, rng, capsys):
     in_dir = tmp_path / "demos"
     in_dir.mkdir()

@@ -3,11 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from conftest import ee_trajectory
+from conftest import ee_trajectory, joint_trajectory
+from waypoint_extraction import state_space
 from waypoint_extraction.defaults import ENV_TASK_DEFAULTS, TASK_ETA_DEFAULTS, load_task_defaults, resolve_task_eta
 from waypoint_extraction.relabel import relabel_trajectory
 from waypoint_extraction.solver import ErrorBudget, WaypointSet, extract_waypoints_dp, sweep_eta
-from waypoint_extraction.state_space import MetricConfig, StateKind
+from waypoint_extraction.state_space import (
+    EEState,
+    Frame,
+    JointState,
+    MetricConfig,
+    StateKind,
+    Trajectory,
+    quaternion_to_axis_angle,
+)
 from waypoint_extraction.synthetic import make_random_walk_trajectory, make_segmented_ee_trajectory
 from waypoint_extraction.trajfile import (
     PLOT_HEADER,
@@ -130,11 +139,96 @@ def test_round_trip_preserves_structure(tmp_path, rng):
     loaded = load_trajectory(path)
     assert loaded.name == traj.name
     assert len(loaded) == len(traj)
-    assert np.array_equal(loaded.positions(), traj.positions())
+    assert np.array_equal(loaded.pos, traj.pos)
     assert np.array_equal(
         np.stack([f.state.axis_angle() for f in loaded.frames]),
         np.stack([f.state.axis_angle() for f in traj.frames]),
     )
+
+
+# ---------------------------------------------------------------------------
+# columnar layout
+# ---------------------------------------------------------------------------
+
+
+def _bits(rows) -> bytes:
+    return np.asarray(rows, dtype=float).tobytes()
+
+
+def _assert_columns_match_views(traj):
+    frames = traj.frames
+    assert traj.t.tolist() == [f.t for f in frames]
+    assert traj.obs_ref == tuple(f.obs_ref for f in frames)
+    if traj.state_space is StateKind.EE:
+        assert traj.joints is None and traj.gripper_dims is None
+        assert _bits(traj.pos) == _bits([f.state.position for f in frames])
+        assert _bits(traj.quat) == _bits([f.state.orientation for f in frames])
+        assert _bits(traj.grip) == _bits([f.state.gripper for f in frames])
+        assert _bits(traj.axis_angle) == _bits([f.state.axis_angle() for f in frames])
+    else:
+        assert traj.pos is None and traj.quat is None and traj.grip is None and traj.axis_angle is None
+        assert _bits(traj.joints) == _bits([f.state.joints for f in frames])
+        assert {f.state.gripper_dims for f in frames} == {traj.gripper_dims}
+    for column in (traj.t, traj.pos, traj.quat, traj.grip, traj.axis_angle, traj.joints):
+        assert column is None or not column.flags.writeable
+
+
+def test_loaded_ee_columns_are_the_per_frame_states_bit_for_bit(tmp_path, rng):
+    base = make_segmented_ee_trajectory(rng, n_segments=3, name="cols")
+    tagged = Trajectory(base.name, StateKind.EE, base.frequency_hz,
+                        [Frame(f.t, f.state, f"cam0/{f.t:04d}.png") for f in base.frames])
+    save_trajectory(tmp_path / "cols.json", tagged)
+    doc = json.loads((tmp_path / "cols.json").read_text())
+    traj = load_trajectory(tmp_path / "cols.json")
+    _assert_columns_match_views(traj)
+    assert traj.obs_ref == tuple(f"cam0/{t:04d}.png" for t in range(len(traj)))
+    # the states a per-frame loader would build from the same file
+    expected = [EEState.from_axis_angle(f["pos"], f["axis_angle"], f["gripper"]) for f in doc["frames"]]
+    assert _bits(traj.quat) == _bits([s.orientation for s in expected])
+    assert _bits(traj.axis_angle) == _bits([f["axis_angle"] for f in doc["frames"]])
+
+
+def test_random_walk_columns_without_source_axis_angle(rng):
+    traj = make_random_walk_trajectory(rng, 40, StateKind.EE)
+    _assert_columns_match_views(traj)
+    # what EEState.axis_angle() gives for a state built from a quaternion
+    assert _bits(traj.axis_angle) == _bits([quaternion_to_axis_angle(q) for q in traj.quat])
+    # restacking the views reproduces every column
+    restacked = Trajectory(traj.name, StateKind.EE, 50.0, traj.frames)
+    for name in ("t", "pos", "quat", "grip", "axis_angle"):
+        assert getattr(restacked, name).tobytes() == getattr(traj, name).tobytes()
+
+
+def test_joint_columns_keep_gripper_dims(rng):
+    vectors = rng.normal(size=(12, 4))
+    traj = joint_trajectory(vectors, gripper_dims=(3,))
+    _assert_columns_match_views(traj)
+    assert traj.gripper_dims == (3,)
+    assert _bits(traj.joints) == _bits(vectors)
+    assert traj.state(5) is traj.frames[5].state
+
+
+@pytest.mark.parametrize("kind", ["ee", "joint"])
+def test_load_and_extract_build_no_per_frame_objects(tmp_path, rng, monkeypatch, kind):
+    path = tmp_path / "demo.json"
+    save_trajectory(path, make_random_walk_trajectory(rng, 60, kind))
+    built = []
+
+    def counting(cls, original):
+        def init(self, *args, **kwargs):
+            built.append(cls.__name__)
+            original(self, *args, **kwargs)
+        return init
+
+    for cls in (Frame, EEState, JointState):
+        monkeypatch.setattr(cls, "__init__", counting(cls, cls.__init__))
+    view = state_space._view
+    monkeypatch.setattr(state_space, "_view", lambda cls, **fields: built.append(cls.__name__) or view(cls, **fields))
+    traj = load_trajectory(path)
+    extract_waypoints_dp(traj, ErrorBudget(0.3))
+    assert built == []
+    traj.frames  # the counters do see views being built
+    assert len(built) == 2 * len(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +283,14 @@ def test_relabeled_wrong_schema(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"t": 0, "provenance": {"schema_version": "nope"}}\n')
     with pytest.raises(TrajectorySchemaError):
+        load_relabeled(path)
+
+
+@pytest.mark.parametrize("provenance", ['["awe-relabel-v1"]', '"awe-relabel-v1"', "3"])
+def test_relabeled_non_object_provenance_is_a_schema_error(tmp_path, provenance):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{{"t": 0, "provenance": {provenance}}}\n')
+    with pytest.raises(TrajectorySchemaError, match=r"line 1: provenance"):
         load_relabeled(path)
 
 
