@@ -109,8 +109,6 @@ def _checked_indices(traj: Trajectory, waypoints) -> tuple[int, ...]:
         raise ValueError("waypoint set must include both trajectory endpoints")
     if any(b <= a for a, b in zip(indices, indices[1:])):
         raise ValueError("waypoint indices must be strictly increasing")
-    if indices[-1] >= len(traj):
-        raise ValueError("waypoint index out of range")
     return indices
 
 
@@ -324,15 +322,87 @@ def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
     return horizon
 
 
+# Kernel rows per call, which keeps its temporaries near 1 MB.
+_CHUNK_ROWS = 2048
+# (point, chord) pairs bounded per block in _nearest_chord.
+_PAIR_BLOCK = 2**14
+
+
+def _position_coords(columns, cfg: MetricConfig) -> np.ndarray:
+    """The weighted coordinates Y the kernel's position term measures:
+    position_weight * pos for end effectors, joint_mask * joints for joint
+    space with zero-weight joints dropped."""
+    if columns.joints is None:
+        return cfg.position_weight * columns.pos
+    weights = cfg.joint_weights(columns.joints.shape[1])
+    return (columns.joints * weights)[:, weights > 0.0]
+
+
 def _nearest_chord(points, count: int, anchors, chain, cfg: MetricConfig) -> np.ndarray:
     """Distance of points 0..count-1 to the nearest chord (chain[k],
-    chain[k+1]) of anchors; chords are taken in order."""
-    ts = np.arange(count)
-    best = None
-    for a, b in zip(chain, chain[1:]):
-        d = _row_distances(points, anchors, ts, int(a), int(b), cfg)
-        best = d if best is None else np.minimum(best, d)
-    return best
+    chain[k+1]) of anchors: the minimum of _row_distances over all chords,
+    the same floating-point value, without scoring far chords.
+
+    Bound: with Y the weighted coordinates (_position_coords), the kernel's
+    distance from point p to chord c = (a, b) is at least the distance from
+    Y_p to the segment [Y_a, Y_b]: the end-effector orientation and gripper
+    terms are >= 0 (adding a non-negative float never lowers a sum), and in
+    joint space the weighted distance at the unweighted projection is >= its
+    minimum over the segment. The segment lies in the ball of radius
+    half_c = |Y_b - Y_a| / 2 around its midpoint mid_c, so
+    LB_c = |Y_p - mid_c| - half_c is a lower bound. Points go in blocks of
+    about _PAIR_BLOCK (point, chord) pairs, and at most _CHUNK_ROWS points
+    or kernel rows are scored at once. Per point, the chord with the nearest
+    midpoint is scored exactly, giving an upper bound U of the minimum (any
+    chord would do; the chord of smallest LB is often a long one passing
+    by), and of the other chords only those with LB_c - margin <= U are
+    scored. A skipped chord's computed distance is above U, so the minimum
+    is unchanged; and a row of _row_distances depends on its own inputs
+    alone, so every scored row equals the unpruned one.
+
+    Rounding, with u = 2**-53, d = Y.shape[1] and M = max |Y_k| over points
+    and anchors: every distance above is at most 2 M. The kernel's
+    reference point is within 4 u (|a| + |b|) of a point of the chord, and
+    the offset, its norm (a sum of d squares) and the weight product add a
+    relative error of at most (d + 4) u, so the computed distance is at
+    least the real one minus (2 d + 23) u M. Y, the midpoint, the
+    half-length and LB carry at most (3 d + 20) u M together.
+    margin = tau M + 2**-500 with tau = 512 (d + 16) u covers both sums
+    with room to spare; 2**-500 covers squares that underflow, whose
+    absolute error in a norm stays below sqrt(d) 2**-537. Without a position
+    term (zero position weight) every LB is 0 and nothing is skipped.
+    """
+    chain = np.asarray(chain, dtype=np.intp)
+    src, dst = chain[:-1], chain[1:]
+    yp = _position_coords(points, cfg)[:count]
+    ya = _position_coords(anchors, cfg)
+    span = ya[dst] - ya[src]
+    half = 0.5 * np.sqrt(_rowdot(span, span))
+    # one coordinate per row, so each block sums d contiguous 2-D arrays
+    mid = (0.5 * (ya[src] + ya[dst])).T.copy()
+    yp_cols = yp.T.copy()
+    size = max(np.sqrt(_rowdot(yp, yp)).max(initial=0.0), np.sqrt(_rowdot(ya, ya)).max(initial=0.0))
+    margin = (yp.shape[1] + 16) * 2.0**-44 * size + 2.0**-500
+    out = np.empty(count)
+    step = max(1, min(_CHUNK_ROWS, _PAIR_BLOCK // src.size))
+    for lo in range(0, count, step):
+        t = np.arange(lo, min(lo + step, count))
+        square = np.zeros((t.size, src.size))
+        gap = np.empty_like(square)
+        for coord, centre in zip(yp_cols[:, lo : lo + step], mid):
+            np.subtract(coord[:, None], centre, out=gap)
+            square += np.square(gap, out=gap)
+        guess = np.argmin(square, axis=1)
+        lb = np.sqrt(square, out=square) - half
+        upper = _row_distances(points, anchors, t, src[guess], dst[guess], cfg)
+        keep = lb - margin <= upper[:, None]
+        keep[np.arange(t.size), guess] = False
+        rows, cols = np.nonzero(keep)
+        for k in range(0, rows.size, _CHUNK_ROWS):
+            r, c = rows[k : k + _CHUNK_ROWS], cols[k : k + _CHUNK_ROWS]
+            np.minimum.at(upper, r, _row_distances(points, anchors, t[r], src[c], dst[c], cfg))
+        out[lo : lo + step] = upper
+    return out
 
 
 class SegmentScorer:
@@ -341,12 +411,9 @@ class SegmentScorer:
     Every query goes through _row_distances, so losses from loss(),
     chord_losses() and probe_pass() are the same floating-point numbers. Rows
     are scored in chunks of about _CHUNK_ROWS (a longer chord goes alone),
-    which keeps temporaries near 1 MB however many chords a call holds.
-    Matches segment_loss / reconstruction_loss up to floating-point
-    reassociation.
+    however many chords a call holds. Matches segment_loss /
+    reconstruction_loss up to floating-point reassociation.
     """
-
-    _CHUNK_ROWS = 2048
 
     def __init__(self, traj: Trajectory, cfg: MetricConfig = DEFAULT_METRIC):
         self.cfg = cfg
@@ -354,6 +421,10 @@ class SegmentScorer:
         if traj.joints is not None:
             # fail fast on a mask/dimension mismatch
             cfg.joint_weights(traj.joints.shape[1])
+        elif cfg.position_weight == cfg.orientation_weight == 0.0 and not (cfg.include_gripper and cfg.gripper_weight):
+            # a joint_mask alone passes MetricConfig but weighs nothing here
+            raise ValueError("metric has no nonzero end-effector weight: position, orientation and "
+                             "included gripper weights are all 0")
 
     def __len__(self) -> int:
         return len(self.traj)
@@ -369,7 +440,7 @@ class SegmentScorer:
         out = np.zeros(src.shape)
         inner = np.flatnonzero(dst - src > 1)
         sizes = dst[inner] - src[inner] - 1
-        for part in _batches(sizes, self._CHUNK_ROWS):
+        for part in _batches(sizes, _CHUNK_ROWS):
             k, n = inner[part], sizes[part]
             s = np.repeat(src[k], n)
             rows = self._rows(s + 1 + _ranks(n), s, np.repeat(dst[k], n))
@@ -390,7 +461,7 @@ class SegmentScorer:
         dst = np.asarray(dst, dtype=np.intp)
         keep = np.ones(src.shape, dtype=bool)
         wide = np.flatnonzero(dst - src > 1)
-        step = self._CHUNK_ROWS // 3
+        step = _CHUNK_ROWS // 3
         for lo in range(0, wide.size, step):
             k = wide[lo : lo + step]
             s, d = src[k], dst[k]
@@ -402,12 +473,7 @@ class SegmentScorer:
     def horizon(self, eta: float) -> np.ndarray:
         """Per-frame reach bound under eta; see _reach_horizon. With zero
         position weight every frame reaches the end."""
-        if self.traj.joints is None:
-            coords = self.cfg.position_weight * self.traj.pos
-        else:
-            weights = self.cfg.joint_weights(self.traj.joints.shape[1])
-            coords = (self.traj.joints * weights)[:, weights > 0.0]
-        return _reach_horizon(coords, eta)
+        return _reach_horizon(_position_coords(self.traj, self.cfg), eta)
 
     def global_loss(self, indices: Sequence[int]) -> float:
         """Reconstruction loss of the polyline through the given indices."""
@@ -419,11 +485,17 @@ def min_distances_to_polyline(
 ) -> np.ndarray:
     """Per-state distance to the nearest chord of the polyline through
     anchors, a trajectory (read from its columns) or a state sequence."""
+    if len(states) == 0:
+        raise ValueError("no states to score against the polyline")
     if len(anchors) < 2:
         raise ValueError("polyline needs at least two anchors")
     chain = range(len(anchors))
     if isinstance(anchors, Trajectory):
-        _check_same_kind(states[0], anchors.state(0))
+        first = states[0]
+        if first.kind is not anchors.state_space:
+            raise ValueError(f"state-space kind mismatch: {first.kind.value} vs {anchors.state_space.value}")
+        if anchors.joints is not None and first.dim != anchors.joints.shape[1]:
+            raise ValueError(f"joint dimension mismatch: {first.dim} vs {anchors.joints.shape[1]}")
     else:
         _check_same_kind(states[0], anchors[0])
         anchors = _stack(anchors)

@@ -357,6 +357,13 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
+    def __reduce__(self):
+        """Unpickle through from_columns, so the columns come back read-only
+        (NumPy unpickles arrays writeable) and views are rebuilt from them."""
+        return type(self).from_columns, (self.name, self.state_space, self.frequency_hz, self.t, self.obs_ref,
+                                         self.pos, self.quat, self.grip, self.axis_angle, self.joints,
+                                         self.gripper_dims)
+
     @functools.cached_property
     def frames(self) -> tuple[Frame, ...]:
         """One Frame view per row, built on first use and then kept."""

@@ -3,6 +3,9 @@
 Orientation math goes through scipy.spatial.transform instead of the
 package's own quaternion code, and chord projections are found by grid
 minimization instead of the closed form, so agreement is meaningful.
+oracle_nearest_chord is the exception: it is the unpruned form of the
+package's nearest-chord pass, the same kernel with no bound, so the pruned
+pass must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.transform import Rotation, Slerp
 
+from waypoint_extraction.reconstruction import _row_distances
 from waypoint_extraction.state_space import EEState, JointState, MetricConfig
 
 
@@ -99,3 +103,15 @@ def oracle_next_waypoint(t: int, indices) -> int:
         if idx > t:
             return idx
     raise AssertionError(f"no waypoint after {t}")
+
+
+def oracle_nearest_chord(points, count: int, anchors, chain, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
+    """Distance of points 0..count-1 to the nearest chord (chain[k],
+    chain[k+1]) of anchors: every point against every chord, one kernel call
+    per chord."""
+    ts = np.arange(count)
+    best = None
+    for a, b in zip(chain, chain[1:]):
+        d = _row_distances(points, anchors, ts, int(a), int(b), cfg)
+        best = d if best is None else np.minimum(best, d)
+    return best

@@ -133,6 +133,26 @@ def test_malformed_metric_config_exit_codes(tmp_path, demo_file, capsys, doc, co
     assert "error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["extract", "stats"])
+def test_metric_without_end_effector_weight_exits_domain(tmp_path, demo_file, capsys, command):
+    # a joint_mask lets MetricConfig through, but it weighs nothing on an end-effector demo
+    mpath = tmp_path / "metric.json"
+    mpath.write_text(json.dumps({"position_weight": 0, "orientation_weight": 0, "joint_mask": [1]}))
+    argv = [command, "--input", str(demo_file), "--eta", "0.01", "--metric-config", str(mpath)]
+    if command == "extract":
+        argv += ["--output", str(tmp_path / "wp.json")]
+    assert main(argv) == EXIT_DOMAIN
+    assert "no nonzero end-effector weight" in capsys.readouterr().err
+    assert not (tmp_path / "wp.json").exists()
+
+
+def test_gripper_only_end_effector_metric_is_accepted(tmp_path, demo_file):
+    mpath = tmp_path / "metric.json"
+    mpath.write_text(json.dumps({"position_weight": 0, "orientation_weight": 0, "include_gripper": True}))
+    argv = ["extract", "--input", str(demo_file), "--eta", "0.01", "--output", str(tmp_path / "wp.json")]
+    assert main(argv + ["--metric-config", str(mpath)]) == EXIT_OK
+
+
 def test_relabel_directory(tmp_path, rng, capsys):
     in_dir = tmp_path / "demos"
     in_dir.mkdir()

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -206,6 +207,32 @@ def test_joint_columns_keep_gripper_dims(rng):
     assert traj.gripper_dims == (3,)
     assert _bits(traj.joints) == _bits(vectors)
     assert traj.state(5) is traj.frames[5].state
+
+
+@pytest.mark.parametrize("kind", ["ee", "joint"])
+def test_pickled_trajectory_keeps_read_only_columns(rng, kind):
+    if kind == "ee":
+        base = make_random_walk_trajectory(rng, 20)
+        traj = Trajectory(base.name, StateKind.EE, 50.0, [Frame(f.t, f.state, f"obs{f.t}") for f in base.frames])
+    else:
+        traj = joint_trajectory(rng.normal(size=(20, 4)), gripper_dims=(3,))
+    traj.frames  # cached views must not travel with the pickle
+    clone = pickle.loads(pickle.dumps(traj))
+    assert (clone.name, clone.state_space, clone.frequency_hz, clone.obs_ref, clone.gripper_dims) == (
+        traj.name, traj.state_space, traj.frequency_hz, traj.obs_ref, traj.gripper_dims)
+    for name in ("t", "pos", "quat", "grip", "axis_angle", "joints"):
+        column = getattr(clone, name)
+        if column is None:
+            assert getattr(traj, name) is None
+            continue
+        assert not column.flags.writeable
+        assert column.dtype == getattr(traj, name).dtype
+        assert column.tobytes() == getattr(traj, name).tobytes()
+    _assert_columns_match_views(clone)
+    for frame in clone.frames:
+        arrays = (frame.state.joints,) if kind == "joint" else (
+            frame.state.position, frame.state.orientation, frame.state.source_axis_angle)
+        assert not any(a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("kind", ["ee", "joint"])
