@@ -409,15 +409,16 @@ class SegmentScorer:
     """Cached per-trajectory evaluator for chord losses.
 
     Every query goes through _row_distances, so losses from loss(),
-    chord_losses() and probe_pass() are the same floating-point numbers. Rows
-    are scored in chunks of about _CHUNK_ROWS (a longer chord goes alone),
-    however many chords a call holds. Matches segment_loss /
-    reconstruction_loss up to floating-point reassociation.
+    chord_losses(), chord_worst() and probe_pass() are the same
+    floating-point numbers. Rows are scored in chunks of about _CHUNK_ROWS
+    (a longer chord goes alone), however many chords a call holds. Matches
+    segment_loss / reconstruction_loss up to floating-point reassociation.
     """
 
     def __init__(self, traj: Trajectory, cfg: MetricConfig = DEFAULT_METRIC):
         self.cfg = cfg
         self.traj = traj
+        self.witness_rejects = 0
         if traj.joints is not None:
             # fail fast on a mask/dimension mismatch
             cfg.joint_weights(traj.joints.shape[1])
@@ -435,32 +436,57 @@ class SegmentScorer:
     def chord_losses(self, src, dst) -> np.ndarray:
         """Segment losses of the chords (src[k], dst[k]): the worst distance
         of each chord's interior frames, 0 for adjacent frames."""
+        return self.chord_worst(src, dst)[0]
+
+    def chord_worst(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
+        """Segment losses of the chords (src[k], dst[k]) and, per chord, its
+        worst frame: the first interior frame whose distance equals the loss
+        (-1 for adjacent frames, which have none)."""
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
         out = np.zeros(src.shape)
+        worst = np.full(src.shape, -1)
         inner = np.flatnonzero(dst - src > 1)
         sizes = dst[inner] - src[inner] - 1
         for part in _batches(sizes, _CHUNK_ROWS):
             k, n = inner[part], sizes[part]
+            starts = np.cumsum(n) - n
             s = np.repeat(src[k], n)
-            rows = self._rows(s + 1 + _ranks(n), s, np.repeat(dst[k], n))
-            out[k] = np.maximum.reduceat(rows, np.cumsum(n) - n)
-        return out
+            t = s + 1 + _ranks(n)
+            rows = self._rows(t, s, np.repeat(dst[k], n))
+            out[k] = np.maximum.reduceat(rows, starts)
+            hits = np.flatnonzero(rows == np.repeat(out[k], n))
+            worst[k] = t[hits[np.searchsorted(hits, starts)]]
+        return out, worst
 
     def loss(self, i: int, j: int) -> float:
         """Segment loss of chord (i, j)."""
         return float(self.chord_losses([i], [j])[0])
 
-    def probe_pass(self, src, dst, eta: float) -> np.ndarray:
-        """False where chord (src[k], dst[k]) is certainly over eta, judged by
-        three spread interior frames. Their distances are rows of the exact
-        loss, so a rejected chord's loss is over eta too, with no slack.
-        Three samples rather than one keep periodic paths from aliasing
-        straight through the screen."""
+    def probe_pass(self, src, dst, eta: float, witness=None) -> np.ndarray:
+        """False where chord (src[k], dst[k]) is certainly over eta.
+
+        Two stages, each on the chords the one before kept. First the
+        witness: when src[k] < witness[k] < dst[k], the distance of frame
+        witness[k] to the chord; entries of -1 or outside the chord are
+        ignored. Then three spread interior frames; three samples rather
+        than one keep periodic paths from aliasing straight through. Every
+        distance is a row of the chord's exact loss (_row_distances rows
+        depend on their own inputs alone), so a rejected chord's loss is
+        over eta too, with no slack. witness_rejects counts the chords the
+        witness stage rejected, over all calls.
+        """
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
         keep = np.ones(src.shape, dtype=bool)
-        wide = np.flatnonzero(dst - src > 1)
+        if witness is not None:
+            witness = np.asarray(witness, dtype=np.intp)
+            inside = np.flatnonzero((src < witness) & (witness < dst))
+            for lo in range(0, inside.size, _CHUNK_ROWS):
+                k = inside[lo : lo + _CHUNK_ROWS]
+                keep[k] = self._rows(witness[k], src[k], dst[k]) <= eta
+            self.witness_rejects += inside.size - int(np.count_nonzero(keep[inside]))
+        wide = np.flatnonzero(keep & (dst - src > 1))
         step = _CHUNK_ROWS // 3
         for lo in range(0, wide.size, step):
             k = wide[lo : lo + step]

@@ -6,14 +6,17 @@ within the budget. The solver returns the smallest feasible subsequence that
 contains both endpoints, breaking ties toward the lexicographically smallest
 index sequence so results are reproducible.
 
-The search is a breadth-first minimum-node path over the chord feasibility
-graph, which optimizes the same segment-decomposed objective as the
-recursive split-and-merge formulation. A sound reach horizon per frame
-(SegmentScorer.horizon) limits the chords a frame can start, so each BFS
-layer screens and checks O(T W) chords rather than O(T^2) when the
-weighted position term moves. extract_waypoints_bruteforce is the
-independent check: it enumerates subsequences by cardinality and must
-agree with the solver.
+The search classifies chords, then runs a dynamic program. A sound reach
+horizon per frame (SegmentScorer.horizon) limits the chords a frame can
+start, so O(T W) chords are classified rather than O(T^2) when the weighted
+position term moves. Each chord is classified once, shortest spans first:
+a row at the worst frame of a shorter failed chord from the same source,
+then three probe rows, then the exact check. A backward DP over the
+feasible chords gives every frame its hop count to the end and its
+smallest successor on a minimal path, which optimizes the same
+segment-decomposed objective as the recursive split-and-merge formulation.
+extract_waypoints_bruteforce is the independent check: it enumerates
+subsequences by cardinality and must agree with the solver.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .reconstruction import SegmentScorer, _batches, _checked_indices, _ranks
+from .reconstruction import _CHUNK_ROWS, SegmentScorer, _checked_indices, _ranks
 from .state_space import DEFAULT_METRIC, MetricConfig, Trajectory
 
 __all__ = [
@@ -103,83 +106,106 @@ class WaypointSet:
 class SolveStats:
     """Work counters for one extraction; all but wall_time are deterministic.
 
-    subproblems_evaluated counts frames that received a hop count (the end
-    frame included). chords_screened counts (source, frontier) pairs inside
-    the reach horizon, segment_loss_evaluations the non-adjacent chords that
-    survived the screen and were evaluated exactly. Each BFS layer checks
-    every survivor rather than stopping at a source's first feasible chord,
-    so segment_loss_evaluations is larger than a first-hit search would
-    report.
+    chords_screened counts the chords (i, j) with i + 2 <= j <= horizon[i],
+    each classified once. witness_rejects counts those rejected by their
+    source's witness row, segment_loss_evaluations those that passed the
+    witness row and the three-probe screen and were evaluated exactly.
+    subproblems_evaluated counts the frames given a hop count (all of them,
+    the end frame included), and bfs_layers the chords of the minimal path,
+    len(waypoints) - 1.
     """
 
     subproblems_evaluated: int = 0
     segment_loss_evaluations: int = 0
     chords_screened: int = 0
+    witness_rejects: int = 0
     bfs_layers: int = 0
     wall_time: float = 0.0
 
 
-# Most (source, frontier) pairs handled at once in a BFS layer.
-_PAIR_BLOCK = 1 << 15
+def _feasible_chords(scorer: SegmentScorer, eta: float, stats: SolveStats):
+    """Every chord within eta, as arrays (src, dst).
 
-
-def _min_hop_successors(scorer: SegmentScorer, eta: float, stats: SolveStats):
-    """Backward BFS over feasible chords, layer by layer from frame T-1.
-
-    A frame first reached in layer L has L chords to go, and its successor
-    is the smallest frame of layer L-1 it reaches: following successors
-    from frame 0 gives the lexicographically smallest minimal path. A layer
-    pairs every unassigned frame i with the previous layer's frames j in
-    (i, horizon[i]], screens all pairs in one pass and evaluates the
-    survivors exactly in another. Adjacent chords always fit, so each layer
-    reaches at least the largest unassigned frame and the search ends.
-
-    Returns successor indices and the loss of each frame's chord to its
-    successor; frames the search never reached hold -1.
+    Adjacent chords always fit, at loss 0. Of the others, only chords (i, j)
+    with j <= horizon[i] can fit. They are classified once each, in rounds
+    of consecutive spans j - i, shortest first, a round holding at least
+    _CHUNK_ROWS chords. Each source keeps a witness: the worst frame
+    (SegmentScorer.chord_worst) of its longest chord that failed the exact
+    check in an earlier round. That chord is shorter than every chord of
+    the current round, so the witness is interior to all of them, and
+    probe_pass rejects a chord whose witness row is over eta before trying
+    its three probes; the survivors are checked exactly. Every row of the
+    witness and probe stages is a row of the chord's exact loss, so only
+    chords over eta are rejected.
     """
     T = len(scorer)
-    horizon = scorer.horizon(eta)
-    succ = np.full(T, -1)
-    succ_loss = np.zeros(T)
-    unassigned = np.arange(T - 1)
-    frontier = np.array([T - 1])
-    stats.subproblems_evaluated = 1
-    while succ[0] < 0:
-        stats.bfs_layers += 1
-        first = np.searchsorted(frontier, unassigned, side="right")
-        counts = np.searchsorted(frontier, horizon[unassigned], side="right") - first
-        for part in _batches(counts, _PAIR_BLOCK):
-            n = counts[part]
-            src = np.repeat(unassigned[part], n)
-            dst = frontier[np.repeat(first[part], n) + _ranks(n)]
-            stats.chords_screened += src.size
-            keep = scorer.probe_pass(src, dst, eta)
-            src, dst = src[keep], dst[keep]
-            losses = scorer.chord_losses(src, dst)
-            stats.segment_loss_evaluations += int(np.count_nonzero(dst - src > 1))
-            fits = losses <= eta
-            src, dst, losses = src[fits], dst[fits], losses[fits]
-            # pairs run by source, then by ascending frontier frame
-            _, head = np.unique(src, return_index=True)
-            succ[src[head]] = dst[head]
-            succ_loss[src[head]] = losses[head]
-        reached = succ[unassigned] >= 0
-        assert reached.any(), "BFS stalled; adjacent chords guarantee progress"
-        frontier = unassigned[reached]
-        unassigned = unassigned[~reached]
-        stats.subproblems_evaluated += frontier.size
-    return succ, succ_loss
+    rejects = scorer.witness_rejects
+    reach = scorer.horizon(eta) - np.arange(T)
+    # sources by decreasing reach: the counts[s - 2] reaching span s come first
+    order = np.argsort(-reach, kind="stable")
+    counts = np.cumsum(np.bincount(reach)[::-1])[::-1][2:]
+    ends = np.cumsum(counts)
+    witness = np.full(T, -1)
+    found = [(np.arange(T - 1), np.arange(1, T))]
+    lo = 0
+    while lo < counts.size:
+        # spans lo + 2 .. hi + 2, the fewest that hold _CHUNK_ROWS chords
+        hi = min(int(np.searchsorted(ends, ends[lo] - counts[lo] + _CHUNK_ROWS)), counts.size - 1)
+        n = counts[lo : hi + 1]
+        src = order[_ranks(n)]
+        dst = src + np.repeat(np.arange(lo + 2, hi + 3), n)
+        stats.chords_screened += src.size
+        keep = scorer.probe_pass(src, dst, eta, witness[src])
+        src, dst = src[keep], dst[keep]
+        stats.segment_loss_evaluations += src.size
+        losses, worst = scorer.chord_worst(src, dst)
+        fits = losses <= eta
+        found.append((src[fits], dst[fits]))
+        # chords run by ascending span, so a source's last failure, the first
+        # one in reverse, is its longest
+        failed, worst = src[~fits][::-1], worst[~fits][::-1]
+        _, last = np.unique(failed, return_index=True)
+        witness[failed[last]] = worst[last]
+        lo = hi + 1
+    stats.witness_rejects = scorer.witness_rejects - rejects
+    return [np.concatenate(column) for column in zip(*found)]
+
+
+def _min_hop_path(scorer: SegmentScorer, eta: float, stats: SolveStats) -> tuple[list[int], float]:
+    """The lexicographically smallest minimum-hop path from frame 0 to frame
+    T-1 over the feasible chords, and the largest loss among its chords.
+
+    Backward DP: hops[i] = 1 + min hops[j] over the feasible chords (i, j),
+    and succ[i] the smallest such j. By induction from the end, following
+    succ from i gives the smallest minimal path from i: a minimal path
+    steps to some j with hops[j] = hops[i] - 1, the smallest such j is
+    succ[i], and from there the smallest path is succ's again. So this is
+    the path the brute-force oracle finds first.
+    """
+    T = len(scorer)
+    src, dst = _feasible_chords(scorer, eta, stats)
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    first = np.searchsorted(src, np.arange(T)).tolist()
+    targets = dst.tolist()
+    hops = [0] * T
+    succ = [T - 1] * T
+    for i in range(T - 2, -1, -1):
+        # min keeps the first of equal hop counts, and targets ascend
+        j = min(targets[first[i] : first[i + 1]], key=hops.__getitem__)
+        hops[i], succ[i] = hops[j] + 1, j
+    path = [0]
+    while path[-1] != T - 1:
+        path.append(succ[path[-1]])
+    stats.subproblems_evaluated = T
+    stats.bfs_layers = hops[0]
+    return path, float(scorer.chord_losses(path[:-1], path[1:]).max())
 
 
 def _solve(scorer: SegmentScorer, eta: float) -> tuple[WaypointSet, SolveStats]:
     stats = SolveStats()
     start = time.perf_counter()
-    T = len(scorer)
-    succ, succ_loss = _min_hop_successors(scorer, eta, stats)
-    indices = [0]
-    while indices[-1] != T - 1:
-        indices.append(int(succ[indices[-1]]))
-    seg = float(succ_loss[indices[:-1]].max())
+    indices, seg = _min_hop_path(scorer, eta, stats)
     glob = scorer.global_loss(indices)
     stats.wall_time = time.perf_counter() - start
     wp = WaypointSet(tuple(indices), eta_used=eta, achieved_segment_loss=seg, achieved_global_loss=glob)

@@ -12,8 +12,10 @@ from waypoint_extraction.cli import (
     main,
 )
 from waypoint_extraction.defaults import TASK_ETA_DEFAULTS
+from waypoint_extraction.replay import default_follower_config, replay_waypoints
+from waypoint_extraction.state_space import DEFAULT_METRIC, MetricConfig
 from waypoint_extraction.synthetic import make_random_walk_trajectory, make_segmented_ee_trajectory
-from waypoint_extraction.trajfile import save_trajectory
+from waypoint_extraction.trajfile import load_trajectory, load_waypoints, save_trajectory
 
 
 @pytest.fixture
@@ -230,3 +232,52 @@ def test_oracle_refuses_long_input(tmp_path, rng, capsys):
     code = main(["oracle", "--input", str(path), "--eta", "0.3"])
     assert code == EXIT_DOMAIN
     assert "T <= 20" in capsys.readouterr().err
+
+
+def _replay_line(traj, wp, metric):
+    report = replay_waypoints(traj, wp, default_follower_config(traj, wp.eta_used, metric=metric))
+    return f"ticks={report.ticks_used} max_tracking_deviation={report.max_tracking_deviation:.6g}"
+
+
+def _extract_with_metric(tmp_path, demo_file, metric_doc):
+    metric = tmp_path / "metric.json"
+    metric.write_text(json.dumps(metric_doc))
+    wp = tmp_path / "wp.json"
+    args = ["extract", "--input", str(demo_file), "--eta", "0.01", "--output", str(wp), "--no-timestamp"]
+    assert main([*args, "--metric-config", str(metric)]) == EXIT_OK
+    return wp
+
+
+def test_replay_check_uses_recorded_metric(tmp_path, demo_file, capsys):
+    custom = MetricConfig(position_weight=3.0, orientation_weight=0.05)
+    wp_file = _extract_with_metric(tmp_path, demo_file, {"position_weight": 3.0, "orientation_weight": 0.05})
+    traj, (wp, _) = load_trajectory(demo_file), load_waypoints(wp_file)
+    expected = _replay_line(traj, wp, custom)
+    assert expected != _replay_line(traj, wp, DEFAULT_METRIC)
+    capsys.readouterr()
+    assert main(["replay-check", "--input", str(demo_file), "--waypoints", str(wp_file)]) == EXIT_OK
+    assert expected in capsys.readouterr().out
+
+
+def test_replay_check_without_recorded_metric_uses_default(tmp_path, demo_file, capsys):
+    wp_file = _extract_with_metric(tmp_path, demo_file, {"position_weight": 3.0, "orientation_weight": 0.05})
+    doc = json.loads(wp_file.read_text())
+    del doc["provenance"]["metric"]
+    wp_file.write_text(json.dumps(doc))
+    wp, _ = load_waypoints(wp_file)
+    expected = _replay_line(load_trajectory(demo_file), wp, DEFAULT_METRIC)
+    capsys.readouterr()
+    assert main(["replay-check", "--input", str(demo_file), "--waypoints", str(wp_file)]) == EXIT_OK
+    assert expected in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("metric", [{"position_weigth": 1.0}, [1.0, 1.0], {"orientation_weight": "heavy"}])
+def test_replay_check_rejects_malformed_recorded_metric(tmp_path, demo_file, capsys, metric):
+    wp_file = tmp_path / "wp.json"
+    main(["extract", "--input", str(demo_file), "--eta", "0.01", "--output", str(wp_file), "--no-timestamp"])
+    doc = json.loads(wp_file.read_text())
+    doc["provenance"]["metric"] = metric
+    wp_file.write_text(json.dumps(doc))
+    code = main(["replay-check", "--input", str(demo_file), "--waypoints", str(wp_file)])
+    assert code == EXIT_SCHEMA
+    assert f"{wp_file}.provenance.metric" in capsys.readouterr().err

@@ -30,14 +30,14 @@ GOLDEN = {
         "extract": "3404170f7a3d2254",
         "relabel": "efe5a42f5d68e517",
         "compare": "ce04b8b47c4f093e",
-        "stats": "cb9f29ee8d51de1d",
+        "stats": "35c443385294f705",
     },
     "joint": {
         "input": "4a932b0b16058c5f",
         "extract": "ebe5854aeaad15e6",
         "relabel": "54d1e4b9250ec4ae",
         "compare": "9f187135f3773920",
-        "stats": "5ed1c6aa548aa2b6",
+        "stats": "df6b6bc58b6193e2",
     },
 }
 

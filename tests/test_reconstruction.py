@@ -133,6 +133,67 @@ def test_probe_pass_rejects_only_chords_over_budget(rng):
         assert not keep.all()
 
 
+WITNESS_CASES = {
+    "walk": lambda rng: (make_random_walk_trajectory(rng, 50), MetricConfig()),
+    "pauses": lambda rng: (make_random_walk_trajectory(rng, 50, pause_prob=0.5), MetricConfig(include_gripper=True)),
+    "orientation-only": lambda rng: (make_random_walk_trajectory(rng, 50), MetricConfig(position_weight=0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_CASES))
+def test_probe_pass_with_witnesses_rejects_only_chords_over_budget(rng, case):
+    traj, cfg = WITNESS_CASES[case](rng)
+    scorer = SegmentScorer(traj, cfg)
+    src, dst = np.triu_indices(50, 1)
+    exact, worst = scorer.chord_worst(src, dst)
+    # knife-edge budgets, each equal to some chord's loss
+    for eta in np.sort(exact)[[src.size // 10, src.size // 2, 9 * src.size // 10]]:
+        # -1, frames inside and outside each chord, out of range
+        witness = rng.integers(-1, 52, size=src.size)
+        keep = scorer.probe_pass(src, dst, eta, witness)
+        assert np.all(keep[exact <= eta])
+        # a chord's own worst frame rejects exactly the chords over eta
+        before = scorer.witness_rejects
+        keep = scorer.probe_pass(src, dst, eta, worst)
+        assert keep.tolist() == (exact <= eta).tolist()
+        assert scorer.witness_rejects - before == np.count_nonzero(exact > eta)
+
+
+def test_probe_pass_ignores_witnesses_outside_the_chord(rng):
+    traj = make_random_walk_trajectory(rng, 40)
+    scorer = SegmentScorer(traj)
+    src, dst = np.triu_indices(40, 1)
+    eta = float(np.median(scorer.chord_losses(src, dst)))
+    outside = np.where(rng.random(src.size) < 0.5, src, dst)
+    for witness in (np.full(src.size, -1), outside, np.where(outside == src, src - 1, dst + 1)):
+        keep = scorer.probe_pass(src, dst, eta, witness)
+        assert keep.tolist() == scorer.probe_pass(src, dst, eta).tolist()
+    assert scorer.witness_rejects == 0
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_CASES) + ["joint"])
+def test_chord_worst_is_the_first_frame_at_the_loss(rng, case):
+    if case == "joint":
+        traj, cfg = make_random_walk_trajectory(rng, 50, "joint", joint_dim=5), MetricConfig(joint_mask=(1, 0, 2, 1, 1))
+    else:
+        traj, cfg = WITNESS_CASES[case](rng)
+    scorer = SegmentScorer(traj, cfg)
+    src, dst = np.triu_indices(50, 1)
+    losses, worst = scorer.chord_worst(src, dst)
+    assert losses.tolist() == scorer.chord_losses(src, dst).tolist()
+    ties = 0
+    for a, b, loss, w in zip(src.tolist(), dst.tolist(), losses.tolist(), worst.tolist()):
+        if b - a == 1:
+            assert (loss, w) == (0.0, -1)
+            continue
+        rows = scorer._rows(np.arange(a + 1, b), a, b)
+        assert rows.max() == loss
+        assert w == a + 1 + int(np.argmax(rows))
+        ties += int(np.count_nonzero(rows == loss)) > 1
+    if case == "pauses":
+        assert ties, "repeated frames should tie some chords' worst rows"
+
+
 # ---------------------------------------------------------------------------
 # reconstruction_loss
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_annotate_losses_matches_public_ops(rng):
 
 
 # ---------------------------------------------------------------------------
-# reach horizon and batched BFS on adversarial families
+# reach horizon and the span-ordered chord pass on adversarial families
 # ---------------------------------------------------------------------------
 
 
@@ -271,9 +271,10 @@ def test_dp_matches_bruteforce_on_adversarial_families(rng, family):
             assert wp.indices == extract_waypoints_bruteforce(traj, budget).indices
 
 
-def _ee_curve(points, rng, jitter=1e-4):
+def _ee_curve(points, rng, jitter=1e-4, turns=None):
     points = np.asarray(points) + rng.normal(0.0, jitter, size=np.shape(points))
-    turns = [(0.0, 0.0, 0.3 * np.sin(0.05 * t)) for t in range(len(points))]
+    if turns is None:
+        turns = [(0.0, 0.0, 0.3 * np.sin(0.05 * t)) for t in range(len(points))]
     return ee_trajectory(points, axis_angles=turns)
 
 
@@ -289,6 +290,22 @@ def _long_family(name, rng):
     if name == "helix":
         w = 2 * np.pi * 2.5
         return _ee_curve(np.c_[0.1 * np.cos(w * s), 0.1 * np.sin(w * s), 0.15 * s], rng), MetricConfig()
+    if name == "orientation-only":
+        traj, _ = _long_family("loops", rng)
+        return traj, MetricConfig(position_weight=0.0)
+    if name == "pauses":
+        # the helix with runs of repeated frames
+        traj, metric = _long_family("helix", rng)
+        keep = np.sort(rng.integers(0, len(traj), size=len(traj)))
+        frames = tuple(Frame(t, traj.frames[k].state) for t, k in enumerate(keep.tolist()))
+        return Trajectory("pauses", StateKind.EE, traj.frequency_hz, frames), metric
+    if name == "sign-flips":
+        # rotations oscillating about pi: canonical quaternions flip sign
+        turns = [(0.05 * np.sin(0.1 * t), 0.0, np.pi + 0.2 * np.sin(0.07 * t)) for t in range(T)]
+        return _ee_curve(np.c_[0.1 * s, 0.02 * np.sin(6 * s), np.zeros(T)], rng, turns=turns), MetricConfig()
+    if name == "far-from-origin":
+        traj, metric = _long_family("loops", rng)
+        return _shifted(traj, np.array([1e6, -1e6, 1e6])), metric
     assert name == "joint-loops"
     w = 2 * np.pi * 3
     joints = np.c_[np.cos(w * s), np.sin(w * s), np.sin(2 * w * s), 0.3 * s, np.cos(5 * w * s)]
@@ -326,7 +343,7 @@ def _plain_min_hop_path(loss, eta):
 LONG_FAMILIES = ["loops", "back-and-forth", "helix", "joint-loops"]
 
 
-@pytest.mark.parametrize("family", LONG_FAMILIES)
+@pytest.mark.parametrize("family", LONG_FAMILIES + ["orientation-only", "pauses", "sign-flips", "far-from-origin"])
 def test_dp_matches_plain_dp_on_long_families(rng, family):
     traj, metric = _long_family(family, rng)
     loss = _all_chord_losses(SegmentScorer(traj, metric))
@@ -368,10 +385,12 @@ def test_stats_counters_pinned():
         stats.subproblems_evaluated,
         stats.segment_loss_evaluations,
         stats.chords_screened,
+        stats.witness_rejects,
         stats.bfs_layers,
     ) == PINNED_COUNTERS
+    assert stats.witness_rejects > 0
     assert stats.bfs_layers == len(wp) - 1
 
 
 PINNED_SIZES = (121, 7)
-PINNED_COUNTERS = (113, 632, 1518, 6)
+PINNED_COUNTERS = (121, 1628, 2802, 313, 6)
