@@ -6,14 +6,17 @@ within the budget. The solver returns the smallest feasible subsequence that
 contains both endpoints, breaking ties toward the lexicographically smallest
 index sequence so results are reproducible.
 
-The search classifies chords, then runs a dynamic program. A sound reach
-horizon per frame (SegmentScorer.horizon) limits the chords a frame can
-start, so O(T W) chords are classified rather than O(T^2) when the weighted
-position term moves. Each chord is classified once, shortest spans first:
-a row at the worst frame of a shorter failed chord from the same source,
-then three probe rows, then the exact check. A backward DP over the
-feasible chords gives every frame its hop count to the end and its
-smallest successor on a minimal path, which optimizes the same
+The search classifies chords in rounds from two fronts at once. A sound
+reach horizon per frame (SegmentScorer.horizon) limits the chords a frame
+can start, so O(T W) chords are candidates rather than O(T^2) when the
+weighted position term moves. The span front takes them shortest first,
+each first tried at the worst frame of a shorter failed chord from the same
+source, which rejects most failing chords in one row when feasible spans
+are short. The BFS front is a breadth-first search from the end that gives
+frames their hop counts level by level and stops as soon as frame 0 has
+one, which bounds the work when feasible chords are long and waypoints few.
+When the span front finishes first, a backward DP over its feasible chords
+gives the remaining frames their hop counts. Both optimize the same
 segment-decomposed objective as the recursive split-and-merge formulation.
 extract_waypoints_bruteforce is the independent check: it enumerates
 subsequences by cardinality and must agree with the solver.
@@ -106,13 +109,12 @@ class WaypointSet:
 class SolveStats:
     """Work counters for one extraction; all but wall_time are deterministic.
 
-    chords_screened counts the chords (i, j) with i + 2 <= j <= horizon[i],
-    each classified once. witness_rejects counts those rejected by their
-    source's witness row, segment_loss_evaluations those that passed the
-    witness row and the three-probe screen and were evaluated exactly.
-    subproblems_evaluated counts the frames given a hop count (all of them,
-    the end frame included), and bfs_layers the chords of the minimal path,
-    len(waypoints) - 1.
+    chords_screened counts the non-adjacent chords classified, each at most
+    once. witness_rejects counts those rejected by their source's witness
+    row, segment_loss_evaluations those that passed the witness row and the
+    three-probe screen and were evaluated exactly. subproblems_evaluated
+    counts the frames given a hop count (the end frame included), and
+    bfs_layers the chords of the minimal path, len(waypoints) - 1.
     """
 
     subproblems_evaluated: int = 0
@@ -123,83 +125,143 @@ class SolveStats:
     wall_time: float = 0.0
 
 
-def _feasible_chords(scorer: SegmentScorer, eta: float, stats: SolveStats):
-    """Every chord within eta, as arrays (src, dst).
+def _classify(scorer: SegmentScorer, src, dst, eta: float, witness, stats: SolveStats) -> np.ndarray:
+    """Positions k of the chords (src[k], dst[k]), none adjacent, within eta.
 
-    Adjacent chords always fit, at loss 0. Of the others, only chords (i, j)
-    with j <= horizon[i] can fit. They are classified once each, in rounds
-    of consecutive spans j - i, shortest first, a round holding at least
-    _CHUNK_ROWS chords. Each source keeps a witness: the worst frame
-    (SegmentScorer.chord_worst) of its longest chord that failed the exact
-    check in an earlier round. That chord is shorter than every chord of
-    the current round, so the witness is interior to all of them, and
-    probe_pass rejects a chord whose witness row is over eta before trying
-    its three probes; the survivors are checked exactly. Every row of the
-    witness and probe stages is a row of the chord's exact loss, so only
-    chords over eta are rejected.
+    probe_pass rejects a chord whose witness row or one of its three probe
+    rows is over eta; every such row is a row of the chord's exact loss, so
+    only chords over eta are rejected. The survivors are checked exactly
+    (SegmentScorer.chord_worst). A failing chord's worst frame becomes its
+    source's witness; of several failing chords of one source, the last one
+    in the batch sets it.
     """
-    T = len(scorer)
-    rejects = scorer.witness_rejects
-    reach = scorer.horizon(eta) - np.arange(T)
-    # sources by decreasing reach: the counts[s - 2] reaching span s come first
-    order = np.argsort(-reach, kind="stable")
-    counts = np.cumsum(np.bincount(reach)[::-1])[::-1][2:]
-    ends = np.cumsum(counts)
-    witness = np.full(T, -1)
-    found = [(np.arange(T - 1), np.arange(1, T))]
-    lo = 0
-    while lo < counts.size:
-        # spans lo + 2 .. hi + 2, the fewest that hold _CHUNK_ROWS chords
-        hi = min(int(np.searchsorted(ends, ends[lo] - counts[lo] + _CHUNK_ROWS)), counts.size - 1)
-        n = counts[lo : hi + 1]
-        src = order[_ranks(n)]
-        dst = src + np.repeat(np.arange(lo + 2, hi + 3), n)
-        stats.chords_screened += src.size
-        keep = scorer.probe_pass(src, dst, eta, witness[src])
-        src, dst = src[keep], dst[keep]
-        stats.segment_loss_evaluations += src.size
-        losses, worst = scorer.chord_worst(src, dst)
-        fits = losses <= eta
-        found.append((src[fits], dst[fits]))
-        # chords run by ascending span, so a source's last failure, the first
-        # one in reverse, is its longest
-        failed, worst = src[~fits][::-1], worst[~fits][::-1]
-        _, last = np.unique(failed, return_index=True)
-        witness[failed[last]] = worst[last]
-        lo = hi + 1
-    stats.witness_rejects = scorer.witness_rejects - rejects
-    return [np.concatenate(column) for column in zip(*found)]
+    stats.chords_screened += src.size
+    kept = np.flatnonzero(scorer.probe_pass(src, dst, eta, witness[src]))
+    stats.segment_loss_evaluations += kept.size
+    losses, worst = scorer.chord_worst(src[kept], dst[kept])
+    fits = losses <= eta
+    failed, worst = src[kept[~fits]][::-1], worst[~fits][::-1]
+    _, last = np.unique(failed, return_index=True)
+    witness[failed[last]] = worst[last]
+    return kept[fits]
 
 
 def _min_hop_path(scorer: SegmentScorer, eta: float, stats: SolveStats) -> tuple[list[int], float]:
     """The lexicographically smallest minimum-hop path from frame 0 to frame
-    T-1 over the feasible chords, and the largest loss among its chords.
+    T-1 over the chords within eta, and the largest loss among its chords.
 
-    Backward DP: hops[i] = 1 + min hops[j] over the feasible chords (i, j),
-    and succ[i] the smallest such j. By induction from the end, following
-    succ from i gives the smallest minimal path from i: a minimal path
-    steps to some j with hops[j] = hops[i] - 1, the smallest such j is
-    succ[i], and from there the smallest path is succ's again. So this is
-    the path the brute-force oracle finds first.
+    Only chords (i, j) with j <= horizon[i] can fit, and adjacent chords
+    always do. Rounds classify them from two fronts in shared kernel calls,
+    each chord at most once:
+    - the span front takes consecutive spans j - i, shortest first, a round
+      holding at least _CHUNK_ROWS chords, between frames without a hop
+      count. Shortest first, a source's witness (the worst frame of a chord
+      of it that failed) is mostly interior to its next chords, and most
+      chords that fail do so at that row;
+    - the BFS front is a breadth-first search from frame T-1: round L gives
+      hop count L to every frame with a chord within eta to the frontier
+      (the frames given L - 1 in the round before), and the smallest such
+      frame as its successor. Chords no longer than the span front's spans
+      so far were classified already, while both ends had no hop count; the
+      longer ones are checked per source in ascending order, in waves that
+      give each source an equal share of _CHUNK_ROWS chords (at least one),
+      and a source stops at its first fit.
+    The search stops once frame 0 has a hop count, so inputs with few
+    waypoints and long feasible chords take few rounds. Otherwise the span
+    front runs out first: every chord from a frame without a hop count is
+    classified by then, and a backward DP over them finishes the job.
+    Either way this is the path the brute-force oracle finds first: a frame
+    that gets hop count L steps to the smallest frame of hop count L - 1 it
+    reaches, and the DP's successor is the smallest frame of minimal hop
+    count, so following successors from frame 0 picks, at every step, the
+    smallest frame that still completes a minimal path.
     """
     T = len(scorer)
-    src, dst = _feasible_chords(scorer, eta, stats)
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    first = np.searchsorted(src, np.arange(T)).tolist()
-    targets = dst.tolist()
-    hops = [0] * T
-    succ = [T - 1] * T
-    for i in range(T - 2, -1, -1):
-        # min keeps the first of equal hop counts, and targets ascend
-        j = min(targets[first[i] : first[i + 1]], key=hops.__getitem__)
-        hops[i], succ[i] = hops[j] + 1, j
+    rejects = scorer.witness_rejects
+    horizon = scorer.horizon(eta)
+    reach = horizon - np.arange(T)
+    # sources by decreasing reach: the counts[s - 2] reaching span s come first
+    order = np.argsort(-reach, kind="stable")
+    counts = np.cumsum(np.bincount(reach, minlength=2)[::-1])[::-1][2:]
+    ends = np.cumsum(counts)
+    hops = np.full(T, -1)
+    hops[-1] = 0
+    succ = np.arange(1, T + 1)
+    witness = np.full(T, -1)
+    # feasible span-front chords whose source has no hop count yet
+    known_src = known_dst = np.empty(0, dtype=np.intp)
+    frontier = np.array([T - 1])
+    level = lo = 0
+    while hops[0] < 0 and lo < counts.size:
+        level += 1
+        free = hops < 0
+        # span front: spans lo + 2 .. hi + 2, the fewest that hold _CHUNK_ROWS chords
+        hi = min(int(np.searchsorted(ends, ends[lo] - counts[lo] + _CHUNK_ROWS)), counts.size - 1)
+        n = counts[lo : hi + 1]
+        src = order[_ranks(n)]
+        dst = src + np.repeat(np.arange(lo + 2, hi + 3), n)
+        both = free[src] & free[dst]
+        src, dst = src[both], dst[both]
+        # BFS front: successors among the chords classified so far, then a
+        # cursor per source over the frontier frames beyond span lo + 1
+        sources = np.flatnonzero(free)
+        on_frontier = np.zeros(T, dtype=bool)
+        on_frontier[frontier] = True
+        best = np.full(T, T)
+        adjacent = sources[on_frontier[sources + 1]]
+        best[adjacent] = adjacent + 1
+        into = on_frontier[known_dst]
+        np.minimum.at(best, known_src[into], known_dst[into])
+        cursor = np.searchsorted(frontier, sources + lo + 1, side="right")
+        stop = np.searchsorted(frontier, horizon[sources], side="right")
+        pending = np.flatnonzero((best[sources] == T) & (cursor < stop))
+        lo = hi + 1
+        span_chords = src.size
+        while span_chords or pending.size:
+            take = np.minimum(max(1, _CHUNK_ROWS // max(pending.size, 1)), stop[pending] - cursor[pending])
+            src = np.concatenate([src, np.repeat(sources[pending], take)])
+            dst = np.concatenate([dst, frontier[np.repeat(cursor[pending], take) + _ranks(take)]])
+            cursor[pending] += take
+            fit = _classify(scorer, src, dst, eta, witness, stats)
+            known_src = np.concatenate([known_src, src[fit[fit < span_chords]]])
+            known_dst = np.concatenate([known_dst, dst[fit[fit < span_chords]]])
+            fit = fit[fit >= span_chords]
+            np.minimum.at(best, src[fit], dst[fit])
+            pending = pending[(best[sources[pending]] == T) & (cursor[pending] < stop[pending])]
+            src, dst, span_chords = src[:0], dst[:0], 0
+        frontier = np.flatnonzero(best < T)
+        hops[frontier] = level
+        succ[frontier] = best[frontier]
+        free = hops[known_src] < 0
+        known_src, known_dst = known_src[free], known_dst[free]
+    stats.witness_rejects = scorer.witness_rejects - rejects
+    stats.subproblems_evaluated = int(np.count_nonzero(hops >= 0))
+    succ = succ.tolist()
+    if hops[0] < 0:
+        _finish_backward(hops.tolist(), succ, known_src, known_dst, stats)
     path = [0]
     while path[-1] != T - 1:
         path.append(succ[path[-1]])
-    stats.subproblems_evaluated = T
-    stats.bfs_layers = hops[0]
+    stats.bfs_layers = len(path) - 1
     return path, float(scorer.chord_losses(path[:-1], path[1:]).max())
+
+
+def _finish_backward(hops: list[int], succ: list[int], src, dst, stats: SolveStats) -> None:
+    """Give every frame without a hop count (hops[i] < 0) its hop count and
+    successor, in place, from its feasible chords (src, dst) plus the
+    adjacent chord: backward, hops[i] = 1 + min hops[j], and succ[i] the
+    smallest such j. Every chord from these frames must be classified.
+    """
+    T = len(hops)
+    order = np.lexsort((dst, src))
+    first = np.searchsorted(src[order], np.arange(T + 1)).tolist()
+    targets = dst[order].tolist()
+    rest = [i for i in range(T - 2, -1, -1) if hops[i] < 0]
+    for i in rest:
+        # min keeps the first of equal hop counts, and targets ascend
+        j = min([i + 1, *targets[first[i] : first[i + 1]]], key=hops.__getitem__)
+        hops[i], succ[i] = hops[j] + 1, j
+    stats.subproblems_evaluated += len(rest)
 
 
 def _solve(scorer: SegmentScorer, eta: float) -> tuple[WaypointSet, SolveStats]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ee_trajectory, joint_trajectory
+from waypoint_extraction import solver
 from waypoint_extraction.reconstruction import SegmentScorer, segment_loss
 from waypoint_extraction.solver import (
     BRUTE_FORCE_LIMIT,
@@ -251,6 +252,9 @@ def _small_family(name, rng):
     if name == "masked-joints":
         traj = make_random_walk_trajectory(rng, T, StateKind.JOINT, joint_dim=5)
         return traj, MetricConfig(joint_mask=(1.0, 0.0, 2.0, 0.0, 0.5))
+    if name == "bump":
+        # a still pose with one smooth detour: few waypoints, long feasible chords
+        return ee_trajectory(np.c_[np.zeros(T), 0.1 * np.exp(-((12 * s - 6) ** 2)), np.zeros(T)]), MetricConfig()
     if name == "far-from-origin":
         return _shifted(make_random_walk_trajectory(rng, T), np.array([1e6, -1e6, 1e6])), MetricConfig()
     assert name == "pauses"
@@ -303,6 +307,9 @@ def _long_family(name, rng):
         # rotations oscillating about pi: canonical quaternions flip sign
         turns = [(0.05 * np.sin(0.1 * t), 0.0, np.pi + 0.2 * np.sin(0.07 * t)) for t in range(T)]
         return _ee_curve(np.c_[0.1 * s, 0.02 * np.sin(6 * s), np.zeros(T)], rng, turns=turns), MetricConfig()
+    if name == "bump":
+        # a still pose with one smooth detour: few waypoints, long feasible chords
+        return ee_trajectory(np.c_[np.zeros(T), 0.1 * np.exp(-((12 * s - 6) ** 2)), np.zeros(T)]), MetricConfig()
     if name == "far-from-origin":
         traj, metric = _long_family("loops", rng)
         return _shifted(traj, np.array([1e6, -1e6, 1e6])), metric
@@ -343,13 +350,51 @@ def _plain_min_hop_path(loss, eta):
 LONG_FAMILIES = ["loops", "back-and-forth", "helix", "joint-loops"]
 
 
-@pytest.mark.parametrize("family", LONG_FAMILIES + ["orientation-only", "pauses", "sign-flips", "far-from-origin"])
+@pytest.mark.parametrize("family", LONG_FAMILIES + ["orientation-only", "pauses", "sign-flips", "far-from-origin", "bump"])
 def test_dp_matches_plain_dp_on_long_families(rng, family):
     traj, metric = _long_family(family, rng)
     loss = _all_chord_losses(SegmentScorer(traj, metric))
     for eta in (0.002, 0.005, 0.02):
         wp, _ = extract_waypoints_dp(traj, ErrorBudget(eta, metric))
         assert wp.indices == _plain_min_hop_path(loss, eta)
+
+
+@pytest.mark.parametrize("chunk", [16, 256])
+@pytest.mark.parametrize("family", LONG_FAMILIES + ["orientation-only", "pauses"])
+def test_dp_matches_plain_dp_in_small_rounds(rng, family, chunk, monkeypatch):
+    # rounds of a few chords interleave many span-front rounds, BFS levels
+    # and waves of per-source first fits before either front finishes
+    monkeypatch.setattr(solver, "_CHUNK_ROWS", chunk)
+    traj, metric = _long_family(family, rng)
+    loss = _all_chord_losses(SegmentScorer(traj, metric))
+    finished_by_bfs = []
+    for eta in (0.002, 0.02, 0.1, 0.5):
+        wp, stats = extract_waypoints_dp(traj, ErrorBudget(eta, metric))
+        assert wp.indices == _plain_min_hop_path(loss, eta)
+        finished_by_bfs.append(stats.subproblems_evaluated < len(traj))
+    # the backward DP finishes the small budgets; with three waypoints at
+    # the largest, the BFS front reaches frame 0 first on these families
+    assert not finished_by_bfs[0]
+    assert finished_by_bfs[-1] == (family not in ("back-and-forth", "joint-loops"))
+
+
+def test_static_demo_classifies_linearly_many_chords():
+    T = 2000
+    traj = ee_trajectory(np.zeros((T, 3)))
+    wp, stats = extract_waypoints_dp(traj, ErrorBudget(0.005))
+    assert wp.indices == (0, T - 1)
+    # every chord fits: checking them all would be T^2 / 2 chords
+    assert stats.chords_screened <= 3 * T
+    assert stats.segment_loss_evaluations <= 3 * T
+
+
+def test_large_budget_few_waypoints_classifies_linearly_many_chords():
+    traj = make_segmented_ee_trajectory(np.random.default_rng(0), eta=0.005, n_segments=16, frames_per_segment=62)
+    T = len(traj)
+    wp, stats = extract_waypoints_dp(traj, ErrorBudget(2.0))
+    assert len(wp) <= 3
+    assert SegmentScorer(traj).horizon(2.0)[0] >= T // 4
+    assert stats.chords_screened <= 10 * T
 
 
 @pytest.mark.parametrize("family", LONG_FAMILIES + ["segmented"])
@@ -393,4 +438,4 @@ def test_stats_counters_pinned():
 
 
 PINNED_SIZES = (121, 7)
-PINNED_COUNTERS = (121, 1628, 2802, 313, 6)
+PINNED_COUNTERS = (121, 1617, 2773, 301, 6)
