@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -148,6 +149,8 @@ def _cmd_relabel(args, parser) -> int:
 
 
 def _cmd_stats(args, parser) -> int:
+    if not 0.0 < args.ratio_low <= args.ratio_high < math.inf:
+        parser.error(f"need 0 < --ratio-low <= --ratio-high, both finite; got {args.ratio_low!r}, {args.ratio_high!r}")
     eta = _resolve_eta(args, parser)
     metric = _metric(args)
     budget = ErrorBudget(eta, metric)

@@ -206,44 +206,13 @@ def _ranks(sizes: np.ndarray) -> np.ndarray:
 
 
 def _angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise angle between unit vectors, accurate near 0 and pi."""
-    return 2.0 * np.arctan2(np.linalg.norm(a - b, axis=1), np.linalg.norm(a + b, axis=1))
+    """Angle between unit vectors along the last axis, accurate near 0 and pi."""
+    gap, total = a - b, a + b
+    return 2.0 * np.arctan2(np.sqrt(_rowdot(gap, gap)), np.sqrt(_rowdot(total, total)))
 
 
-# Added to the radius of every cap built around a lens in _reach_horizon.
-_LENS_SLACK = 2.0**-23
-
-
-def _meet_caps(a1, r1, a2, r2, theta):
-    """A cap containing the intersection of caps (a1, r1) and (a2, r2), row
-    by row: the smallest of the two caps and, when their boundary circles
-    cross, the cap around their lens. Radii are below pi/2 and the axes are
-    theta <= r1 + r2 apart.
-
-    In the plane of the axes, with phi measured from a1 towards a2, the lens
-    spans phi in [lo, hi]; its other extreme points are the corners where
-    the circles cross, all equally far from any point of that plane. The cap
-    centred at phi = (lo + hi) / 2 with radius max((hi - lo) / 2, corner
-    distance) therefore holds the lens.
-    """
-    lo = np.maximum(-r1, theta - r2)
-    hi = np.minimum(r1, theta + r2)
-    psi = 0.5 * (lo + hi)
-    lens = theta > np.abs(r1 - r2)
-    # a corner has components (cos r1, beta) along a1 and the in-plane normal
-    beta = (np.cos(r2) - np.cos(r1) * np.cos(theta)) / np.where(lens, np.sin(theta), 1.0)
-    corner = np.arccos(np.clip(np.cos(psi) * np.cos(r1) + np.sin(psi) * beta, -1.0, 1.0))
-    radius = np.where(lens, np.maximum(0.5 * (hi - lo), corner) + _LENS_SLACK, np.inf)
-    normal = a2 - np.sum(a1 * a2, axis=1)[:, None] * a1
-    length = np.linalg.norm(normal, axis=1)
-    normal = normal / np.where(length > 0.0, length, 1.0)[:, None]
-    axis = np.cos(psi)[:, None] * a1 + np.sin(psi)[:, None] * normal
-    axis = axis / np.linalg.norm(axis, axis=1)[:, None]
-    for a, r in ((a1, r1), (a2, r2)):
-        smaller = r < radius
-        axis[smaller] = a[smaller]
-        radius = np.where(smaller, r, radius)
-    return axis, radius
+# Narrowest cones _reach_horizon keeps per source.
+_CONES = 4
 
 
 def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
@@ -258,16 +227,17 @@ def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
     |Y_k - Y_i| > r (r = eta before rounding), a fitting chord's direction
     Y_j - Y_i lies in the cone around Y_k - Y_i of half-angle
     asin(r / |Y_k - Y_i|), a cap on the sphere of directions; and
-    Y_j = Y_i does not fit at all. Scanning k = i+1, i+2, ..., one cap is
-    kept that contains the intersection of the caps so far (_meet_caps);
-    the first cap disjoint from it ends the scan at k, since every j > k
-    has all those frames inside its chord. Caps of radius pi/2 or more are
-    skipped (dropping a constraint is sound), so every cap is convex and two
-    caps are disjoint exactly when their axes are further apart than the sum
-    of their radii. This is the min-# wedge
-    argument of Imai and Iri (1988) in d dimensions (Barequet et al.,
-    2002). The kept cap can be larger than the intersection, which loosens
-    the bound but keeps it sound.
+    Y_j = Y_i does not fit at all. Cones of half-angle pi/2 or more are
+    skipped (dropping a constraint is sound), so every cone is convex and
+    two cones are disjoint exactly when their axes are further apart than
+    the sum of their half-angles. Scanning k = i+1, i+2, ..., the _CONES
+    narrowest cones so far are kept; a new cone disjoint from a kept one
+    ends the scan at k, since every chord (i, j) with j > k has both frames
+    inside it, and its direction would have to lie in both. Otherwise the
+    new cone replaces the widest kept one when it is narrower. This is the
+    min-# wedge argument of Imai and Iri (1988) in d dimensions (Barequet
+    et al., 2002), with pairwise tests against a few cones in place of the
+    exact intersection, which loosens the bound but keeps it sound.
 
     Rounding, with u = 2**-53, d = coords.shape[1], M = max |Y_k| and
     tau = 512 (d + 16) u:
@@ -278,9 +248,7 @@ def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
       which also covers the rounding of |Y_k - Y_i|, so no computed
       half-angle is below the real one (asin is monotone);
     - half-angles get + tau and the disjointness test - tau, for the few
-      ulps of the unit axes and of the atan2 angle;
-    - a cap around a lens gets + 2**-23 on its radius, above the
-      4 sqrt(u) ~ 4.2e-8 that arccos near 1 can add to the corner distance.
+      ulps of the unit axes and of the atan2 angle.
     """
     T, dim = coords.shape
     horizon = np.full(T, T - 1)
@@ -289,14 +257,13 @@ def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
     if T < 4 or float(np.linalg.norm(np.ptp(coords, axis=0))) <= r:
         return horizon
     active = np.arange(T - 3)
-    axis = np.zeros((active.size, dim))
-    radius = np.full(active.size, np.inf)  # inf until the first cone
+    axes = np.zeros((T - 3, _CONES, dim))
+    radii = np.full((T - 3, _CONES), np.inf)  # inf marks an empty slot
     offset = 0
     while active.size:
         offset += 1
+        active = active[active + offset < T - 1]
         k = active + offset
-        live = k < T - 1
-        active, axis, radius, k = active[live], axis[live], radius[live], k[live]
         v = coords[k] - coords[active]
         dist = np.linalg.norm(v, axis=1)
         rows = np.flatnonzero(dist > r)
@@ -305,20 +272,16 @@ def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
         rows, r2 = rows[convex], r2[convex]
         if rows.size == 0:
             continue
+        src = active[rows]
         a2 = v[rows] / dist[rows, None]
-        a1 = axis[rows]
-        r1 = radius[rows]
-        theta = _angle(a1, a2)
-        cut = theta - tau > r1 + r2
-        horizon[active[rows[cut]]] = k[rows[cut]]
-        # a source's first cone becomes its cap
-        first = np.isinf(r1)
-        a1[first] = a2[first]
-        r1[first] = r2[first]
-        axis[rows], radius[rows] = _meet_caps(a1, r1, a2, r2, np.where(first, 0.0, theta))
-        keep = np.ones(active.size, dtype=bool)
-        keep[rows[cut]] = False
-        active, axis, radius = active[keep], axis[keep], radius[keep]
+        kept = radii[src]
+        cut = np.any(_angle(axes[src], a2[:, None, :]) - tau > kept + r2[:, None], axis=1)
+        horizon[src[cut]] = k[rows[cut]]
+        widest = np.argmax(kept, axis=1)
+        swap = r2 < kept[np.arange(src.size), widest]
+        axes[src[swap], widest[swap]] = a2[swap]
+        radii[src[swap], widest[swap]] = r2[swap]
+        active = np.delete(active, rows[cut])
     return horizon
 
 
@@ -326,6 +289,17 @@ def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
 _CHUNK_ROWS = 2048
 # (point, chord) pairs bounded per block in _nearest_chord.
 _PAIR_BLOCK = 2**14
+
+
+def _check_metric(columns, cfg: MetricConfig) -> None:
+    """Fail fast when cfg cannot score these columns: a joint_mask that does
+    not match the joint dimension, or an end-effector metric that weighs
+    nothing (a joint_mask alone passes MetricConfig)."""
+    if columns.joints is not None:
+        cfg.joint_weights(columns.joints.shape[1])
+    elif cfg.position_weight == cfg.orientation_weight == 0.0 and not (cfg.include_gripper and cfg.gripper_weight):
+        raise ValueError("metric has no nonzero end-effector weight: position, orientation and "
+                         "included gripper weights are all 0")
 
 
 def _position_coords(columns, cfg: MetricConfig) -> np.ndarray:
@@ -419,13 +393,7 @@ class SegmentScorer:
         self.cfg = cfg
         self.traj = traj
         self.witness_rejects = 0
-        if traj.joints is not None:
-            # fail fast on a mask/dimension mismatch
-            cfg.joint_weights(traj.joints.shape[1])
-        elif cfg.position_weight == cfg.orientation_weight == 0.0 and not (cfg.include_gripper and cfg.gripper_weight):
-            # a joint_mask alone passes MetricConfig but weighs nothing here
-            raise ValueError("metric has no nonzero end-effector weight: position, orientation and "
-                             "included gripper weights are all 0")
+        _check_metric(traj, cfg)
 
     def __len__(self) -> int:
         return len(self.traj)
@@ -525,4 +493,5 @@ def min_distances_to_polyline(
     else:
         _check_same_kind(states[0], anchors[0])
         anchors = _stack(anchors)
+    _check_metric(anchors, cfg)
     return _nearest_chord(_stack(states), len(states), anchors, chain, cfg)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .reconstruction import min_distances_to_polyline
+from .reconstruction import _check_metric, min_distances_to_polyline
 from .solver import WaypointSet
 from .state_space import (
     DEFAULT_METRIC,
@@ -140,6 +140,7 @@ def default_follower_config(
     """Follower settings scaled to the demo's own pacing: a step budget of
     1.5x the median frame-to-frame distance and a reach tolerance tied to the
     error budget when one is given."""
+    _check_metric(traj, metric)
     steps = [
         state_distance(traj.frames[t].state, traj.frames[t + 1].state, metric)
         for t in range(len(traj) - 1)

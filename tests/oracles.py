@@ -5,7 +5,9 @@ package's own quaternion code, and chord projections are found by grid
 minimization instead of the closed form, so agreement is meaningful.
 oracle_nearest_chord is the exception: it is the unpruned form of the
 package's nearest-chord pass, the same kernel with no bound, so the pruned
-pass must match it bit for bit.
+pass must match it bit for bit. oracle_pairwise_horizon is the other: the
+reach horizon's cone scan, with the same angles and margins, and no cone
+dropped, so its bound can only be tighter.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.transform import Rotation, Slerp
 
-from waypoint_extraction.reconstruction import _row_distances
+from waypoint_extraction.reconstruction import _angle, _row_distances
 from waypoint_extraction.state_space import EEState, JointState, MetricConfig
 
 
@@ -115,3 +117,30 @@ def oracle_nearest_chord(points, count: int, anchors, chain, cfg: MetricConfig =
         d = _row_distances(points, anchors, ts, int(a), int(b), cfg)
         best = d if best is None else np.minimum(best, d)
     return best
+
+
+def oracle_pairwise_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
+    """The reach bound of reconstruction._reach_horizon with every cone
+    tested against every earlier cone of its source, same margins: horizon[i]
+    is the first frame k whose cone is disjoint from an earlier one."""
+    T, dim = coords.shape
+    horizon = np.full(T, T - 1)
+    tau = (dim + 16) * 2.0**-44
+    r = (eta + tau * float(np.linalg.norm(coords, axis=1).max(initial=0.0))) * (1.0 + tau) ** 2
+    if T < 4 or float(np.linalg.norm(np.ptp(coords, axis=0))) <= r:
+        return horizon
+    for i in range(T - 3):
+        v = coords[i + 1 : T - 1] - coords[i]
+        dist = np.linalg.norm(v, axis=1)
+        axes, radii = [], []
+        for k in np.flatnonzero(dist > r):
+            half = np.arcsin(r / dist[k]) + tau
+            if half >= 0.5 * np.pi:
+                continue
+            axis = v[k] / dist[k]
+            if axes and np.any(_angle(np.array(axes), axis) - tau > np.array(radii) + half):
+                horizon[i] = i + 1 + k
+                break
+            axes.append(axis)
+            radii.append(half)
+    return horizon

@@ -281,3 +281,34 @@ def test_replay_check_rejects_malformed_recorded_metric(tmp_path, demo_file, cap
     code = main(["replay-check", "--input", str(demo_file), "--waypoints", str(wp_file)])
     assert code == EXIT_SCHEMA
     assert f"{wp_file}.provenance.metric" in capsys.readouterr().err
+
+
+def test_replay_check_rejects_recorded_metric_without_weight(tmp_path, demo_file, capsys):
+    # extract refuses this metric, so it can only come from an edited file
+    wp_file = tmp_path / "wp.json"
+    main(["extract", "--input", str(demo_file), "--eta", "0.01", "--output", str(wp_file), "--no-timestamp"])
+    doc = json.loads(wp_file.read_text())
+    doc["provenance"]["metric"] = {"position_weight": 0, "orientation_weight": 0, "joint_mask": [1]}
+    wp_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["replay-check", "--input", str(demo_file), "--waypoints", str(wp_file)])
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert "no nonzero end-effector weight" in captured.err
+    assert "ticks=" not in captured.out
+
+
+@pytest.mark.parametrize("band", [("0", "0.5"), ("-0.1", "0.5"), ("0.5", "0.1"), ("0.01", "inf"), ("nan", "0.5")])
+def test_stats_rejects_bad_ratio_band(demo_file, capsys, band):
+    low, high = band
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--input", str(demo_file), "--eta", "100.0", "--ratio-low", low, "--ratio-high", high])
+    assert exc.value.code == 2
+    assert "--ratio-low" in capsys.readouterr().err
+
+
+def test_stats_accepts_a_one_point_ratio_band(demo_file, capsys):
+    # low == high is a band of one ratio; the warning divides by both bounds
+    code = main(["stats", "--input", str(demo_file), "--eta", "100.0", "--ratio-low", "0.5", "--ratio-high", "0.5"])
+    assert code == EXIT_OK
+    assert "outside [1:2, 1:2]" in capsys.readouterr().err

@@ -37,7 +37,7 @@ GOLDEN = {
         "extract": "ebe5854aeaad15e6",
         "relabel": "54d1e4b9250ec4ae",
         "compare": "9f187135f3773920",
-        "stats": "df6b6bc58b6193e2",
+        "stats": "e863911afb8f935c",
     },
 }
 

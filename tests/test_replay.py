@@ -7,7 +7,9 @@ from waypoint_extraction.replay import (
     max_deviation_from_polyline,
     replay_waypoints,
 )
+from waypoint_extraction.reconstruction import SegmentScorer, min_distances_to_polyline
 from waypoint_extraction.solver import ErrorBudget, WaypointSet, extract_waypoints_dp
+from waypoint_extraction.state_space import MetricConfig, StateKind
 from waypoint_extraction.synthetic import make_random_walk_trajectory
 
 
@@ -112,3 +114,27 @@ def test_deviation_from_polyline_zero_for_anchor_points(rng):
     traj = make_random_walk_trajectory(rng, 8)
     anchors = [f.state for f in traj.frames]
     assert max_deviation_from_polyline(anchors, anchors) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind, metric, message",
+    [
+        # a joint_mask lets MetricConfig through, but it weighs nothing on an end effector
+        (StateKind.EE, MetricConfig(position_weight=0.0, orientation_weight=0.0, joint_mask=(1.0,)),
+         "no nonzero end-effector weight"),
+        (StateKind.JOINT, MetricConfig(joint_mask=(1.0, 0.0)), "joint_mask has 2 weights"),
+    ],
+)
+def test_scorer_and_replay_reject_the_same_unusable_metrics(rng, kind, metric, message):
+    traj = make_random_walk_trajectory(rng, 12, kind, joint_dim=3)
+    states = [f.state for f in traj.frames]
+    calls = [
+        lambda: SegmentScorer(traj, metric),
+        lambda: default_follower_config(traj, 0.01, metric=metric),
+        lambda: min_distances_to_polyline(states, traj, metric),
+        lambda: min_distances_to_polyline(states, states, metric),
+        lambda: max_deviation_from_polyline(states, traj, metric),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
