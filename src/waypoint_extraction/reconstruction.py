@@ -240,15 +240,19 @@ def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
     exact intersection, which loosens the bound but keeps it sound.
 
     Rounding, with u = 2**-53, d = coords.shape[1], M = max |Y_k| and
-    tau = 512 (d + 16) u:
-    - the computed loss is within a few d u (dist + M) of the real
-      distance, and Y itself within u M of the weights times the stored
-      values, so a real distance above R = (eta + tau M)(1 + tau) already
-      puts the computed loss above eta; the cones use r = R (1 + tau),
-      which also covers the rounding of |Y_k - Y_i|, so no computed
-      half-angle is below the real one (asin is monotone);
-    - half-angles get + tau and the disjointness test - tau, for the few
-      ulps of the unit axes and of the atan2 angle.
+    tau = 512 (d + 16) u, is covered by one margin, the one in
+    r = (eta + tau M)(1 + tau)**2. The computed loss is within a few
+    d u (dist + M) <= a few 3 d u M of the real distance, and Y itself
+    within u M of the weights times the stored values, so every frame of a
+    chord that fits lies within eta + tau M / 2 of it in exact arithmetic.
+    The (1 + tau) factors cover the rounding of |Y_k - Y_i| and of the
+    quotient, and the other tau M / 2 of r widens every computed half-angle
+    over the exact one by at least (tau M / 2) / |Y_k - Y_i| >= tau / 4
+    (asin has slope >= 1, and |Y_k - Y_i| <= 2 M). That is orders of
+    magnitude more than the few ulps of the unit axes, of the atan2 angle
+    between them and of arcsin. So a fitting chord's direction lies in
+    every computed cone, and when the scan reads two computed cones as
+    disjoint, the exact cones they stand for are disjoint too.
     """
     T, dim = coords.shape
     horizon = np.full(T, T - 1)
@@ -267,7 +271,7 @@ def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
         v = coords[k] - coords[active]
         dist = np.linalg.norm(v, axis=1)
         rows = np.flatnonzero(dist > r)
-        r2 = np.arcsin(r / dist[rows]) + tau
+        r2 = np.arcsin(r / dist[rows])
         convex = r2 < 0.5 * np.pi
         rows, r2 = rows[convex], r2[convex]
         if rows.size == 0:
@@ -275,7 +279,7 @@ def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
         src = active[rows]
         a2 = v[rows] / dist[rows, None]
         kept = radii[src]
-        cut = np.any(_angle(axes[src], a2[:, None, :]) - tau > kept + r2[:, None], axis=1)
+        cut = np.any(_angle(axes[src], a2[:, None, :]) > kept + r2[:, None], axis=1)
         horizon[src[cut]] = k[rows[cut]]
         widest = np.argmax(kept, axis=1)
         swap = r2 < kept[np.arange(src.size), widest]

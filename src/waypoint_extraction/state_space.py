@@ -65,18 +65,66 @@ def _finite_array(values, shape: tuple[int | None, ...], name: str) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
+def _rownorm(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, k) array, each bit for bit the
+    scalar np.linalg.norm of the row. np.linalg.norm takes x.dot(x) of a
+    contiguous copy, and np.vecdot runs the same dot on each contiguous row;
+    a plain sum of squares differs in the last bit on about one row in ten."""
+    rows = np.ascontiguousarray(rows)
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def _canonical_rows(quats: np.ndarray) -> np.ndarray:
+    """canonicalize_quaternion of each row of an (n, 4) array, bit for bit;
+    a row whose norm is below 1e-8 or not finite comes back NaN."""
+    norm = _rownorm(quats)
+    # min and sum of a list cost less than NumPy reductions on the one-row
+    # calls of the replay loop. A NaN norm fails the test either way: min
+    # returns it from first place, and sum from any other
+    norms = norm.tolist()
+    if not (min(norms) >= 1e-8 and sum(norms) < math.inf):
+        norm = np.where((norm >= 1e-8) & (norm < math.inf), norm, math.nan)
+    out = quats / norm[:, None]
+    if not min(out[:, 0].tolist()) >= 0.0:  # a NaN row may skip this test, never cause a wrong flip
+        np.negative(out, out=out, where=out[:, :1] < 0.0)
+    return out
+
+
+def _exp_rows(vectors: np.ndarray) -> np.ndarray:
+    """axis_angle_to_quaternion of each row of a finite (n, 3) array, bit
+    for bit; a row whose angle (norm) overflows comes back NaN, quietly."""
+    with np.errstate(over="ignore"):
+        angle = _rownorm(vectors)
+    angle[angle == math.inf] = math.nan
+    # np.sinc(x) = sin(pi x)/(pi x), so this is sin(angle/2)/angle
+    scale = 0.5 * np.sinc(angle / (2.0 * math.pi))
+    quats = np.empty((len(angle), 4))
+    quats[:, 0] = np.cos(0.5 * angle)
+    quats[:, 1:] = scale[:, None] * vectors
+    return _canonical_rows(quats)
+
+
+def _stored_rotations(axis_angle: np.ndarray, where) -> np.ndarray:
+    """Orientation rows of finite stored rotation vectors, derived as
+    EEState.from_axis_angle derives them: the exponential map, then the
+    state's own canonicalization. Raises ValueError naming where(i) for the
+    first row i whose angle overflows."""
+    quats = _canonical_rows(_exp_rows(axis_angle))
+    bad = np.flatnonzero(np.isnan(quats[:, 0]))
+    if bad.size:
+        raise ValueError(f"{where(int(bad[0]))}: rotation angle overflows (norm is not finite)")
+    return quats
+
+
 def canonicalize_quaternion(q) -> np.ndarray:
     """Normalize a quaternion and flip its sign so the scalar part is >= 0."""
     arr = np.asarray(q, dtype=float)
     if arr.shape != (4,):
         raise ValueError(f"quaternion must have 4 components, got shape {arr.shape}")
-    norm = float(np.linalg.norm(arr))
-    if not math.isfinite(norm) or norm < 1e-8:
+    out = _canonical_rows(arr[None])[0]
+    if math.isnan(out[0]):
         raise ValueError("quaternion norm is zero or non-finite")
-    arr = arr / norm
-    if arr[0] < 0.0:
-        arr = -arr
-    return arr
+    return out
 
 
 def axis_angle_to_quaternion(v) -> np.ndarray:
@@ -90,11 +138,10 @@ def axis_angle_to_quaternion(v) -> np.ndarray:
         raise ValueError(f"axis-angle vector must have 3 components, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise ValueError("axis-angle vector must be finite")
-    angle = float(np.linalg.norm(vec))
-    # np.sinc(x) = sin(pi x)/(pi x), so this is sin(angle/2)/angle
-    scale = 0.5 * float(np.sinc(angle / (2.0 * math.pi)))
-    q = np.array([math.cos(0.5 * angle), scale * vec[0], scale * vec[1], scale * vec[2]])
-    return canonicalize_quaternion(q)
+    out = _exp_rows(vec[None])[0]
+    if math.isnan(out[0]):
+        raise ValueError("axis-angle vector norm overflows")
+    return out
 
 
 def quaternion_to_axis_angle(q) -> np.ndarray:
@@ -270,6 +317,20 @@ def _view(cls, **fields):
     return obj
 
 
+_STATE_COLUMNS = {StateKind.EE: ("pos", "quat", "grip", "axis_angle"), StateKind.JOINT: ("joints",)}
+
+
+def _state_views(columns: dict, gripper_dims=None) -> list:
+    """One EEState or JointState view per row of state columns keyed as
+    Trajectory.state_columns; the views carry the rows unchanged."""
+    if "joints" in columns:
+        return [_view(JointState, joints=j, gripper_dims=gripper_dims) for j in columns["joints"]]
+    return [
+        _view(EEState, position=p, orientation=q, gripper=g, source_axis_angle=a)
+        for p, q, g, a in zip(columns["pos"], columns["quat"], columns["grip"].tolist(), columns["axis_angle"])
+    ]
+
+
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class Trajectory:
     """An ordered demonstration of one state kind, stored as read-only columns.
@@ -316,8 +377,8 @@ class Trajectory:
         """A trajectory owning copies of the given columns, named as above,
         and the one place that validates a trajectory. End effectors need
         pos, grip and axis_angle; quat, when not given as canonical rows, is
-        derived row by row exactly as EEState.from_axis_angle derives it.
-        obs_ref defaults to None."""
+        derived from axis_angle bit for bit as EEState.from_axis_angle
+        derives it. obs_ref defaults to None."""
         freq = float(frequency_hz)
         if not (math.isfinite(freq) and freq > 0):
             raise ValueError("frequency_hz must be a positive finite scalar")
@@ -335,7 +396,7 @@ class Trajectory:
         if fields["state_space"] is StateKind.EE:
             axis_angle = _finite_array(axis_angle, (None, 3), "axis_angle")
             if quat is None:
-                quat = [canonicalize_quaternion(axis_angle_to_quaternion(v)) for v in axis_angle]
+                quat = _stored_rotations(axis_angle, "frames[{}].axis_angle".format)
             fields.update(
                 pos=_finite_array(pos, (None, 3), "pos"),
                 quat=_finite_array(quat, (None, 4), "quat"),
@@ -364,16 +425,16 @@ class Trajectory:
                                          self.pos, self.quat, self.grip, self.axis_angle, self.joints,
                                          self.gripper_dims)
 
+    @property
+    def state_columns(self) -> dict[str, np.ndarray]:
+        """The state columns of this trajectory's kind by name: pos, quat,
+        grip and axis_angle, or joints."""
+        return {name: getattr(self, name) for name in _STATE_COLUMNS[self.state_space]}
+
     @functools.cached_property
     def frames(self) -> tuple[Frame, ...]:
         """One Frame view per row, built on first use and then kept."""
-        if self.state_space is StateKind.EE:
-            states = [
-                _view(EEState, position=p, orientation=q, gripper=g, source_axis_angle=a)
-                for p, q, g, a in zip(self.pos, self.quat, self.grip.tolist(), self.axis_angle)
-            ]
-        else:
-            states = [_view(JointState, joints=j, gripper_dims=self.gripper_dims) for j in self.joints]
+        states = _state_views(self.state_columns, self.gripper_dims)
         return tuple(Frame(t, s, ref) for t, s, ref in zip(self.t.tolist(), states, self.obs_ref))
 
     def state(self, i: int) -> State:

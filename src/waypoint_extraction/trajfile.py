@@ -22,18 +22,21 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .relabel import RelabeledDataset, RelabeledFrame
+from .relabel import RelabeledDataset, _first_bad_row
 from .solver import WaypointSet
 from .state_space import (
     EEState,
-    JointState,
     MetricConfig,
     State,
     StateKind,
     Trajectory,
+    _stored_rotations,
     interpolate,
 )
 
@@ -86,19 +89,92 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+_NUMBER_TYPES = {int, float}
+
+
+def _check_number(value, where: str) -> None:
+    """Raise unless value is a finite JSON number (bool is not one)."""
+    if type(value) not in _NUMBER_TYPES:
         raise TrajectorySchemaError(f"{where}: expected a number, got {type(value).__name__}")
-    out = float(value)
-    if not math.isfinite(out):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise TrajectoryValidationError(f"{where}: value must be finite, got {value!r}")
-    return out
 
 
-def _vector(value, length: int, where: str) -> list[float]:
-    if not isinstance(value, list) or len(value) != length:
+def _number(value, where: str) -> float:
+    """A lone scalar field (frequency, budget, metric weight) as a float."""
+    _check_number(value, where)
+    return float(value)
+
+
+def _check_int(rec: dict, key: str, where: str) -> None:
+    if type(_require(rec, key, where)) is not int:
+        raise TrajectorySchemaError(f"{where}: {key} must be an integer")
+
+
+def _check_obs_ref(rec: dict, where: str) -> None:
+    obs_ref = rec.get("obs_ref")
+    if obs_ref is not None and type(obs_ref) is not str:
+        raise TrajectorySchemaError(f"{where}: obs_ref must be a string")
+
+
+def _check_vector(value, length: int, where: str) -> None:
+    if type(value) is not list or len(value) != length:
         raise TrajectorySchemaError(f"{where}: expected a list of {length} numbers")
-    return [_number(v, f"{where}[{k}]") for k, v in enumerate(value)]
+    for k, v in enumerate(value):
+        _check_number(v, f"{where}[{k}]")
+
+
+def _check_state(rec, where: str, joint: bool) -> None:
+    """Raise the error of the first bad field of one state record, in field
+    order: the slow path that names a fault _record_columns only detects."""
+    if not isinstance(rec, dict):
+        raise TrajectorySchemaError(f"{where}: expected a JSON object")
+    if joint:
+        joints = _require(rec, "joints", where)
+        if type(joints) is not list or not joints:
+            raise TrajectorySchemaError(f"{where}.joints: expected a nonempty list of numbers")
+        _check_vector(joints, len(joints), f"{where}.joints")
+        return
+    for key in ("pos", "axis_angle"):
+        _check_vector(_require(rec, key, where), 3, f"{where}.{key}")
+    _check_number(_require(rec, "gripper", where), f"{where}.gripper")
+
+
+def _record_columns(records: list, joint: bool) -> dict | None:
+    """The values of a nonempty list of state records as columns named as
+    Trajectory.from_columns takes them: joints as lists of rows, or pos,
+    axis_angle and grip as float arrays. All values are type-checked in one
+    pass over them, then checked finite as arrays. None when any check
+    fails: the caller then names the fault with _check_state."""
+    try:
+        if joint:
+            vectors = [rec["joints"] for rec in records]
+            scalars = []
+        else:
+            pos = [rec["pos"] for rec in records]
+            axis_angle = [rec["axis_angle"] for rec in records]
+            vectors = pos + axis_angle
+            scalars = [rec["gripper"] for rec in records]
+    except (KeyError, TypeError):
+        return None
+    if not (set(map(type, vectors)) <= {list} and all(vectors) and (joint or set(map(len, vectors)) == {3})
+            and set(map(type, chain(chain.from_iterable(vectors), scalars))) <= _NUMBER_TYPES):
+        return None
+    try:
+        values = np.array(list(chain(chain.from_iterable(vectors), scalars)), dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    if joint:
+        return {"joints": vectors}
+    n = len(records)
+    return {"pos": values[: 3 * n].reshape(n, 3), "axis_angle": values[3 * n : 6 * n].reshape(n, 3),
+            "grip": values[6 * n :]}
 
 
 # ---------------------------------------------------------------------------
@@ -127,25 +203,24 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
     }
 
 
-def _state_fields(doc: dict, where: str, joint: bool) -> tuple:
-    """The type-checked values of one state record: (joints,) or
-    (pos, axis_angle, gripper)."""
-    if joint:
-        joints = _require(doc, "joints", where)
-        if not isinstance(joints, list) or not joints:
-            raise TrajectorySchemaError(f"{where}.joints: expected a nonempty list of numbers")
-        return (_vector(joints, len(joints), f"{where}.joints"),)
-    return (
-        _vector(_require(doc, "pos", where), 3, f"{where}.pos"),
-        _vector(_require(doc, "axis_angle", where), 3, f"{where}.axis_angle"),
-        _number(_require(doc, "gripper", where), f"{where}.gripper"),
-    )
+def _raise_frame_fault(raw_frames: list, where: str, joint: bool):
+    """Raise the error of the first bad field of the frames, in file order."""
+    for i, rec in enumerate(raw_frames):
+        here = f"{where}.frames[{i}]"
+        if not isinstance(rec, dict):
+            raise TrajectorySchemaError(f"{here}: expected a JSON object")
+        _check_int(rec, "t", here)
+        _check_obs_ref(rec, here)
+        _check_state(rec, here, joint)
+    raise AssertionError(f"{where}: the frame checks failed on frames with no bad field")
 
 
 def trajectory_from_dict(doc: dict, where: str = "trajectory") -> Trajectory:
-    """Check the JSON types field by field, then hand the columns to
+    """Gather the frame fields into columns, check their JSON types and
+    finiteness column by column, then hand the columns to
     Trajectory.from_columns, which checks the time axis and the joint
-    dimension."""
+    dimension. Only a failed check scans the frames, to name the first bad
+    field."""
     if not isinstance(doc, dict):
         raise TrajectorySchemaError(f"{where}: expected a JSON object")
     version = _require(doc, "schema_version", where)
@@ -164,21 +239,14 @@ def trajectory_from_dict(doc: dict, where: str = "trajectory") -> Trajectory:
         raise TrajectorySchemaError(f"{where}: frames must be a nonempty list")
 
     joint = kind is StateKind.JOINT
-    times, obs_refs, states = [], [], []
-    for i, rec in enumerate(raw_frames):
-        here = f"{where}.frames[{i}]"
-        if not isinstance(rec, dict):
-            raise TrajectorySchemaError(f"{here}: expected a JSON object")
-        t_val = _require(rec, "t", here)
-        if isinstance(t_val, bool) or not isinstance(t_val, int):
-            raise TrajectorySchemaError(f"{here}: t must be an integer")
-        times.append(t_val)
-        obs_ref = rec.get("obs_ref")
-        if obs_ref is not None and not isinstance(obs_ref, str):
-            raise TrajectorySchemaError(f"{here}: obs_ref must be a string")
-        obs_refs.append(obs_ref)
-        states.append(_state_fields(rec, here, joint))
-    columns = dict(zip(("joints",) if joint else ("pos", "axis_angle", "grip"), zip(*states)))
+    try:
+        times = [rec["t"] for rec in raw_frames]
+        obs_refs = [rec.get("obs_ref") for rec in raw_frames]
+    except (KeyError, TypeError, AttributeError):
+        times = obs_refs = None
+    columns = None if times is None else _record_columns(raw_frames, joint)
+    if columns is None or not set(map(type, times)) <= {int} or not set(map(type, obs_refs)) <= {str, type(None)}:
+        _raise_frame_fault(raw_frames, where, joint)
     try:
         return Trajectory.from_columns(name, kind, frequency, times, obs_refs, **columns)
     except (OverflowError, ValueError) as exc:  # OverflowError: t beyond 64 bits
@@ -317,26 +385,29 @@ def load_waypoints(path) -> tuple[WaypointSet, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _state_to_dict(state: State) -> dict:
-    if isinstance(state, EEState):
-        return {
-            "pos": state.position.tolist(),
-            "axis_angle": state.axis_angle().tolist(),
-            "gripper": float(state.gripper),
-        }
-    return {"joints": state.joints.tolist()}
+_EE_STATE_JSON = '{"pos": [%r, %r, %r], "axis_angle": [%r, %r, %r], "gripper": %r}'
 
 
-def _state_from_dict(doc: dict, where: str) -> State:
-    if not isinstance(doc, dict):
-        raise TrajectorySchemaError(f"{where}: expected a JSON object")
-    if "joints" in doc:
-        return JointState(*_state_fields(doc, where, joint=True))
-    return EEState.from_axis_angle(*_state_fields(doc, where, joint=False))
+def _states_json(columns: dict) -> list[str]:
+    """Each row of state columns as the text json.dumps gives its state
+    record: float repr, ", " and ": " separators. A row equal bit for bit to
+    the row before it reuses its text: all rows between two waypoints share
+    their target, and float repr is the writer's main cost."""
+    joint = "joints" in columns
+    rows = columns["joints"] if joint else np.column_stack([columns["pos"], columns["axis_angle"], columns["grip"]])
+    bits = np.ascontiguousarray(rows).view(np.uint64)
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    if joint:
+        text = ['{"joints": [' + ", ".join(map(repr, row)) + "]}" for row in rows[fresh].tolist()]
+    else:
+        text = [_EE_STATE_JSON % tuple(row) for row in rows[fresh].tolist()]
+    return [text[k] for k in (np.cumsum(fresh) - 1).tolist()]
 
 
 def save_relabeled(path, ds: RelabeledDataset, metric: MetricConfig | None = None, created_at=None) -> None:
-    """Write an awe-relabel-v1 file: one record per line, |traj| - 1 lines.
+    """Write an awe-relabel-v1 file: one record per line, |traj| - 1 lines,
+    each the text json.dumps gives the record, built from the columns.
 
     Provenance (schema version, source, eta, metric, tool version) is
     embedded in the first record so the line count equals the row count.
@@ -350,76 +421,116 @@ def save_relabeled(path, ds: RelabeledDataset, metric: MetricConfig | None = Non
     }
     if created_at is not None:
         prov["created_at"] = str(created_at)
-    lines = []
-    for k, row in enumerate(ds.frames):
-        record = {"t": row.t}
-        if row.obs_ref is not None:
-            record["obs_ref"] = row.obs_ref
-        record["state"] = _state_to_dict(row.state)
-        record["target_waypoint"] = _state_to_dict(row.target_waypoint)
-        record["target_index"] = row.target_index
-        record["waypoints_remaining"] = row.waypoints_remaining
-        if k == 0:
-            record["provenance"] = prov
-        lines.append(json.dumps(record))
+    obs_refs = ["" if ref is None else f'"obs_ref": {json.dumps(ref)}, ' for ref in ds.obs_ref]
+    lines = [
+        f'{{"t": {t}, {obs}"state": {state}, "target_waypoint": {target}, "target_index": {index}, '
+        f'"waypoints_remaining": {remaining}}}'
+        for t, obs, state, target, index, remaining in zip(
+            ds.t.tolist(), obs_refs, _states_json(ds.states), _states_json(ds.targets),
+            ds.target_index.tolist(), ds.waypoints_remaining.tolist())
+    ]
+    lines[0] = f'{lines[0][:-1]}, "provenance": {json.dumps(prov)}}}'
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+_RELABEL_INTS = ("t", "target_index", "waypoints_remaining")
+_STATE_KINDS = {True: "joint", False: "end-effector"}
+
+
+def _raise_line_fault(records: list, lines: list[str], joint: bool):
+    """Raise the error of the first bad field of the relabeled records, in
+    file order; lines[k] names record k. Every state must be of the first
+    state's kind, and joint states of its dimension."""
+    dim = None
+    for rec, here in zip(records, lines):
+        if not isinstance(rec, dict):
+            raise TrajectorySchemaError(f"{here}: expected a JSON object")
+        for key in _RELABEL_INTS:
+            _check_int(rec, key, here)
+        _check_obs_ref(rec, here)
+        for key in ("state", "target_waypoint"):
+            state, label = _require(rec, key, here), f"{here}.{key}"
+            if isinstance(state, dict) and ("joints" in state) != joint:
+                raise TrajectorySchemaError(f"{label}: {_STATE_KINDS[not joint]} state in a file of "
+                                            f"{_STATE_KINDS[joint]} states")
+            _check_state(state, label, joint)
+            if joint:
+                dim = dim or len(state["joints"])
+                if len(state["joints"]) != dim:
+                    raise TrajectorySchemaError(f"{label}.joints: joint dimension {len(state['joints'])} differs "
+                                                f"from the {dim} dims of the first state")
+    raise AssertionError(f"{lines[0]}: the record checks failed on records with no bad field")
+
+
 def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
+    """Read an awe-relabel-v1 file into columns. The fields of all records
+    are gathered and checked column by column, as trajectory_from_dict does;
+    only a failed check scans the records, to name the line at fault."""
     where = str(path)
-    text = Path(path).read_text(encoding="utf-8")
-    rows = []
-    prov: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    records, lines = [], []
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            records.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise TrajectoryParseError(f"{where}: line {lineno}: {exc.msg}") from exc
-        here = f"{where}: line {lineno}"
-        if not isinstance(record, dict):
-            raise TrajectorySchemaError(f"{here}: expected a JSON object")
-        if not rows:
-            prov = record.get("provenance") or {}
-            if not isinstance(prov, dict):
-                raise TrajectorySchemaError(f"{here}: provenance must be a JSON object")
-            version = prov.get("schema_version")
-            if version != RELABEL_SCHEMA:
-                raise TrajectorySchemaError(f"{here}: schema_version {version!r} is not {RELABEL_SCHEMA!r}")
-        t_val = _require(record, "t", here)
-        if isinstance(t_val, bool) or not isinstance(t_val, int):
-            raise TrajectorySchemaError(f"{here}: t must be an integer")
-        target_index = _require(record, "target_index", here)
-        if isinstance(target_index, bool) or not isinstance(target_index, int):
-            raise TrajectorySchemaError(f"{here}: target_index must be an integer")
-        remaining = _require(record, "waypoints_remaining", here)
-        if isinstance(remaining, bool) or not isinstance(remaining, int):
-            raise TrajectorySchemaError(f"{here}: waypoints_remaining must be an integer")
-        obs_ref = record.get("obs_ref")
-        if obs_ref is not None and not isinstance(obs_ref, str):
-            raise TrajectorySchemaError(f"{here}: obs_ref must be a string")
-        try:
-            rows.append(
-                RelabeledFrame(
-                    t=t_val,
-                    obs_ref=obs_ref,
-                    state=_state_from_dict(_require(record, "state", here), f"{here}.state"),
-                    target_waypoint=_state_from_dict(
-                        _require(record, "target_waypoint", here), f"{here}.target_waypoint"
-                    ),
-                    target_index=target_index,
-                    waypoints_remaining=remaining,
-                )
-            )
-        except ValueError as exc:
-            raise TrajectoryValidationError(f"{here}: {exc}") from exc
-    if not rows:
+        lines.append(f"{where}: line {lineno}")
+    if not records:
         raise TrajectorySchemaError(f"{where}: no records")
+    first = records[0]
+    if not isinstance(first, dict):
+        raise TrajectorySchemaError(f"{lines[0]}: expected a JSON object")
+    prov = first.get("provenance") or {}
+    if not isinstance(prov, dict):
+        raise TrajectorySchemaError(f"{lines[0]}: provenance must be a JSON object")
+    version = prov.get("schema_version")
+    if version != RELABEL_SCHEMA:
+        raise TrajectorySchemaError(f"{lines[0]}: schema_version {version!r} is not {RELABEL_SCHEMA!r}")
+
+    first_state = first.get("state")
+    joint = isinstance(first_state, dict) and "joints" in first_state
+    try:
+        ints = [[rec[key] for rec in records] for key in _RELABEL_INTS]
+        obs_refs = [rec.get("obs_ref") for rec in records]
+        states = [rec["state"] for rec in records] + [rec["target_waypoint"] for rec in records]
+    except (KeyError, TypeError, AttributeError):
+        states = None
+    columns = None
+    if (states is not None and set(map(type, chain.from_iterable(ints))) <= {int}
+            and set(map(type, obs_refs)) <= {str, type(None)} and set(map(type, states)) <= {dict}
+            and {"joints" in state for state in states} == {joint}):
+        columns = _record_columns(states, joint)
+    if joint and columns is not None:
+        rows = columns["joints"]
+        columns = {"joints": np.array(rows)} if len(set(map(len, rows))) == 1 else None
+    if columns is None:
+        _raise_line_fault(records, lines, joint)
+
+    n = len(records)
+    try:
+        t, target_index, remaining = (np.array(column, dtype=np.int64) for column in ints)
+    except OverflowError as exc:  # an integer beyond 64 bits
+        raise TrajectoryValidationError(f"{where}: {exc}") from exc
+    bad = _first_bad_row(t, target_index, remaining)
+    if bad is not None:
+        raise TrajectoryValidationError(f"{lines[bad[0]]}: {bad[1]}")
+    if not joint:
+        try:
+            columns["quat"] = _stored_rotations(
+                columns["axis_angle"], lambda i: f"{lines[i % n]}.{'state' if i < n else 'target_waypoint'}.axis_angle")
+        except ValueError as exc:
+            raise TrajectoryValidationError(str(exc)) from exc
     eta = prov.get("eta")
-    eta = math.nan if eta is None else float(eta)
+    eta = math.nan if eta is None else _number(eta, f"{lines[0]}.provenance.eta")
     source = str(prov.get("source_name", ""))
-    return RelabeledDataset(source, eta, tuple(rows)), prov
+    dataset = RelabeledDataset(
+        source, eta, t, tuple(obs_refs),
+        states={name: column[:n] for name, column in columns.items()},
+        targets={name: column[n:] for name, column in columns.items()},
+        target_index=target_index, waypoints_remaining=remaining,
+    )
+    return dataset, prov
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,25 @@ oracle_nearest_chord is the exception: it is the unpruned form of the
 package's nearest-chord pass, the same kernel with no bound, so the pruned
 pass must match it bit for bit. oracle_pairwise_horizon is the other: the
 reach horizon's cone scan, with the same angles and margins, and no cone
-dropped, so its bound can only be tighter.
+dropped, so its bound can only be tighter. The scalar exponential map and
+canonicalization and the per-row relabel writer are the package's former
+code, kept here because the vectorized forms must reproduce them bit for
+bit and byte for byte.
 """
 
 from __future__ import annotations
 
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 from scipy.spatial.transform import Rotation, Slerp
 
+from waypoint_extraction import __version__
 from waypoint_extraction.reconstruction import _angle, _row_distances
 from waypoint_extraction.state_space import EEState, JointState, MetricConfig
+from waypoint_extraction.trajfile import RELABEL_SCHEMA, metric_to_dict
 
 
 def _rotation(state: EEState) -> Rotation:
@@ -134,13 +143,70 @@ def oracle_pairwise_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
         dist = np.linalg.norm(v, axis=1)
         axes, radii = [], []
         for k in np.flatnonzero(dist > r):
-            half = np.arcsin(r / dist[k]) + tau
+            half = np.arcsin(r / dist[k])
             if half >= 0.5 * np.pi:
                 continue
             axis = v[k] / dist[k]
-            if axes and np.any(_angle(np.array(axes), axis) - tau > np.array(radii) + half):
+            if axes and np.any(_angle(np.array(axes), axis) > np.array(radii) + half):
                 horizon[i] = i + 1 + k
                 break
             axes.append(axis)
             radii.append(half)
     return horizon
+
+
+def oracle_canonicalize_quaternion(q) -> np.ndarray:
+    """One quaternion over its np.linalg.norm, negated when its scalar part
+    is negative."""
+    arr = np.asarray(q, dtype=float)
+    norm = float(np.linalg.norm(arr))
+    if not math.isfinite(norm) or norm < 1e-8:
+        raise ValueError("quaternion norm is zero or non-finite")
+    arr = arr / norm
+    if arr[0] < 0.0:
+        arr = -arr
+    return arr
+
+
+def oracle_axis_angle_to_quaternion(v) -> np.ndarray:
+    """The exponential map of one rotation vector with scalar math.cos and
+    np.sinc, canonicalized."""
+    vec = np.asarray(v, dtype=float)
+    angle = float(np.linalg.norm(vec))
+    scale = 0.5 * float(np.sinc(angle / (2.0 * math.pi)))
+    q = np.array([math.cos(0.5 * angle), scale * vec[0], scale * vec[1], scale * vec[2]])
+    return oracle_canonicalize_quaternion(q)
+
+
+def _oracle_state_record(state) -> dict:
+    if isinstance(state, EEState):
+        return {"pos": state.position.tolist(), "axis_angle": state.axis_angle().tolist(),
+                "gripper": float(state.gripper)}
+    return {"joints": state.joints.tolist()}
+
+
+def oracle_save_relabeled(path, ds, metric=None, created_at=None) -> None:
+    """An awe-relabel-v1 file written row by row from the RelabeledFrame
+    views, one json.dumps per record."""
+    prov = {
+        "schema_version": RELABEL_SCHEMA,
+        "source_name": ds.source_name,
+        "eta": None if math.isnan(ds.eta) else ds.eta,
+        "metric": metric_to_dict(metric if metric is not None else MetricConfig()),
+        "tool_version": __version__,
+    }
+    if created_at is not None:
+        prov["created_at"] = str(created_at)
+    lines = []
+    for k, row in enumerate(ds.frames):
+        record = {"t": row.t}
+        if row.obs_ref is not None:
+            record["obs_ref"] = row.obs_ref
+        record["state"] = _oracle_state_record(row.state)
+        record["target_waypoint"] = _oracle_state_record(row.target_waypoint)
+        record["target_index"] = row.target_index
+        record["waypoints_remaining"] = row.waypoints_remaining
+        if k == 0:
+            record["provenance"] = prov
+        lines.append(json.dumps(record))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

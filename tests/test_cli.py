@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -95,6 +96,30 @@ def test_schema_and_validation_exit_codes(tmp_path):
         )
     )
     assert main(["extract", "--input", str(bad_valid), "--eta", "0.1", "--output", str(tmp_path / "o.json")]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command", ["extract", "relabel"])
+def test_overflowing_rotation_vector_exits_validation_quietly(tmp_path, capsys, command):
+    # finite components whose norm overflows: located, and no NumPy warning
+    frames = [{"t": t, "pos": [0.1 * t, 0, 0], "axis_angle": [0, 0, 0], "gripper": 0} for t in range(5)]
+    frames[3]["axis_angle"] = [1e308, 1e308, 0]
+    doc = {"schema_version": "awe-traj-v1", "name": "ovf", "state_space": "ee", "frequency_hz": 50.0, "frames": frames}
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "ovf.json").write_text(json.dumps(doc))
+    if command == "extract":
+        argv = ["extract", "--input", str(tmp_path / "in" / "ovf.json"), "--output", str(tmp_path / "wp.json")]
+    else:
+        argv = ["relabel", "--input", str(tmp_path / "in"), "--output", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--eta", "0.1"])
+    err = capsys.readouterr().err
+    assert "frames[3].axis_angle: rotation angle overflows" in err
+    assert "Warning" not in err
+    if command == "extract":
+        assert code == EXIT_VALIDATION
+    else:  # relabel reports each failed file and goes on
+        assert code == EXIT_DOMAIN and err.startswith("FAILED ovf.json: ")
 
 
 def test_extract_deterministic_without_timestamp(tmp_path, demo_file):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from conftest import ee_state
-from oracles import oracle_state_distance
+from oracles import oracle_axis_angle_to_quaternion, oracle_canonicalize_quaternion, oracle_state_distance
 from waypoint_extraction.state_space import (
     EEState,
     Frame,
@@ -16,6 +17,7 @@ from waypoint_extraction.state_space import (
     StateKind,
     Trajectory,
     axis_angle_to_quaternion,
+    canonicalize_quaternion,
     interpolate,
     quaternion_geodesic_angle,
     quaternion_to_axis_angle,
@@ -74,6 +76,56 @@ def test_constructed_states_are_canonical(rng):
 def test_zero_quaternion_rejected():
     with pytest.raises(ValueError):
         EEState(np.zeros(3), np.zeros(4))
+
+
+def _rotation_vectors(rng) -> np.ndarray:
+    """80,000 random rotation vectors, 16,000 at each of five scales from
+    1e-6 to 3 rad, then the zero vector and angles just around pi and 2 pi."""
+    scales = np.repeat([1e-6, 1e-3, 0.1, 1.0, 3.0], 16_000)[:, None]
+    axes = rng.normal(size=(5, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    edges = [axes * (c + d) for c in (math.pi, 2 * math.pi) for d in (-1e-9, -1e-15, 0.0, 1e-15, 1e-9)]
+    return np.concatenate([rng.normal(size=(80_000, 3)) * scales, np.zeros((1, 3)), *edges])
+
+
+def test_vectorized_exp_map_is_the_scalar_map_bit_for_bit(rng):
+    vectors = _rotation_vectors(rng)
+    once = np.array([oracle_axis_angle_to_quaternion(v) for v in vectors])
+    twice = np.array([oracle_canonicalize_quaternion(q) for q in once])
+    assert not np.array_equal(once, twice)  # canonicalization is not idempotent bit for bit
+    # a trajectory canonicalizes the exp map a second time, as EEState does
+    traj = Trajectory.from_columns("exp", StateKind.EE, 50.0, np.arange(len(vectors)), pos=np.zeros_like(vectors),
+                                   grip=np.zeros(len(vectors)), axis_angle=vectors)
+    assert traj.quat.tobytes() == twice.tobytes()
+    sample = np.linspace(0, len(vectors) - 1, 400).astype(int)
+    assert np.array([axis_angle_to_quaternion(v) for v in vectors[sample]]).tobytes() == once[sample].tobytes()
+    assert np.array([canonicalize_quaternion(q) for q in once[sample]]).tobytes() == twice[sample].tobytes()
+
+
+def test_canonicalize_is_the_scalar_form_bit_for_bit(rng):
+    quats = rng.normal(size=(2000, 4)) * rng.choice([1e-6, 1.0, 1e6], size=(2000, 1))
+    quats[:5, 0] = [0.0, -0.0, 5e-324, -5e-324, -1e-300]
+    for q in quats:
+        assert canonicalize_quaternion(q).tobytes() == oracle_canonicalize_quaternion(q).tobytes()
+    # a strided row is normalized as the contiguous copy np.linalg.norm takes
+    strided = np.asfortranarray(quats)[7]
+    assert not strided.flags.c_contiguous
+    assert canonicalize_quaternion(strided).tobytes() == oracle_canonicalize_quaternion(strided).tobytes()
+    for bad in (np.zeros(4), np.array([np.nan, 0, 0, 0]), np.array([np.inf, 1, 0, 0]), np.full(4, 1e-9)):
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            canonicalize_quaternion(bad)
+
+
+def test_overflowing_rotation_vector_is_rejected_quietly():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            axis_angle_to_quaternion([1e308, 1e308, 0.0])
+        with pytest.raises(ValueError, match=r"frames\[1\]\.axis_angle: rotation angle overflows"):
+            Trajectory.from_columns("o", StateKind.EE, 50.0, [0, 1, 2], pos=np.zeros((3, 3)), grip=np.zeros(3),
+                                    axis_angle=[[0.0, 0.0, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 0.0]])
+    # an angle whose square stays finite still maps
+    assert np.all(np.isfinite(axis_angle_to_quaternion([1e150, 0.0, 0.0])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import json
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import ee_trajectory, joint_trajectory
+from oracles import oracle_save_relabeled
 from waypoint_extraction import state_space
 from waypoint_extraction.defaults import ENV_TASK_DEFAULTS, TASK_ETA_DEFAULTS, load_task_defaults, resolve_task_eta
 from waypoint_extraction.relabel import relabel_trajectory
@@ -120,6 +122,89 @@ def test_joint_dim_change_rejected(tmp_path):
     }
     with pytest.raises(TrajectoryValidationError, match="dims"):
         load_trajectory(write(tmp_path, doc))
+
+
+def _demo_doc(kind: str) -> dict:
+    if kind == "ee":
+        frames = [{"t": t, "pos": [0.1 * t, 0.0, 1.0], "axis_angle": [0.0, 0.01 * t, 0.0], "gripper": 0.04}
+                  for t in range(6)]
+    else:
+        frames = [{"t": t, "joints": [0.1 * t, -0.2, 0.3]} for t in range(6)]
+    return {"schema_version": "awe-traj-v1", "name": "d", "state_space": kind, "frequency_hz": 50.0,
+            "frames": frames}
+
+
+def _set(doc, path, value):
+    """Set doc[path[0]][path[1]]... to value; value DELETE removes the key."""
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    if value is DELETE:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+DELETE = object()
+
+LOCATED_FAULTS = [
+    ("ee", ("frames", 3, "pos", 1), None, TrajectorySchemaError, r"\.frames\[3\]\.pos\[1\]: expected a number, got NoneType$"),
+    ("ee", ("frames", 3, "pos", 1), "0.5", TrajectorySchemaError, r"\.frames\[3\]\.pos\[1\]: expected a number, got str$"),
+    ("ee", ("frames", 3, "pos", 1), float("inf"), TrajectoryValidationError, r"\.frames\[3\]\.pos\[1\]: value must be finite, got inf$"),
+    ("ee", ("frames", 3, "pos", 1), 10**400, TrajectoryValidationError, r"\.frames\[3\]\.pos\[1\]: value must be finite"),
+    ("ee", ("frames", 3, "pos"), [0.0, 1.0], TrajectorySchemaError, r"\.frames\[3\]\.pos: expected a list of 3 numbers$"),
+    ("ee", ("frames", 3, "pos"), {"x": 0.0}, TrajectorySchemaError, r"\.frames\[3\]\.pos: expected a list of 3 numbers$"),
+    ("ee", ("frames", 3, "axis_angle", 2), float("nan"), TrajectoryValidationError, r"\.frames\[3\]\.axis_angle\[2\]: value must be finite, got nan$"),
+    ("ee", ("frames", 3, "axis_angle"), DELETE, TrajectorySchemaError, r"\.frames\[3\]: missing field 'axis_angle'$"),
+    ("ee", ("frames", 3, "gripper"), True, TrajectorySchemaError, r"\.frames\[3\]\.gripper: expected a number, got bool$"),
+    ("ee", ("frames", 3, "gripper"), [0.0], TrajectorySchemaError, r"\.frames\[3\]\.gripper: expected a number, got list$"),
+    ("ee", ("frames", 3, "gripper"), -float("inf"), TrajectoryValidationError, r"\.frames\[3\]\.gripper: value must be finite, got -inf$"),
+    ("ee", ("frames", 3), [1, 2], TrajectorySchemaError, r"\.frames\[3\]: expected a JSON object$"),
+    ("ee", ("frames", 3, "t"), 3.0, TrajectorySchemaError, r"\.frames\[3\]: t must be an integer$"),
+    ("ee", ("frames", 3, "t"), DELETE, TrajectorySchemaError, r"\.frames\[3\]: missing field 't'$"),
+    ("ee", ("frames", 3, "obs_ref"), 7, TrajectorySchemaError, r"\.frames\[3\]: obs_ref must be a string$"),
+    ("joint", ("frames", 3, "joints"), [], TrajectorySchemaError, r"\.frames\[3\]\.joints: expected a nonempty list of numbers$"),
+    ("joint", ("frames", 3, "joints"), 0.5, TrajectorySchemaError, r"\.frames\[3\]\.joints: expected a nonempty list of numbers$"),
+    ("joint", ("frames", 3, "joints", 2), "a", TrajectorySchemaError, r"\.frames\[3\]\.joints\[2\]: expected a number, got str$"),
+    ("joint", ("frames", 3, "joints", 2), float("inf"), TrajectoryValidationError, r"\.frames\[3\]\.joints\[2\]: value must be finite, got inf$"),
+    ("joint", ("frames", 3, "joints"), DELETE, TrajectorySchemaError, r"\.frames\[3\]: missing field 'joints'$"),
+    ("joint", ("frames", 3), "j", TrajectorySchemaError, r"\.frames\[3\]: expected a JSON object$"),
+]
+
+
+@pytest.mark.parametrize("kind, path, value, error, message", LOCATED_FAULTS,
+                         ids=[f"{k}-{'.'.join(map(str, p[2:]))}-{i}" for i, (k, p, *_) in enumerate(LOCATED_FAULTS)])
+def test_bad_frame_field_is_located(tmp_path, kind, path, value, error, message):
+    doc = _demo_doc(kind)
+    _set(doc, path, value)
+    with pytest.raises(error, match=message):
+        load_trajectory(write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("kind", ["ee", "joint"])
+def test_first_bad_field_in_file_order_is_named(tmp_path, kind):
+    # a value fault in frame 2 comes before a type fault in frame 4
+    doc = _demo_doc(kind)
+    field = "pos" if kind == "ee" else "joints"
+    doc["frames"][2][field][0] = float("inf")
+    doc["frames"][4][field][1] = "x"
+    with pytest.raises(TrajectoryValidationError, match=rf"\.frames\[2\]\.{field}\[0\]"):
+        load_trajectory(write(tmp_path, doc))
+    # and within a frame, the fields in their documented order
+    doc = _demo_doc(kind)
+    doc["frames"][1]["obs_ref"] = 1
+    doc["frames"][1]["t"] = "1"
+    with pytest.raises(TrajectorySchemaError, match=r"\.frames\[1\]: t must be an integer"):
+        load_trajectory(write(tmp_path, doc))
+
+
+def test_integer_fields_load_as_floats(tmp_path):
+    doc = _demo_doc("ee")
+    doc["frames"][2]["pos"] = [1, 2, 3]
+    doc["frames"][2]["gripper"] = 0
+    traj = load_trajectory(write(tmp_path, doc))
+    assert traj.pos[2].tolist() == [1.0, 2.0, 3.0] and traj.grip[2] == 0.0
+    assert traj.pos.dtype == traj.grip.dtype == np.float64
 
 
 @pytest.mark.parametrize("kind", ["ee", "joint"])
@@ -304,6 +389,123 @@ def test_relabeled_line_count_and_round_trip(tmp_path, rng):
     # only the first line carries provenance
     assert "provenance" in json.loads(lines[0])
     assert all("provenance" not in json.loads(l) for l in lines[1:])
+
+
+def _relabel_demos(rng) -> dict:
+    """An end-effector demo with obs_refs, a joint demo with gripper_dims,
+    and an end-effector demo with gaps in its time axis, each relabeled."""
+    base = make_segmented_ee_trajectory(rng, n_segments=4, name="ee-obs")
+    ee = Trajectory(base.name, StateKind.EE, 30.0, [Frame(f.t, f.state, f"cam0/{f.t:04d}.png") for f in base.frames])
+    joint = joint_trajectory(np.cumsum(rng.normal(scale=0.05, size=(80, 5)), axis=0), name="arm", gripper_dims=(4,))
+    walk = make_random_walk_trajectory(rng, 40)
+    gapped = Trajectory("gapped", StateKind.EE, 50.0,
+                        [Frame(3 * k + k % 2, f.state) for k, f in enumerate(walk.frames)])
+    out = {}
+    for traj, eta in ((ee, 0.01), (joint, 0.05), (gapped, 0.3)):
+        wp, _ = extract_waypoints_dp(traj, ErrorBudget(eta))
+        out[traj.name] = (traj, relabel_trajectory(traj, wp))
+    out["heuristic"] = (walk, relabel_trajectory(walk, WaypointSet((0, 13, 39))))  # eta is NaN
+    return out
+
+
+def test_relabel_writer_matches_per_row_json_dumps(tmp_path, rng):
+    for name, (traj, ds) in _relabel_demos(rng).items():
+        for created_at in (None, "2024-01-01T00:00:00+00:00"):
+            ours, theirs = tmp_path / f"{name}-a.jsonl", tmp_path / f"{name}-b.jsonl"
+            save_relabeled(ours, ds, metric=MetricConfig(position_weight=2.0), created_at=created_at)
+            oracle_save_relabeled(theirs, ds, metric=MetricConfig(position_weight=2.0), created_at=created_at)
+            assert ours.read_bytes() == theirs.read_bytes(), name
+        # loading gives the same columns back, and writing them the same bytes
+        loaded, _ = load_relabeled(ours)
+        again = tmp_path / f"{name}-c.jsonl"
+        save_relabeled(again, loaded, metric=MetricConfig(position_weight=2.0), created_at=created_at)
+        assert again.read_bytes() == ours.read_bytes()
+        # quat rows come from the stored rotation vectors, as a trajectory file's do
+        save_trajectory(tmp_path / f"{name}.json", traj)
+        reloaded = relabel_trajectory(load_trajectory(tmp_path / f"{name}.json"),
+                                      WaypointSet(tuple(np.searchsorted(traj.t, sorted({0, *ds.target_index.tolist()})))))
+        for got, want in ((loaded.states, reloaded.states), (loaded.targets, reloaded.targets)):
+            assert got.keys() == want.keys()
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+
+def test_relabeled_dataset_columns_and_views(rng):
+    traj, ds = _relabel_demos(rng)["gapped"]
+    assert ds.t.tolist() == traj.t[:-1].tolist() == [3 * k + k % 2 for k in range(39)]
+    assert ds.frames is ds.frames  # built once
+    for k, row in enumerate(ds.frames):
+        target = int(np.searchsorted(traj.t, row.target_index))
+        assert row.t == traj.t[k] < row.target_index
+        assert row.state.position.tobytes() == traj.pos[k].tobytes()
+        assert row.target_waypoint.orientation.tobytes() == traj.quat[target].tobytes()
+        assert row.target_waypoint.axis_angle().tobytes() == traj.axis_angle[target].tobytes()
+    for column in (ds.t, ds.target_index, ds.waypoints_remaining, *ds.states.values(), *ds.targets.values()):
+        assert not column.flags.writeable
+    _, joint = _relabel_demos(rng)["arm"]
+    assert {row.state.gripper_dims for row in joint.frames} == {(4,)}
+
+
+def _relabel_lines(tmp_path, records) -> Path:
+    records[0]["provenance"] = {"schema_version": "awe-relabel-v1", "source_name": "x", "eta": 0.1}
+    path = tmp_path / "r.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+def _row(t, state, target, index=None, remaining=1):
+    return {"t": t, "state": state, "target_waypoint": target, "target_index": t + 1 if index is None else index,
+            "waypoints_remaining": remaining}
+
+
+EE_STATE = {"pos": [0.0, 0.0, 0.0], "axis_angle": [0.0, 0.0, 0.0], "gripper": 0.0}
+
+
+@pytest.mark.parametrize("rows, message", [
+    # an end-effector file with a joint row, and the reverse
+    ([_row(0, EE_STATE, EE_STATE), _row(1, {"joints": [0.0, 1.0]}, {"joints": [0.0, 1.0]})],
+     r"line 2\.state: joint state in a file of end-effector states"),
+    ([_row(0, {"joints": [0.0]}, {"joints": [0.0]}), _row(1, {"joints": [0.0]}, EE_STATE)],
+     r"line 2\.target_waypoint: end-effector state in a file of joint states"),
+    ([_row(0, EE_STATE, {"joints": [0.0, 1.0, 2.0]})],
+     r"line 1\.target_waypoint: joint state in a file of end-effector states"),
+    # joint dimension changing between rows, and between state and target
+    ([_row(0, {"joints": [0.0, 1.0]}, {"joints": [0.0, 1.0]}), _row(1, {"joints": [0.0, 1.0, 2.0]}, {"joints": [0.0, 1.0]})],
+     r"line 2\.state\.joints: joint dimension 3 differs from the 2 dims of the first state"),
+    ([_row(0, {"joints": [0.0, 1.0]}, {"joints": [0.0]})],
+     r"line 1\.target_waypoint\.joints: joint dimension 1 differs from the 2 dims"),
+    # the located messages shared with trajectory files
+    ([_row(0, EE_STATE, EE_STATE), _row(1, EE_STATE, dict(EE_STATE, pos=[0.0, None, 0.0]))],
+     r"line 2\.target_waypoint\.pos\[1\]: expected a number, got NoneType"),
+    ([_row(0, EE_STATE, EE_STATE), dict(_row(1, EE_STATE, EE_STATE), target_index="2")],
+     r"line 2: target_index must be an integer"),
+    ([_row(0, EE_STATE, EE_STATE), "row"], r"line 2: expected a JSON object"),
+])
+def test_relabeled_loader_names_the_bad_line(tmp_path, rows, message):
+    with pytest.raises(TrajectorySchemaError, match=message):
+        load_relabeled(_relabel_lines(tmp_path, rows))
+
+
+def test_relabeled_loader_validates_rows(tmp_path):
+    late = [_row(0, EE_STATE, EE_STATE), _row(1, EE_STATE, EE_STATE, index=1)]
+    with pytest.raises(TrajectoryValidationError, match="line 2: target_index must lie strictly after the frame"):
+        load_relabeled(_relabel_lines(tmp_path, late))
+    spent = [_row(0, EE_STATE, EE_STATE, remaining=0)]
+    with pytest.raises(TrajectoryValidationError, match="line 1: waypoints_remaining must be >= 1"):
+        load_relabeled(_relabel_lines(tmp_path, spent))
+    overflow = [_row(0, EE_STATE, dict(EE_STATE, axis_angle=[1e308, 1e308, 0.0]))]
+    with pytest.raises(TrajectoryValidationError, match=r"line 1\.target_waypoint\.axis_angle: rotation angle overflows"):
+        load_relabeled(_relabel_lines(tmp_path, overflow))
+
+
+@pytest.mark.parametrize("eta, error", [("0.1", TrajectorySchemaError), ([0.1], TrajectorySchemaError),
+                                        (float("inf"), TrajectoryValidationError)])
+def test_relabeled_provenance_eta_must_be_a_number(tmp_path, eta, error):
+    path = _relabel_lines(tmp_path, [_row(0, EE_STATE, EE_STATE)])
+    record = json.loads(path.read_text())
+    record["provenance"]["eta"] = eta
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(error, match=r"line 1\.provenance\.eta: "):
+        load_relabeled(path)
 
 
 def test_relabeled_wrong_schema(tmp_path):
