@@ -140,18 +140,21 @@ def _calibrate_zero_velocity(traj: Trajectory, target: int) -> CalibrationResult
     speeds = _frame_speeds(traj)
     flips = _gripper_flip_frames(traj, 0.0)
     T = len(traj)
-    # counts only change at observed speed values, so scanning those
-    # candidates is an exact search; the count is not monotone in the
-    # threshold (raising it can merge runs), which rules out plain bisection
+    # counts only change at observed speed values, and not monotonically
+    # (raising the threshold can merge runs), so every candidate is scored.
+    # Frames 0, T-1 and the flips are always selected; any other frame t is
+    # a run onset exactly for thresholds in [speeds[t], speeds[t-1])
     candidates = np.unique(np.concatenate(([0.0], speeds)))
-    best_thr, best_count = None, None
-    for thr in candidates:
-        count = len(_zero_velocity_indices(speeds, flips, T, float(thr)))
-        if best_count is None or (abs(count - target), count) < (abs(best_count - target), best_count):
-            best_thr, best_count = float(thr), count
+    t = np.setdiff1d(np.arange(1, T - 1), flips)
+    lo = np.searchsorted(candidates, speeds[t])
+    hi = np.maximum(lo, np.searchsorted(candidates, speeds[t - 1]))
+    steps = np.bincount(lo, minlength=len(candidates)) - np.bincount(hi, minlength=len(candidates))
+    counts = T - len(t) + np.cumsum(steps)
+    best = int(np.lexsort((counts, np.abs(counts - target)))[0])  # first of the least (|count - target|, count)
+    best_thr = float(candidates[best])
     wp = WaypointSet(_zero_velocity_indices(speeds, flips, T, best_thr))
     cfg = HeuristicConfig(velocity_threshold=best_thr)
-    return CalibrationResult(cfg, wp, exact=best_count == target)
+    return CalibrationResult(cfg, wp, exact=int(counts[best]) == target)
 
 
 def calibrate_to_count(traj: Trajectory, method: str, target_count: int) -> CalibrationResult:

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .baselines import METHOD_FIXED_INTERVAL, METHOD_ZERO_VELOCITY, calibrate_to_count
 from .defaults import resolve_task_eta
+from .reconstruction import SegmentScorer
 from .relabel import relabel_trajectory
 from .replay import default_follower_config, replay_waypoints
 from .solver import (
@@ -159,10 +160,8 @@ def _cmd_stats(args, parser) -> int:
         traj = load_trajectory(f)
         wp, stats = extract_waypoints_dp(traj, budget)
         ratio = len(wp) / len(traj)
-        losses = " ".join(
-            f"{l:.6g}"
-            for l in _segment_losses(traj, wp, metric)
-        )
+        chords = SegmentScorer(traj, metric).chord_losses(wp.indices[:-1], wp.indices[1:])
+        losses = " ".join(f"{l:.6g}" for l in chords.tolist())
         print(
             f"{traj.name}: T={len(traj)} waypoints={len(wp)} ratio={_ratio_str(len(wp), len(traj))} "
             f"segment_loss={wp.achieved_segment_loss:.6g} global_loss={wp.achieved_global_loss:.6g} "
@@ -177,13 +176,6 @@ def _cmd_stats(args, parser) -> int:
                 file=sys.stderr,
             )
     return EXIT_OK if not warned or not args.strict_ratio else EXIT_CHECK_FAILED
-
-
-def _segment_losses(traj, wp, metric) -> list[float]:
-    from .reconstruction import SegmentScorer
-
-    scorer = SegmentScorer(traj, metric)
-    return scorer.chord_losses(wp.indices[:-1], wp.indices[1:]).tolist()
 
 
 def compare_selectors(traj, awe: WaypointSet, methods, metric: MetricConfig = DEFAULT_METRIC,

@@ -27,7 +27,6 @@ from .state_space import (
     StateKind,
     Trajectory,
     _check_same_kind,
-    _state_columns,
     interpolate,
     state_distance,
 )
@@ -115,12 +114,6 @@ def _checked_indices(traj: Trajectory, waypoints) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # vectorized kernels
 # ---------------------------------------------------------------------------
-
-
-def _stack(states: Sequence[State]) -> SimpleNamespace:
-    """A state sequence stacked into the columns a Trajectory keeps."""
-    columns = {k: np.array(v) for k, v in _state_columns(states).items()}
-    return SimpleNamespace(joints=columns.pop("joints", None), **columns)
 
 
 def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -478,24 +471,18 @@ class SegmentScorer:
         return float(_nearest_chord(self.traj, len(self), self.traj, indices, self.cfg).max())
 
 
-def min_distances_to_polyline(
-    states: Sequence[State], anchors: Trajectory | Sequence[State], cfg: MetricConfig = DEFAULT_METRIC
-) -> np.ndarray:
-    """Per-state distance to the nearest chord of the polyline through
-    anchors, a trajectory (read from its columns) or a state sequence."""
-    if len(states) == 0:
+def min_distances_to_polyline(columns, anchors: Trajectory, cfg: MetricConfig = DEFAULT_METRIC) -> np.ndarray:
+    """Per-row distance of state columns, keyed as Trajectory.state_columns
+    (pos, quat and grip, or joints), to the nearest chord of the polyline
+    through the frames of anchors."""
+    points = SimpleNamespace(**{"joints": None, **{name: np.asarray(col) for name, col in columns.items()}})
+    count = min(map(len, columns.values()), default=0)
+    if count == 0:
         raise ValueError("no states to score against the polyline")
-    if len(anchors) < 2:
-        raise ValueError("polyline needs at least two anchors")
-    chain = range(len(anchors))
-    if isinstance(anchors, Trajectory):
-        first = states[0]
-        if first.kind is not anchors.state_space:
-            raise ValueError(f"state-space kind mismatch: {first.kind.value} vs {anchors.state_space.value}")
-        if anchors.joints is not None and first.dim != anchors.joints.shape[1]:
-            raise ValueError(f"joint dimension mismatch: {first.dim} vs {anchors.joints.shape[1]}")
-    else:
-        _check_same_kind(states[0], anchors[0])
-        anchors = _stack(anchors)
+    kind = StateKind.EE if points.joints is None else StateKind.JOINT
+    if kind is not anchors.state_space:
+        raise ValueError(f"state-space kind mismatch: {kind.value} vs {anchors.state_space.value}")
+    if kind is StateKind.JOINT and points.joints.shape[1] != anchors.joints.shape[1]:
+        raise ValueError(f"joint dimension mismatch: {points.joints.shape[1]} vs {anchors.joints.shape[1]}")
     _check_metric(anchors, cfg)
-    return _nearest_chord(_stack(states), len(states), anchors, chain, cfg)
+    return _nearest_chord(points, count, anchors, range(len(anchors)), cfg)

@@ -14,13 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .reconstruction import _check_metric, min_distances_to_polyline
+from .reconstruction import _check_metric, _ranks, _slerp_rows, min_distances_to_polyline
 from .solver import WaypointSet
 from .state_space import (
     DEFAULT_METRIC,
     MetricConfig,
-    State,
     Trajectory,
+    _state_columns,
     interpolate,
     state_distance,
 )
@@ -72,62 +72,77 @@ class FollowerConfig:
 
 @dataclass(frozen=True, eq=False)
 class ReplayReport:
-    """Outcome of one replay: per-waypoint reach flags, the executed path,
-    and its worst deviation from the source trajectory."""
+    """Outcome of one replay: per-waypoint reach flags, the executed path
+    as state columns (pos, quat and grip, or joints; row 0 is frame 0, row k
+    the state after tick k), and its worst deviation from the source."""
 
     reached_final: bool
     per_waypoint_reached: tuple[bool, ...]
     max_tracking_deviation: float
-    executed_path: tuple[State, ...]
+    executed_path: dict[str, np.ndarray]
     ticks_used: int
 
 
 def replay_waypoints(traj: Trajectory, wp: WaypointSet, cfg: FollowerConfig) -> ReplayReport:
     """Follow the waypoints from frame 0's state and score the executed path.
 
-    Deterministic for fixed inputs. Exhausting tick_limit is not an error:
-    the report simply comes back with reached_final=False.
+    A tick moves the follower min(1, max_step / dist) of the way to its
+    target, so the distance falls by max_step per tick and k ticks from c
+    land at interpolate(c, target, min(1, k max_step / d0)), where
+    d0 = state_distance(c, target). This closed form defines the follower.
+    A segment takes the least n with n max_step >= d0 - reach_tolerance,
+    capped by tick_limit and, unless blocking, by its budget; its waypoint
+    is reached when no cap bit. Exhausting tick_limit is not an error: the
+    report simply comes back with reached_final=False.
     """
     wp.validate_for(traj)
+    times = traj.t.tolist()
     current = traj.frames[0].state
-    executed = [current]
+    path = [_state_columns([current])]
+    segments = []
     ticks = 0
     reached_flags = []
-    prev_idx = wp.indices[0]
-    for idx in wp.indices:
+    for prev_idx, idx in zip(wp.indices[:1] + wp.indices[:-1], wp.indices):
         target = traj.frames[idx].state
-        # pace by the demo's own clock: time span of the segment, not the
-        # frame count (identical for contiguous trajectories)
-        budget = (traj.frames[idx].t - traj.frames[prev_idx].t) * cfg.control_multiplier
-        spent = 0
+        limit = cfg.tick_limit - ticks
+        if not cfg.blocking:
+            # pace by the demo's own clock: time span of the segment, not the
+            # frame count (identical for contiguous trajectories)
+            limit = min(limit, (times[idx] - times[prev_idx]) * cfg.control_multiplier)
         dist = state_distance(current, target, cfg.metric)
-        while (
-            dist > cfg.reach_tolerance
-            and ticks < cfg.tick_limit
-            and (cfg.blocking or spent < budget)
-        ):
-            u = min(1.0, cfg.max_step / dist)
-            current = interpolate(current, target, u)
-            executed.append(current)
-            ticks += 1
-            spent += 1
-            dist = state_distance(current, target, cfg.metric)
-        reached_flags.append(dist <= cfg.reach_tolerance)
-        prev_idx = idx
-    deviation = max_deviation_from_polyline(executed, traj, cfg.metric)
-    return ReplayReport(
-        reached_final=reached_flags[-1],
-        per_waypoint_reached=tuple(reached_flags),
-        max_tracking_deviation=deviation,
-        executed_path=tuple(executed),
-        ticks_used=ticks,
-    )
+        need = dist - cfg.reach_tolerance
+        # least n with n * max_step >= need as computed: the quotient may round across an integer
+        n = math.ceil(min(max(0.0, need / cfg.max_step), limit + 1))
+        if n * cfg.max_step < need:
+            n += 1
+        elif n and (n - 1) * cfg.max_step >= need:
+            n -= 1
+        reached_flags.append(n <= limit)
+        n = min(n, limit)
+        if n:
+            segments.append((current, idx, n, dist))
+            ticks += n
+            u = min(1.0, n * cfg.max_step / dist)
+            current = target if u == 1.0 else interpolate(current, target, u)
+    if segments:
+        starts, targets, counts, spans = zip(*segments)
+        seg = np.repeat(np.arange(len(counts)), counts)
+        u = np.minimum(1.0, (_ranks(np.array(counts)) + 1) * cfg.max_step / np.array(spans)[seg])
+        a = {name: np.array(rows)[seg] for name, rows in _state_columns(starts).items()}
+        b = {name: getattr(traj, name)[np.array(targets)[seg]] for name in a}
+        path.append({name: _slerp_rows(a[name], b[name], u) if name == "quat"
+                     else a[name] + (u[:, None] if a[name].ndim > 1 else u) * (b[name] - a[name])
+                     for name in a})
+    path = {name: np.concatenate([rows[name] for rows in path]) for name in path[0]}
+    deviation = max_deviation_from_polyline(path, traj, cfg.metric)
+    return ReplayReport(reached_final=reached_flags[-1], per_waypoint_reached=tuple(reached_flags),
+                        max_tracking_deviation=deviation, executed_path=path, ticks_used=ticks)
 
 
-def max_deviation_from_polyline(states, anchors, cfg: MetricConfig = DEFAULT_METRIC) -> float:
-    """Worst distance from any state to the polyline interpolating anchors,
-    a trajectory or a sequence of states."""
-    return float(min_distances_to_polyline(list(states), anchors, cfg).max())
+def max_deviation_from_polyline(columns, anchors: Trajectory, cfg: MetricConfig = DEFAULT_METRIC) -> float:
+    """Worst distance from any row of the state columns to the polyline
+    through the frames of anchors; see min_distances_to_polyline."""
+    return float(min_distances_to_polyline(columns, anchors, cfg).max())
 
 
 def default_follower_config(

@@ -65,22 +65,25 @@ def _finite_array(values, shape: tuple[int | None, ...], name: str) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore")
 def _rownorm(rows: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of an (n, k) array, each bit for bit the
     scalar np.linalg.norm of the row. np.linalg.norm takes x.dot(x) of a
     contiguous copy, and np.vecdot runs the same dot on each contiguous row;
-    a plain sum of squares differs in the last bit on about one row in ten."""
+    a plain sum of squares differs in the last bit on about one row in ten.
+    A norm that overflows comes back inf, quietly. The decorator costs less
+    per call than a with block, which shows on one-row calls."""
     rows = np.ascontiguousarray(rows)
     return np.sqrt(np.vecdot(rows, rows))
 
 
 def _canonical_rows(quats: np.ndarray) -> np.ndarray:
     """canonicalize_quaternion of each row of an (n, 4) array, bit for bit;
-    a row whose norm is below 1e-8 or not finite comes back NaN."""
+    a row whose norm is below 1e-8 or not finite comes back NaN, quietly."""
     norm = _rownorm(quats)
-    # min and sum of a list cost less than NumPy reductions on the one-row
-    # calls of the replay loop. A NaN norm fails the test either way: min
-    # returns it from first place, and sum from any other
+    # min and sum of a list cost less than NumPy reductions on one-row
+    # calls. A NaN norm fails the test either way: min returns it from
+    # first place, and sum from any other
     norms = norm.tolist()
     if not (min(norms) >= 1e-8 and sum(norms) < math.inf):
         norm = np.where((norm >= 1e-8) & (norm < math.inf), norm, math.nan)
@@ -93,8 +96,7 @@ def _canonical_rows(quats: np.ndarray) -> np.ndarray:
 def _exp_rows(vectors: np.ndarray) -> np.ndarray:
     """axis_angle_to_quaternion of each row of a finite (n, 3) array, bit
     for bit; a row whose angle (norm) overflows comes back NaN, quietly."""
-    with np.errstate(over="ignore"):
-        angle = _rownorm(vectors)
+    angle = _rownorm(vectors)
     angle[angle == math.inf] = math.nan
     # np.sinc(x) = sin(pi x)/(pi x), so this is sin(angle/2)/angle
     scale = 0.5 * np.sinc(angle / (2.0 * math.pi))

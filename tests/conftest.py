@@ -29,3 +29,11 @@ def joint_trajectory(vectors, name="test-joint", gripper_dims=None) -> Trajector
         Frame(t, JointState(np.asarray(v, dtype=float), gripper_dims)) for t, v in enumerate(vectors)
     )
     return Trajectory(name, StateKind.JOINT, 50.0, frames)
+
+
+def sub_trajectory(traj: Trajectory, indices) -> Trajectory:
+    """The frames of traj at indices, renumbered 0, 1, ..."""
+    rows = list(indices)
+    return Trajectory.from_columns(traj.name, traj.state_space, traj.frequency_hz, range(len(rows)),
+                                   **{name: column[rows] for name, column in traj.state_columns.items()},
+                                   gripper_dims=traj.gripper_dims)

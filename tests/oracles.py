@@ -10,7 +10,10 @@ reach horizon's cone scan, with the same angles and margins, and no cone
 dropped, so its bound can only be tighter. The scalar exponential map and
 canonicalization and the per-row relabel writer are the package's former
 code, kept here because the vectorized forms must reproduce them bit for
-bit and byte for byte.
+bit and byte for byte. So are the replay tick loop, whose tick counts and
+reach flags the closed-form follower must match except at the knife edges
+test_replay.py pins, and the per-threshold zero-velocity calibration, whose
+thresholds the counting sweep must match.
 """
 
 from __future__ import annotations
@@ -18,13 +21,22 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.spatial.transform import Rotation, Slerp
 
 from waypoint_extraction import __version__
+from waypoint_extraction.baselines import _frame_speeds, _gripper_flip_frames, _zero_velocity_indices
 from waypoint_extraction.reconstruction import _angle, _row_distances
-from waypoint_extraction.state_space import EEState, JointState, MetricConfig
+from waypoint_extraction.state_space import (
+    EEState,
+    JointState,
+    MetricConfig,
+    _state_columns,
+    interpolate,
+    state_distance,
+)
 from waypoint_extraction.trajfile import RELABEL_SCHEMA, metric_to_dict
 
 
@@ -210,3 +222,48 @@ def oracle_save_relabeled(path, ds, metric=None, created_at=None) -> None:
             record["provenance"] = prov
         lines.append(json.dumps(record))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def oracle_replay(traj, wp, cfg) -> tuple[int, tuple[bool, ...], float]:
+    """(ticks used, per-waypoint reach flags, max tracking deviation) of the
+    follower run one tick at a time: each tick moves min(1, max_step / dist)
+    of the way to the target, until the target is within reach_tolerance,
+    its budget is spent (unless blocking) or tick_limit is hit."""
+    current = traj.frames[0].state
+    executed = [current]
+    ticks = 0
+    reached_flags = []
+    prev_idx = wp.indices[0]
+    for idx in wp.indices:
+        target = traj.frames[idx].state
+        budget = (traj.frames[idx].t - traj.frames[prev_idx].t) * cfg.control_multiplier
+        spent = 0
+        dist = state_distance(current, target, cfg.metric)
+        while dist > cfg.reach_tolerance and ticks < cfg.tick_limit and (cfg.blocking or spent < budget):
+            u = min(1.0, cfg.max_step / dist)
+            current = interpolate(current, target, u)
+            executed.append(current)
+            ticks += 1
+            spent += 1
+            dist = state_distance(current, target, cfg.metric)
+        reached_flags.append(dist <= cfg.reach_tolerance)
+        prev_idx = idx
+    columns = {name: np.array(rows) for name, rows in _state_columns(executed).items()}
+    points = SimpleNamespace(**{"joints": None, **columns})
+    deviation = oracle_nearest_chord(points, len(executed), traj, range(len(traj)), cfg.metric).max()
+    return ticks, tuple(reached_flags), float(deviation)
+
+
+def oracle_calibrate_zero_velocity(traj, target: int) -> tuple[float, int]:
+    """(threshold, waypoint count) of the zero-velocity selector tuned to
+    target by scoring every candidate threshold (0 and each frame speed)
+    with a fresh selection; the first of the smallest (|count - target|,
+    count) wins."""
+    speeds = _frame_speeds(traj)
+    flips = _gripper_flip_frames(traj, 0.0)
+    best_thr, best_count = None, None
+    for thr in np.unique(np.concatenate(([0.0], speeds))):
+        count = len(_zero_velocity_indices(speeds, flips, len(traj), float(thr)))
+        if best_count is None or (abs(count - target), count) < (abs(best_count - target), best_count):
+            best_thr, best_count = float(thr), count
+    return best_thr, best_count

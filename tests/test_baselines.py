@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import ee_trajectory
+from oracles import oracle_calibrate_zero_velocity
 from waypoint_extraction.baselines import (
     HeuristicConfig,
     calibrate_to_count,
     heuristic_fixed_interval,
     heuristic_zero_velocity,
 )
-from waypoint_extraction.synthetic import make_random_walk_trajectory
+from waypoint_extraction.state_space import StateKind, Trajectory
+from waypoint_extraction.synthetic import make_random_walk_trajectory, make_segmented_ee_trajectory
 
 
 def pause_trajectory():
@@ -152,6 +154,31 @@ def test_calibrate_zero_velocity_dense_sweep_oracle(rng):
             hits += 1
     # pauses make the target reachable within +-2 on most draws
     assert hits >= 8
+
+
+def _calibration_inputs(rng):
+    """Random walks with pauses (runs of zero speed) and gripper flips, a
+    joint walk with gripper dims, a lattice walk whose speeds tie over and
+    over, and a segmented demo."""
+    yield make_random_walk_trajectory(rng, int(rng.integers(2, 80)), pause_prob=float(rng.uniform(0.0, 0.6)))
+    joint = make_random_walk_trajectory(rng, int(rng.integers(2, 80)), StateKind.JOINT, joint_dim=4, pause_prob=0.3)
+    yield Trajectory.from_columns("j", StateKind.JOINT, 50.0, joint.t, joints=joint.joints, gripper_dims=(3,))
+    steps = rng.integers(0, 3, size=(int(rng.integers(2, 60)), 3)).astype(float)
+    steps[0] = 0.0
+    yield ee_trajectory(np.cumsum(steps, axis=0), grippers=rng.choice([0.0, 0.08], size=len(steps)))
+    yield make_segmented_ee_trajectory(rng, n_segments=int(rng.integers(2, 5)))
+
+
+def test_zero_velocity_sweep_equals_per_threshold_search(rng):
+    for _ in range(15):
+        for traj in _calibration_inputs(rng):
+            for target in sorted({2, len(traj), *rng.integers(2, len(traj) + 1, size=8).tolist()}):
+                res = calibrate_to_count(traj, "zero-vel", target)
+                threshold, count = oracle_calibrate_zero_velocity(traj, target)
+                assert res.config.velocity_threshold == threshold
+                assert len(res.waypoints) == count
+                assert res.exact == (count == target)
+                assert res.waypoints == heuristic_zero_velocity(traj, res.config)
 
 
 def test_calibrate_ties_toward_smaller_count():

@@ -1,13 +1,15 @@
 """The pruned nearest-chord pass behind the global loss and the replay
 deviation, against its unpruned form (oracles.oracle_nearest_chord)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from conftest import ee_trajectory, joint_trajectory
 from oracles import oracle_nearest_chord
 from waypoint_extraction import reconstruction
-from waypoint_extraction.reconstruction import _nearest_chord, _stack, min_distances_to_polyline
+from waypoint_extraction.reconstruction import _nearest_chord, min_distances_to_polyline
 from waypoint_extraction.replay import FollowerConfig, max_deviation_from_polyline, replay_waypoints
 from waypoint_extraction.solver import ErrorBudget, extract_waypoints_dp
 from waypoint_extraction.state_space import MetricConfig, StateKind, Trajectory
@@ -83,7 +85,8 @@ def test_replay_deviation_equals_unpruned_reference(rng, family, multiplier):
     follower = FollowerConfig(max_step=float(np.abs(steps).max()) + 0.01, reach_tolerance=0.01,
                               control_multiplier=multiplier, metric=metric)
     executed = replay_waypoints(traj, wp, follower).executed_path
-    ref = oracle_nearest_chord(_stack(executed), len(executed), traj, range(len(traj)), metric)
+    count = len(next(iter(executed.values())))
+    ref = oracle_nearest_chord(SimpleNamespace(**{"joints": None, **executed}), count, traj, range(len(traj)), metric)
     assert np.array_equal(min_distances_to_polyline(executed, traj, metric), ref)
     assert max_deviation_from_polyline(executed, traj, metric) == float(ref.max())
 
@@ -116,18 +119,21 @@ def test_skipped_chords_are_farther_than_the_minimum(rng, monkeypatch, family):
 
 def test_polyline_distances_reject_empty_points(rng):
     traj = make_random_walk_trajectory(rng, 6)
+    empty = {name: column[:0] for name, column in traj.state_columns.items()}
     with pytest.raises(ValueError, match="no states"):
-        min_distances_to_polyline([], traj)
+        min_distances_to_polyline(empty, traj)
     with pytest.raises(ValueError, match="no states"):
-        max_deviation_from_polyline([], traj)
+        max_deviation_from_polyline(empty, traj)
     with pytest.raises(ValueError, match="no states"):
-        max_deviation_from_polyline([], list(traj.frames))
+        max_deviation_from_polyline({}, traj)
 
 
 def test_polyline_distances_check_kind_and_dimension(rng):
     ee = make_random_walk_trajectory(rng, 6)
     joint = make_random_walk_trajectory(rng, 6, StateKind.JOINT, joint_dim=4)
-    with pytest.raises(ValueError, match="kind mismatch"):
-        min_distances_to_polyline([joint.state(0)], ee)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        min_distances_to_polyline([joint_trajectory(np.zeros((2, 3))).state(0)], joint)
+    with pytest.raises(ValueError, match="kind mismatch: joint vs ee"):
+        min_distances_to_polyline(joint.state_columns, ee)
+    with pytest.raises(ValueError, match="kind mismatch: ee vs joint"):
+        min_distances_to_polyline(ee.state_columns, joint)
+    with pytest.raises(ValueError, match="dimension mismatch: 3 vs 4"):
+        min_distances_to_polyline(joint_trajectory(np.zeros((2, 3))).state_columns, joint)

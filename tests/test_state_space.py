@@ -128,6 +128,17 @@ def test_overflowing_rotation_vector_is_rejected_quietly():
     assert np.all(np.isfinite(axis_angle_to_quaternion([1e150, 0.0, 0.0])))
 
 
+def test_quaternion_whose_norm_overflows_is_rejected_quietly():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            EEState(np.zeros(3), [1e200, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            canonicalize_quaternion([-1e300, 1e300, 0.0, 0.0])
+        # a norm whose square stays finite still normalizes
+        assert canonicalize_quaternion([-1e150, 0.0, 0.0, 0.0]).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
 # ---------------------------------------------------------------------------
 # interpolate
 # ---------------------------------------------------------------------------
