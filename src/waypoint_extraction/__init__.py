@@ -45,11 +45,9 @@ from .baselines import (
     heuristic_zero_velocity,
 )
 from .relabel import (
-    CorpusRelabelResult,
     RelabeledDataset,
     RelabeledFrame,
     next_waypoint_index,
-    relabel_corpus,
     relabel_trajectory,
 )
 from .replay import (
@@ -93,11 +91,9 @@ __all__ = [
     "calibrate_to_count",
     "heuristic_fixed_interval",
     "heuristic_zero_velocity",
-    "CorpusRelabelResult",
     "RelabeledDataset",
     "RelabeledFrame",
     "next_waypoint_index",
-    "relabel_corpus",
     "relabel_trajectory",
     "FollowerConfig",
     "ReplayReport",

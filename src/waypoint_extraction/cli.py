@@ -11,7 +11,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed check, 2 usage, 3 missing file or I/O
 failure, 4 parse error, 5 schema error, 6 validation error, 7 domain error
-(bad budget, malformed waypoint set, oversized oracle input, ...).
+(bad budget, malformed waypoint set, oversized oracle input, ...). relabel,
+stats and compare report each failed file and go on; they exit with the code
+of the first failed file.
 """
 
 from __future__ import annotations
@@ -61,6 +63,15 @@ EXIT_SCHEMA = 5
 EXIT_VALIDATION = 6
 EXIT_DOMAIN = 7
 
+# error class -> exit code; an error takes the code of its nearest class here
+_EXIT_CODES = {
+    TrajectoryParseError: EXIT_PARSE,
+    TrajectorySchemaError: EXIT_SCHEMA,
+    TrajectoryValidationError: EXIT_VALIDATION,
+    OSError: EXIT_IO,
+    ValueError: EXIT_DOMAIN,
+}
+
 RATIO_LOW = 1.0 / 15.0
 RATIO_HIGH = 1.0 / 5.0
 
@@ -83,16 +94,38 @@ def _metric(args) -> MetricConfig:
     return MetricConfig()
 
 
-def _input_files(path_str: str) -> list[Path]:
+def _exit_code(exc: Exception) -> int:
+    return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
+
+
+def _each_input(path_str: str, work) -> tuple[int, int]:
+    """Call work(path, trajectory) on each .json file of a directory, in name
+    order, or on the one file named. A file whose load or work raises a
+    TrajectoryFileError or ValueError is reported after the batch as FAILED
+    <name>: <message> on stderr and does not stop the rest. Returns (files,
+    exit code of the first failed file or EXIT_OK)."""
     path = Path(path_str)
-    if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix == ".json" and p.is_file())
-        if not files:
-            raise FileNotFoundError(f"{path}: no .json trajectory files")
-        return files
     if not path.exists():
         raise FileNotFoundError(str(path))
-    return [path]
+    files = sorted(p for p in path.iterdir() if p.suffix == ".json" and p.is_file()) if path.is_dir() else [path]
+    if not files:
+        raise FileNotFoundError(f"{path}: no .json trajectory files")
+    failures = []
+    for f in files:
+        try:
+            work(f, load_trajectory(f))
+        except (TrajectoryFileError, ValueError) as exc:
+            failures.append((f"FAILED {f.name}: {exc}", _exit_code(exc)))
+    for line, _ in failures:
+        print(line, file=sys.stderr)
+    return len(files), failures[0][1] if failures else EXIT_OK
+
+
+def _multiplier(text: str) -> int:
+    """argparse type of --control-multiplier: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _ratio_str(count: int, length: int) -> str:
@@ -122,31 +155,25 @@ def _cmd_extract(args, parser) -> int:
 
 
 def _cmd_relabel(args, parser) -> int:
-    eta = float(args.eta)
     metric = _metric(args)
-    budget = ErrorBudget(eta, metric)
-    files = _input_files(args.input)
+    budget = ErrorBudget(float(args.eta), metric)
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     created_at = None if args.no_timestamp else _timestamp()
-    failures = []
-    rows = 0
-    for f in files:
-        try:
-            traj = load_trajectory(f)
-            wp, _ = extract_waypoints_dp(traj, budget)
-            ds = relabel_trajectory(traj, wp)
-        except (TrajectoryFileError, ValueError) as exc:
-            failures.append((f.name, str(exc)))
-            continue
+    done = rows = 0
+
+    def work(f, traj):
+        nonlocal done, rows
+        wp, _ = extract_waypoints_dp(traj, budget)
+        ds = relabel_trajectory(traj, wp)
         out = out_dir / (f.stem + ".relabeled.jsonl")
+        out_dir.mkdir(parents=True, exist_ok=True)  # here, so a missing or empty input writes nothing
         save_relabeled(out, ds, metric=metric, created_at=created_at)
-        rows += len(ds)
+        done, rows = done + 1, rows + len(ds)
         print(f"{f.name}: {len(ds)} rows, {len(wp)} waypoints -> {out}")
-    print(f"relabeled {len(files) - len(failures)}/{len(files)} trajectories, {rows} rows total")
-    for name, err in failures:
-        print(f"FAILED {name}: {err}", file=sys.stderr)
-    return EXIT_DOMAIN if failures else EXIT_OK
+
+    files, code = _each_input(args.input, work)
+    print(f"relabeled {done}/{files} trajectories, {rows} rows total")
+    return code
 
 
 def _cmd_stats(args, parser) -> int:
@@ -156,8 +183,9 @@ def _cmd_stats(args, parser) -> int:
     metric = _metric(args)
     budget = ErrorBudget(eta, metric)
     warned = False
-    for f in _input_files(args.input):
-        traj = load_trajectory(f)
+
+    def work(f, traj):
+        nonlocal warned
         wp, stats = extract_waypoints_dp(traj, budget)
         ratio = len(wp) / len(traj)
         chords = SegmentScorer(traj, metric).chord_losses(wp.indices[:-1], wp.indices[1:])
@@ -175,7 +203,9 @@ def _cmd_stats(args, parser) -> int:
                 f"[1:{1 / args.ratio_low:.0f}, 1:{1 / args.ratio_high:.0f}]; consider adjusting eta",
                 file=sys.stderr,
             )
-    return EXIT_OK if not warned or not args.strict_ratio else EXIT_CHECK_FAILED
+
+    _, code = _each_input(args.input, work)
+    return code or (EXIT_CHECK_FAILED if warned and args.strict_ratio else EXIT_OK)
 
 
 def compare_selectors(traj, awe: WaypointSet, methods, metric: MetricConfig = DEFAULT_METRIC,
@@ -198,14 +228,12 @@ def _cmd_compare(args, parser) -> int:
     budget = ErrorBudget(eta, metric)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     known = {"awe", METHOD_ZERO_VELOCITY, METHOD_FIXED_INTERVAL}
-    unknown = [m for m in methods if m not in known]
-    if unknown:
-        parser.error(f"unknown methods {unknown}; choose from {sorted(known)}")
-    header = f"{'trajectory':<24} {'method':<10} {'count':>5} {'segment':>12} {'global':>12} {'replay_dev':>12}"
-    print(header)
+    if not methods or not known.issuperset(methods):
+        parser.error(f"--methods must name one or more of {sorted(known)}; got {args.methods!r}")
+    print(f"{'trajectory':<24} {'method':<10} {'count':>5} {'segment':>12} {'global':>12} {'replay_dev':>12}")
     wins = {m: {"global": 0, "replay": 0, "n": 0} for m in methods if m != "awe"}
-    for f in _input_files(args.input):
-        traj = load_trajectory(f)
+
+    def work(f, traj):
         awe_wp, _ = extract_waypoints_dp(traj, budget)
         rows = compare_selectors(traj, awe_wp, methods, metric, args.control_multiplier)
         for method in methods:
@@ -219,13 +247,15 @@ def _cmd_compare(args, parser) -> int:
             tally["n"] += 1
             tally["global"] += awe_wp.achieved_global_loss <= wp.achieved_global_loss
             tally["replay"] += rows["awe"][1] <= deviation
+
+    _, code = _each_input(args.input, work)
     for method, tally in wins.items():
         if tally["n"]:
             print(
                 f"awe <= {method}: global loss {tally['global']}/{tally['n']}, "
                 f"replay deviation {tally['replay']}/{tally['n']}"
             )
-    return EXIT_OK
+    return code
 
 
 def _cmd_replay_check(args, parser) -> int:
@@ -343,13 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_eta_task(p)
     p.add_argument("--methods", default="awe,zero-vel,fixed")
     p.add_argument("--metric-config", default=None)
-    p.add_argument("--control-multiplier", type=int, default=10)
+    p.add_argument("--control-multiplier", type=_multiplier, default=10)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("replay-check", help="kinematic replay of a saved waypoint set")
     p.add_argument("--input", required=True)
     p.add_argument("--waypoints", required=True)
-    p.add_argument("--control-multiplier", type=int, default=10)
+    p.add_argument("--control-multiplier", type=_multiplier, default=10)
     p.add_argument("--max-step", type=float, default=None)
     p.add_argument("--reach-tolerance", type=float, default=None)
     p.add_argument("--blocking", action="store_true", help="advance only on reach, never on budget expiry")
@@ -376,24 +406,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except TrajectoryParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except TrajectorySchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except TrajectoryValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except tuple(_EXIT_CODES) as exc:
+        missing = "file not found: " if isinstance(exc, FileNotFoundError) else ""
+        print(f"error: {missing}{exc}", file=sys.stderr)
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

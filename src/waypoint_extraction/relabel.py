@@ -16,16 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import ErrorBudget, WaypointSet, extract_waypoints_dp
+from .solver import WaypointSet
 from .state_space import State, Trajectory, _state_views
 
 __all__ = [
     "RelabeledFrame",
     "RelabeledDataset",
-    "CorpusRelabelResult",
     "next_waypoint_index",
     "relabel_trajectory",
-    "relabel_corpus",
 ]
 
 
@@ -140,51 +138,4 @@ def relabel_trajectory(traj: Trajectory, wp: WaypointSet) -> RelabeledDataset:
         states={name: column[:-1] for name, column in columns.items()},
         targets={name: column[target] for name, column in columns.items()},
         target_index=traj.t[target], waypoints_remaining=len(indices) - after, gripper_dims=traj.gripper_dims,
-    )
-
-
-@dataclass(frozen=True)
-class CorpusRelabelResult:
-    """Merged relabeling output plus corpus-level bookkeeping.
-
-    mean_ratio is waypoints per frame (count / length); mean_compression is
-    its reciprocal view, frames per waypoint. Trajectories that failed to
-    extract are listed by (name, error) and do not abort the batch.
-    """
-
-    datasets: tuple[RelabeledDataset, ...]
-    failures: tuple[tuple[str, str], ...]
-    mean_waypoint_count: float
-    mean_ratio: float
-    mean_compression: float
-
-
-def relabel_corpus(trajs, budget: ErrorBudget) -> CorpusRelabelResult:
-    """Extract waypoints and relabel every trajectory in input order."""
-    trajs = list(trajs)
-    if not trajs:
-        raise ValueError("corpus is empty")
-    datasets = []
-    failures = []
-    counts = []
-    ratios = []
-    compressions = []
-    for traj in trajs:
-        try:
-            wp, _ = extract_waypoints_dp(traj, budget)
-            datasets.append(relabel_trajectory(traj, wp))
-        except ValueError as exc:
-            failures.append((traj.name, str(exc)))
-            continue
-        counts.append(len(wp))
-        ratios.append(len(wp) / len(traj))
-        compressions.append(len(traj) / len(wp))
-    def _mean(xs):
-        return sum(xs) / len(xs) if xs else math.nan
-    return CorpusRelabelResult(
-        datasets=tuple(datasets),
-        failures=tuple(failures),
-        mean_waypoint_count=_mean(counts),
-        mean_ratio=_mean(ratios),
-        mean_compression=_mean(compressions),
     )

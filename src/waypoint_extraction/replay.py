@@ -153,14 +153,16 @@ def default_follower_config(
     metric: MetricConfig = DEFAULT_METRIC,
 ) -> FollowerConfig:
     """Follower settings scaled to the demo's own pacing: a step budget of
-    1.5x the median frame-to-frame distance and a reach tolerance tied to the
-    error budget when one is given."""
+    1.5x the median frame-to-frame distance (over the moving frames when
+    most pause) and a reach tolerance tied to the budget when one is given."""
     _check_metric(traj, metric)
     steps = [
         state_distance(traj.frames[t].state, traj.frames[t + 1].state, metric)
         for t in range(len(traj) - 1)
     ]
     median_step = float(np.median(steps))
+    if median_step == 0.0 and any(steps):
+        median_step = float(np.median([s for s in steps if s > 0.0]))
     max_step = max(1.5 * median_step, 1e-9)
     tolerance = 0.25 * eta if eta is not None else 0.25 * max_step
     tick_limit = 20 * len(traj) * control_multiplier + 1000

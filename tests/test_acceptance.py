@@ -16,7 +16,7 @@ from oracles import oracle_next_waypoint
 from waypoint_extraction.cli import EXIT_OK, compare_selectors, main
 from waypoint_extraction.defaults import TASK_ETA_DEFAULTS, resolve_task_eta
 from waypoint_extraction.reconstruction import reconstruction_loss, segment_loss
-from waypoint_extraction.relabel import relabel_corpus, relabel_trajectory
+from waypoint_extraction.relabel import relabel_trajectory
 from waypoint_extraction.solver import (
     ErrorBudget,
     WaypointSet,
@@ -184,7 +184,7 @@ def test_criterion_6_performance_envelope(tmp_path, capsys):
     assert wall <= 2.0
 
 
-def test_criterion_7_relabeling_correctness():
+def test_criterion_7_relabeling_correctness(tmp_path):
     rng = np.random.default_rng(57)
     violations = 0
     trajs = []
@@ -206,10 +206,14 @@ def test_criterion_7_relabeling_correctness():
         for row in ds.frames:
             if row.target_index != oracle_next_waypoint(row.t, wp.indices):
                 violations += 1
-    result = relabel_corpus(trajs, ErrorBudget(0.5))
+    # the whole corpus through the batch command: one written row per frame but the last
+    (tmp_path / "in").mkdir()
+    for traj in trajs:
+        save_trajectory(tmp_path / "in" / f"{traj.name}.json", traj)
+    code = main(["relabel", "--input", str(tmp_path / "in"), "--eta", "0.5", "--output", str(tmp_path / "out")])
     expected_rows = sum(len(t) - 1 for t in trajs)
-    total_rows = sum(len(ds) for ds in result.datasets)
-    size_ok = total_rows == expected_rows and not result.failures
+    total_rows = sum(len(f.read_text().splitlines()) for f in (tmp_path / "out").iterdir())
+    size_ok = total_rows == expected_rows and code == EXIT_OK
     ok = violations == 0 and size_ok
     report(7, ok, f"100 pairs scanned, {violations} violations; corpus rows {total_rows}/{expected_rows}")
     assert violations == 0

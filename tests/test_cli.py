@@ -1,4 +1,6 @@
 import json
+import re
+import shutil
 import warnings
 
 import pytest
@@ -12,11 +14,13 @@ from waypoint_extraction.cli import (
     EXIT_VALIDATION,
     main,
 )
+from waypoint_extraction.relabel import relabel_trajectory
+from waypoint_extraction.solver import ErrorBudget, extract_waypoints_dp
 from waypoint_extraction.defaults import TASK_ETA_DEFAULTS
 from waypoint_extraction.replay import default_follower_config, replay_waypoints
 from waypoint_extraction.state_space import DEFAULT_METRIC, MetricConfig
 from waypoint_extraction.synthetic import make_random_walk_trajectory, make_segmented_ee_trajectory
-from waypoint_extraction.trajfile import load_trajectory, load_waypoints, save_trajectory
+from waypoint_extraction.trajfile import load_trajectory, load_waypoints, save_relabeled, save_trajectory
 
 
 @pytest.fixture
@@ -98,7 +102,13 @@ def test_schema_and_validation_exit_codes(tmp_path):
     assert main(["extract", "--input", str(bad_valid), "--eta", "0.1", "--output", str(tmp_path / "o.json")]) == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("command", ["extract", "relabel"])
+def _batch_argv(command, input_path, out_dir):
+    """argv for one of the batch commands over input_path at eta 0.5."""
+    argv = [command, "--input", str(input_path), "--eta", "0.5"]
+    return argv + ["--output", str(out_dir), "--no-timestamp"] if command == "relabel" else argv
+
+
+@pytest.mark.parametrize("command", ["extract", "relabel", "stats", "compare"])
 def test_overflowing_rotation_vector_exits_validation_quietly(tmp_path, capsys, command):
     # finite components whose norm overflows: located, and no NumPy warning
     frames = [{"t": t, "pos": [0.1 * t, 0, 0], "axis_angle": [0, 0, 0], "gripper": 0} for t in range(5)]
@@ -107,19 +117,67 @@ def test_overflowing_rotation_vector_exits_validation_quietly(tmp_path, capsys, 
     (tmp_path / "in").mkdir()
     (tmp_path / "in" / "ovf.json").write_text(json.dumps(doc))
     if command == "extract":
-        argv = ["extract", "--input", str(tmp_path / "in" / "ovf.json"), "--output", str(tmp_path / "wp.json")]
+        argv = ["extract", "--input", str(tmp_path / "in" / "ovf.json"), "--output", str(tmp_path / "wp.json"), "--eta", "0.1"]
     else:
-        argv = ["relabel", "--input", str(tmp_path / "in"), "--output", str(tmp_path / "out")]
+        argv = _batch_argv(command, tmp_path / "in", tmp_path / "out")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main([*argv, "--eta", "0.1"])
+        code = main(argv)
     err = capsys.readouterr().err
     assert "frames[3].axis_angle: rotation angle overflows" in err
     assert "Warning" not in err
-    if command == "extract":
-        assert code == EXIT_VALIDATION
-    else:  # relabel reports each failed file and goes on
-        assert code == EXIT_DOMAIN and err.startswith("FAILED ovf.json: ")
+    # a file fails with its class's code, alone or in a batch
+    assert code == EXIT_VALIDATION
+    if command != "extract":  # batches report each failed file and go on
+        assert err.startswith("FAILED ovf.json: ")
+
+
+@pytest.mark.parametrize("command", ["relabel", "stats", "compare"])
+def test_batch_reports_a_bad_file_and_goes_on(tmp_path, rng, capsys, command):
+    good, mixed = tmp_path / "good", tmp_path / "mixed"
+    good.mkdir()
+    mixed.mkdir()
+    for name in ("a", "c"):
+        traj = make_random_walk_trajectory(rng, 14, name=name)
+        save_trajectory(good / f"{name}.json", traj)
+        save_trajectory(mixed / f"{name}.json", traj)
+    (mixed / "b.json").write_text(json.dumps({"schema_version": "other"}))  # sorts between the good files
+
+    def run(input_dir):
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        code = main(_batch_argv(command, input_dir, tmp_path / "out"))
+        captured = capsys.readouterr()
+        written = {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()} if command == "relabel" else {}
+        return code, re.sub(r"wall_time=\S+", "", captured.out).splitlines(), captured.err, written
+
+    code, out, err, written = run(good)
+    assert code == EXIT_OK and "FAILED" not in err
+    code, mixed_out, err, mixed_written = run(mixed)
+    assert code == EXIT_SCHEMA
+    assert err.count("FAILED") == 1 and "FAILED b.json: " in err
+    assert mixed_written == written
+    if command == "relabel":  # every line but the batch summary
+        assert mixed_out[-1] == out[-1].replace("2/2", "2/3")
+        out, mixed_out = out[:-1], mixed_out[:-1]
+    assert mixed_out == out
+
+
+@pytest.mark.parametrize("command", ["relabel", "stats", "compare"])
+def test_empty_input_directory_exits_io(tmp_path, capsys, command):
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "notes.txt").write_text("not a trajectory")
+    assert main(_batch_argv(command, tmp_path / "in", tmp_path / "out")) == EXIT_IO
+    assert "no .json trajectory files" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_relabel_file_equals_direct_relabel(tmp_path, rng):
+    traj = make_random_walk_trajectory(rng, 12, name="one")
+    save_trajectory(tmp_path / "one.json", traj)
+    assert main(_batch_argv("relabel", tmp_path / "one.json", tmp_path / "out")) == EXIT_OK
+    wp, _ = extract_waypoints_dp(traj, ErrorBudget(0.5))
+    save_relabeled(tmp_path / "direct.jsonl", relabel_trajectory(traj, wp))
+    assert (tmp_path / "out" / "one.relabeled.jsonl").read_bytes() == (tmp_path / "direct.jsonl").read_bytes()
 
 
 def test_extract_deterministic_without_timestamp(tmp_path, demo_file):
@@ -220,6 +278,26 @@ def test_compare_rejects_unknown_method(demo_file):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--input", str(demo_file), "--eta", "0.01", "--methods", "awe,magic"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("methods", [",", ""])
+def test_compare_rejects_an_empty_method_list(demo_file, capsys, methods):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--input", str(demo_file), "--eta", "0.01", "--methods", methods])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["compare", "replay-check"])
+@pytest.mark.parametrize("multiplier", ["0", "-3", "two"])
+def test_control_multiplier_must_be_a_positive_integer(tmp_path, demo_file, capsys, command, multiplier):
+    argv = [command, "--input", str(demo_file), "--control-multiplier", multiplier]
+    argv += ["--eta", "0.01"] if command == "compare" else ["--waypoints", str(tmp_path / "wp.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--control-multiplier" in captured.err
 
 
 def test_replay_check(tmp_path, demo_file, capsys):

@@ -7,7 +7,6 @@ from conftest import ee_trajectory
 from oracles import oracle_next_waypoint
 from waypoint_extraction.relabel import (
     next_waypoint_index,
-    relabel_corpus,
     relabel_trajectory,
 )
 from waypoint_extraction.solver import ErrorBudget, WaypointSet, extract_waypoints_dp
@@ -102,36 +101,3 @@ def test_relabel_requires_matching_endpoint(rng):
     traj = make_random_walk_trajectory(rng, 8)
     with pytest.raises(ValueError, match="ends at"):
         relabel_trajectory(traj, WaypointSet((0, 5)))
-
-
-def test_corpus_single_equals_direct(rng):
-    traj = make_random_walk_trajectory(rng, 12)
-    budget = ErrorBudget(0.4)
-    result = relabel_corpus([traj], budget)
-    wp, _ = extract_waypoints_dp(traj, budget)
-    direct = relabel_trajectory(traj, wp)
-    assert len(result.datasets) == 1
-    got = result.datasets[0]
-    assert [r.target_index for r in got.frames] == [r.target_index for r in direct.frames]
-    assert result.mean_waypoint_count == len(wp)
-
-
-def test_corpus_identical_trajectories(rng):
-    traj = make_random_walk_trajectory(rng, 10)
-    result = relabel_corpus([traj, traj, traj], ErrorBudget(0.4))
-    assert len(result.datasets) == 3
-    counts = {tuple(r.target_index for r in ds.frames) for ds in result.datasets}
-    assert len(counts) == 1
-    assert abs(result.mean_ratio - result.mean_waypoint_count / 10) < 1e-12
-
-
-def test_corpus_sizes_and_failures(rng):
-    trajs = [make_random_walk_trajectory(rng, int(rng.integers(4, 15)), name=f"w{i}") for i in range(6)]
-    result = relabel_corpus(trajs, ErrorBudget(0.5))
-    assert not result.failures
-    assert sum(len(ds) for ds in result.datasets) == sum(len(t) - 1 for t in trajs)
-
-
-def test_corpus_rejects_empty():
-    with pytest.raises(ValueError, match="empty"):
-        relabel_corpus([], ErrorBudget(0.1))

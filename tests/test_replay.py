@@ -209,3 +209,16 @@ def test_closed_form_at_knife_edges(length, step, ticks, loop_ticks):
     x = report.executed_path["pos"][:, 0]
     assert x[-1] == length and np.all(np.diff(x) > 0.0)
     assert oracle_replay(traj, wp, cfg)[:2] == (loop_ticks, (True, True))
+
+
+def test_mostly_paused_demo_is_paced_by_its_moving_frames():
+    # 60% of the steps are pauses, so the median step is 0
+    traj = make_random_walk_trajectory(np.random.default_rng(3), 100, pause_prob=0.6)
+    wp, _ = extract_waypoints_dp(traj, ErrorBudget(0.1))
+    cfg = default_follower_config(traj, 0.1)
+    report = replay_waypoints(traj, wp, cfg)
+    assert len(wp) == 40
+    assert report.reached_final and all(report.per_waypoint_reached)
+    # an all-static demo has no moving frame and keeps the floor
+    static = ee_trajectory([(0.3, 0.2, 0.1)] * 6)
+    assert default_follower_config(static, 0.1).max_step == 1e-9
