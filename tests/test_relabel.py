@@ -5,12 +5,14 @@ import pytest
 
 from conftest import ee_trajectory
 from oracles import oracle_next_waypoint
+from waypoint_extraction.cli import EXIT_OK, main
 from waypoint_extraction.relabel import (
     next_waypoint_index,
     relabel_trajectory,
 )
 from waypoint_extraction.solver import ErrorBudget, WaypointSet, extract_waypoints_dp
 from waypoint_extraction.synthetic import make_random_walk_trajectory
+from waypoint_extraction.trajfile import load_relabeled, save_trajectory
 
 
 def test_next_waypoint_examples():
@@ -101,3 +103,16 @@ def test_relabel_requires_matching_endpoint(rng):
     traj = make_random_walk_trajectory(rng, 8)
     with pytest.raises(ValueError, match="ends at"):
         relabel_trajectory(traj, WaypointSet((0, 5)))
+
+
+def test_corpus_sizes_and_failures(tmp_path, rng, capsys):
+    # the batch path: wpx relabel over a directory writes one row per frame but the last
+    trajs = [make_random_walk_trajectory(rng, int(rng.integers(4, 15)), name=f"w{i}") for i in range(6)]
+    (tmp_path / "in").mkdir()
+    for traj in trajs:
+        save_trajectory(tmp_path / "in" / f"{traj.name}.json", traj)
+    argv = ["relabel", "--input", str(tmp_path / "in"), "--eta", "0.5", "--output", str(tmp_path / "out"), "--no-timestamp"]
+    assert main(argv) == EXIT_OK
+    assert "FAILED" not in capsys.readouterr().err
+    datasets = [load_relabeled(tmp_path / "out" / f"{traj.name}.relabeled.jsonl")[0] for traj in trajs]
+    assert sum(len(ds) for ds in datasets) == sum(len(t) - 1 for t in trajs)
