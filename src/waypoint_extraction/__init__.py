@@ -21,10 +21,7 @@ from .state_space import (
     state_distance,
 )
 from .reconstruction import (
-    ProjectionResult,
     SegmentScorer,
-    project_onto_chord,
-    reconstruction_loss,
     segment_loss,
 )
 from .solver import (
@@ -47,7 +44,6 @@ from .baselines import (
 from .relabel import (
     RelabeledDataset,
     RelabeledFrame,
-    next_waypoint_index,
     relabel_trajectory,
 )
 from .replay import (
@@ -73,10 +69,7 @@ __all__ = [
     "interpolate",
     "quaternion_to_axis_angle",
     "state_distance",
-    "ProjectionResult",
     "SegmentScorer",
-    "project_onto_chord",
-    "reconstruction_loss",
     "segment_loss",
     "BRUTE_FORCE_LIMIT",
     "ErrorBudget",
@@ -93,7 +86,6 @@ __all__ = [
     "heuristic_zero_velocity",
     "RelabeledDataset",
     "RelabeledFrame",
-    "next_waypoint_index",
     "relabel_trajectory",
     "FollowerConfig",
     "ReplayReport",

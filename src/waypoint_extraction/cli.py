@@ -98,18 +98,23 @@ def _exit_code(exc: Exception) -> int:
     return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
-def _each_input(path_str: str, work) -> tuple[int, int]:
-    """Call work(path, trajectory) on each .json file of a directory, in name
-    order, or on the one file named. A file whose load or work raises a
-    TrajectoryFileError or ValueError is reported after the batch as FAILED
-    <name>: <message> on stderr and does not stop the rest. Returns (files,
-    exit code of the first failed file or EXIT_OK)."""
+def _input_files(path_str: str) -> list[Path]:
+    """The .json files of a directory, in name order, or the one file named;
+    FileNotFoundError when the path is missing or names no file."""
     path = Path(path_str)
     if not path.exists():
         raise FileNotFoundError(str(path))
     files = sorted(p for p in path.iterdir() if p.suffix == ".json" and p.is_file()) if path.is_dir() else [path]
     if not files:
         raise FileNotFoundError(f"{path}: no .json trajectory files")
+    return files
+
+
+def _each_input(files: list[Path], work) -> int:
+    """Call work(path, trajectory) on each file in order. A file whose load
+    or work raises a TrajectoryFileError or ValueError is reported after the
+    batch as FAILED <name>: <message> on stderr and does not stop the rest.
+    Returns the exit code of the first failed file, or EXIT_OK."""
     failures = []
     for f in files:
         try:
@@ -118,7 +123,7 @@ def _each_input(path_str: str, work) -> tuple[int, int]:
             failures.append((f"FAILED {f.name}: {exc}", _exit_code(exc)))
     for line, _ in failures:
         print(line, file=sys.stderr)
-    return len(files), failures[0][1] if failures else EXIT_OK
+    return failures[0][1] if failures else EXIT_OK
 
 
 def _multiplier(text: str) -> int:
@@ -171,8 +176,9 @@ def _cmd_relabel(args, parser) -> int:
         done, rows = done + 1, rows + len(ds)
         print(f"{f.name}: {len(ds)} rows, {len(wp)} waypoints -> {out}")
 
-    files, code = _each_input(args.input, work)
-    print(f"relabeled {done}/{files} trajectories, {rows} rows total")
+    files = _input_files(args.input)
+    code = _each_input(files, work)
+    print(f"relabeled {done}/{len(files)} trajectories, {rows} rows total")
     return code
 
 
@@ -204,7 +210,7 @@ def _cmd_stats(args, parser) -> int:
                 file=sys.stderr,
             )
 
-    _, code = _each_input(args.input, work)
+    code = _each_input(_input_files(args.input), work)
     return code or (EXIT_CHECK_FAILED if warned and args.strict_ratio else EXIT_OK)
 
 
@@ -230,6 +236,7 @@ def _cmd_compare(args, parser) -> int:
     known = {"awe", METHOD_ZERO_VELOCITY, METHOD_FIXED_INTERVAL}
     if not methods or not known.issuperset(methods):
         parser.error(f"--methods must name one or more of {sorted(known)}; got {args.methods!r}")
+    files = _input_files(args.input)
     print(f"{'trajectory':<24} {'method':<10} {'count':>5} {'segment':>12} {'global':>12} {'replay_dev':>12}")
     wins = {m: {"global": 0, "replay": 0, "n": 0} for m in methods if m != "awe"}
 
@@ -248,7 +255,7 @@ def _cmd_compare(args, parser) -> int:
             tally["global"] += awe_wp.achieved_global_loss <= wp.achieved_global_loss
             tally["replay"] += rows["awe"][1] <= deviation
 
-    _, code = _each_input(args.input, work)
+    code = _each_input(files, work)
     for method, tally in wins.items():
         if tally["n"]:
             print(
@@ -296,7 +303,9 @@ def _cmd_sweep(args, parser) -> int:
     try:
         etas = [float(x) for x in args.etas.split(",") if x.strip()]
     except ValueError:
-        parser.error(f"--etas must be a comma-separated list of numbers, got {args.etas!r}")
+        etas = []
+    if not etas:
+        parser.error(f"--etas must be a comma-separated list of one or more numbers, got {args.etas!r}")
     traj = load_trajectory(args.input)
     metric = _metric(args)
     results = sweep_eta(traj, etas, metric)

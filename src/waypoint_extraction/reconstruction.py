@@ -8,13 +8,11 @@ per-segment loss, because a frame may project onto a chord other than the
 one containing it.
 
 Everything here is pure. The vectorized code reads the trajectory's columns
-directly; the scalar reference path (project_onto_chord, segment_loss)
-works on state views.
+directly; the scalar reference, segment_loss, works on state views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -23,92 +21,42 @@ import numpy as np
 from .state_space import (
     DEFAULT_METRIC,
     MetricConfig,
-    State,
     StateKind,
     Trajectory,
-    _check_same_kind,
     interpolate,
     state_distance,
 )
 
 __all__ = [
-    "ProjectionResult",
-    "project_onto_chord",
     "segment_loss",
-    "reconstruction_loss",
     "SegmentScorer",
     "min_distances_to_polyline",
 ]
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Distance to one chord plus where on the chord the point landed."""
-
-    distance: float
-    segment_index: int
-    u: float
-
-
-def project_onto_chord(
-    x: State, a: State, b: State, cfg: MetricConfig = DEFAULT_METRIC, segment_index: int = 0
-) -> ProjectionResult:
-    """Project x onto the interpolated chord from a to b.
-
-    The chord parameter u* comes from the position components alone (full
-    joint vector in joint space), clamped to [0, 1]; the distance then
-    compares x against the fully interpolated state at u*, so orientation
-    differences count even though they do not steer the projection. A
-    degenerate chord (identical projection anchors) pins u* to 0.
-    """
-    _check_same_kind(x, a)
-    _check_same_kind(a, b)
-    if x.kind is StateKind.EE:
-        anchor, span, point = a.position, b.position - a.position, x.position
-    else:
-        anchor, span, point = a.joints, b.joints - a.joints, x.joints
-    denom = float(np.dot(span, span))
-    if denom == 0.0:
-        u = 0.0
-    else:
-        u = min(1.0, max(0.0, float(np.dot(point - anchor, span)) / denom))
-    ref = interpolate(a, b, u)
-    return ProjectionResult(state_distance(x, ref, cfg), segment_index, u)
-
-
 def segment_loss(traj: Trajectory, i: int, j: int, cfg: MetricConfig = DEFAULT_METRIC) -> float:
-    """Worst projection distance of frames i..j onto the chord (i, j).
+    """Worst projection distance of frames i..j onto the chord (i, j), the
+    scalar reference for the vectorized kernel.
 
-    Zero for adjacent frames: the endpoints project onto themselves.
+    A frame's chord parameter u* comes from the position components alone
+    (full joint vector in joint space), clamped to [0, 1]; the distance then
+    compares the frame against the fully interpolated state at u*, so
+    orientation differences count even though they do not steer the
+    projection. A degenerate chord (identical projection anchors) pins u* to
+    0. Zero for adjacent frames: the endpoints project onto themselves.
     """
     if not (0 <= i < j < len(traj)):
         raise IndexError(f"segment ({i}, {j}) out of range for trajectory of length {len(traj)}")
     a = traj.state(i)
     b = traj.state(j)
+    coords = traj.pos if traj.joints is None else traj.joints
+    anchor, span = coords[i], coords[j] - coords[i]
+    denom = float(np.dot(span, span))
     worst = 0.0
     for t in range(i + 1, j):
-        worst = max(worst, project_onto_chord(traj.state(t), a, b, cfg).distance)
+        u = 0.0 if denom == 0.0 else min(1.0, max(0.0, float(np.dot(coords[t] - anchor, span)) / denom))
+        worst = max(worst, state_distance(traj.state(t), interpolate(a, b, u), cfg))
     return worst
-
-
-def reconstruction_loss(traj: Trajectory, waypoints, cfg: MetricConfig = DEFAULT_METRIC) -> float:
-    """Global loss of a waypoint polyline against its source trajectory.
-
-    Max over frames of the min distance to any consecutive-waypoint chord.
-    The waypoint set must contain both trajectory endpoints.
-    """
-    indices = _checked_indices(traj, waypoints)
-    scorer = SegmentScorer(traj, cfg)
-    return scorer.global_loss(indices)
-
-
-def _checked_indices(traj: Trajectory, waypoints) -> tuple[int, ...]:
-    indices = tuple(int(i) for i in getattr(waypoints, "indices", waypoints))
-    if not indices or indices[0] != 0 or indices[-1] != len(traj) - 1:
-        raise ValueError("waypoint set must include both trajectory endpoints")
-    if any(b <= a for a, b in zip(indices, indices[1:])):
-        raise ValueError("waypoint indices must be strictly increasing")
-    return indices
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +331,7 @@ class SegmentScorer:
     chord_losses(), chord_worst() and probe_pass() are the same
     floating-point numbers. Rows are scored in chunks of about _CHUNK_ROWS
     (a longer chord goes alone), however many chords a call holds. Matches
-    segment_loss / reconstruction_loss up to floating-point reassociation.
+    the scalar segment_loss up to floating-point reassociation.
     """
 
     def __init__(self, traj: Trajectory, cfg: MetricConfig = DEFAULT_METRIC):
@@ -428,7 +376,7 @@ class SegmentScorer:
         """Segment loss of chord (i, j)."""
         return float(self.chord_losses([i], [j])[0])
 
-    def probe_pass(self, src, dst, eta: float, witness=None) -> np.ndarray:
+    def probe_pass(self, src, dst, eta: float, witness) -> np.ndarray:
         """False where chord (src[k], dst[k]) is certainly over eta.
 
         Two stages, each on the chords the one before kept. First the
@@ -443,14 +391,13 @@ class SegmentScorer:
         """
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
+        witness = np.asarray(witness, dtype=np.intp)
         keep = np.ones(src.shape, dtype=bool)
-        if witness is not None:
-            witness = np.asarray(witness, dtype=np.intp)
-            inside = np.flatnonzero((src < witness) & (witness < dst))
-            for lo in range(0, inside.size, _CHUNK_ROWS):
-                k = inside[lo : lo + _CHUNK_ROWS]
-                keep[k] = self._rows(witness[k], src[k], dst[k]) <= eta
-            self.witness_rejects += inside.size - int(np.count_nonzero(keep[inside]))
+        inside = np.flatnonzero((src < witness) & (witness < dst))
+        for lo in range(0, inside.size, _CHUNK_ROWS):
+            k = inside[lo : lo + _CHUNK_ROWS]
+            keep[k] = self._rows(witness[k], src[k], dst[k]) <= eta
+        self.witness_rejects += inside.size - int(np.count_nonzero(keep[inside]))
         wide = np.flatnonzero(keep & (dst - src > 1))
         step = _CHUNK_ROWS // 3
         for lo in range(0, wide.size, step):

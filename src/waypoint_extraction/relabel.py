@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from .state_space import State, Trajectory, _state_views
 __all__ = [
     "RelabeledFrame",
     "RelabeledDataset",
-    "next_waypoint_index",
     "relabel_trajectory",
 ]
 
@@ -102,20 +100,6 @@ class RelabeledDataset:
             _state_views(self.targets, self.gripper_dims), self.target_index.tolist(),
             self.waypoints_remaining.tolist(),
         ))
-
-
-def next_waypoint_index(t: int, wp: WaypointSet) -> int:
-    """Smallest waypoint index strictly greater than t.
-
-    A frame sitting exactly on a waypoint targets the following one, never
-    itself. Raises for frames at or past the final waypoint.
-    """
-    t = int(t)
-    if t < 0:
-        raise ValueError("frame index must be >= 0")
-    if t >= wp.indices[-1]:
-        raise ValueError(f"no waypoint after frame {t} (last waypoint is {wp.indices[-1]})")
-    return wp.indices[bisect_right(wp.indices, t)]
 
 
 def relabel_trajectory(traj: Trajectory, wp: WaypointSet) -> RelabeledDataset:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .reconstruction import _CHUNK_ROWS, SegmentScorer, _checked_indices, _ranks
+from .reconstruction import _CHUNK_ROWS, SegmentScorer, _ranks
 from .state_space import DEFAULT_METRIC, MetricConfig, Trajectory
 
 __all__ = [
@@ -325,8 +325,11 @@ def sweep_eta(
 
 def annotate_losses(traj: Trajectory, waypoints, metric: MetricConfig = DEFAULT_METRIC) -> WaypointSet:
     """Attach achieved segment and global losses to an arbitrary index set,
-    e.g. one produced by a heuristic selector."""
-    indices = _checked_indices(traj, waypoints)
+    e.g. one produced by a heuristic selector. The indices must run from 0
+    to the trajectory's last frame, strictly increasing."""
+    wp = WaypointSet(getattr(waypoints, "indices", waypoints))
+    wp.validate_for(traj)
+    indices = wp.indices
     scorer = SegmentScorer(traj, metric)
     seg = float(scorer.chord_losses(indices[:-1], indices[1:]).max())
     glob = scorer.global_loss(indices)

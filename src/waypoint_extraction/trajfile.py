@@ -30,15 +30,7 @@ import numpy as np
 from . import __version__
 from .relabel import RelabeledDataset, _first_bad_row
 from .solver import WaypointSet
-from .state_space import (
-    EEState,
-    MetricConfig,
-    State,
-    StateKind,
-    Trajectory,
-    _stored_rotations,
-    interpolate,
-)
+from .state_space import MetricConfig, StateKind, Trajectory, _stored_rotations
 
 __all__ = [
     "TRAJECTORY_SCHEMA",
@@ -540,43 +532,36 @@ def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
 PLOT_HEADER = "eta,kind,t,x,y,z"
 
 
-def _xyz(state: State) -> tuple[float, float, float]:
-    if isinstance(state, EEState):
-        vec = state.position
-    else:
-        vec = state.joints[:3]
-    out = [float(v) for v in vec] + [0.0] * (3 - len(vec))
-    return out[0], out[1], out[2]
+# Reconstructed samples per chord, endpoints included: u = 0, 1/12, ..., 1.
+_PLOT_U = np.arange(13) / 12
 
 
-def emit_plot_data(traj: Trajectory, sweep, path, samples_per_chord: int = 12) -> None:
+def _plot_rows(eta: float, kind: str, t, xyz) -> list[str]:
+    return [f"{eta!r},{kind},{ti!r},{x!r},{y!r},{z!r}" for ti, (x, y, z) in zip(t.tolist(), xyz.tolist())]
+
+
+def emit_plot_data(traj: Trajectory, sweep, path) -> None:
     """Long-format CSV of a budget sweep for plotting.
 
     One row per (eta, kind, point): the original frames, the reconstructed
-    polyline sampled densely along each chord, and the waypoints themselves.
-    Joint-space trajectories use their first three dims as x, y, z.
+    polyline sampled at 13 evenly spaced points along each chord, and the
+    waypoints themselves. Joint-space trajectories use their first three
+    dims as x, y, z, padded with 0.0. A sample at u lies at a + u (b - a),
+    as interpolate places it; the chord's end samples are its frames.
     """
     sweep = list(sweep)
     if not sweep:
         raise ValueError("sweep is empty")
-    if samples_per_chord < 10:
-        raise ValueError("samples_per_chord must be >= 10")
+    coords = traj.pos if traj.joints is None else traj.joints[:, :3]
+    xyz = np.hstack([coords, np.zeros((len(traj), 3 - coords.shape[1]))])
     rows = [PLOT_HEADER]
-
-    def add(eta, kind, t, state):
-        x, y, z = _xyz(state)
-        rows.append(f"{eta!r},{kind},{t!r},{x!r},{y!r},{z!r}")
-
     for eta, wp in sweep:
-        eta = float(eta)
-        for frame in traj.frames:
-            add(eta, "original", frame.t, frame.state)
-        for i, j in zip(wp.indices, wp.indices[1:]):
-            a, b = traj.frames[i], traj.frames[j]
-            for s in range(samples_per_chord + 1):
-                u = s / samples_per_chord
-                t_interp = a.t + u * (b.t - a.t)
-                add(eta, "reconstructed", t_interp, interpolate(a.state, b.state, u))
-        for i in wp.indices:
-            add(eta, "waypoint", traj.frames[i].t, traj.frames[i].state)
+        idx = np.asarray(wp.indices)
+        src, dst = idx[:-1, None], idx[1:, None]
+        t = traj.t[src] + _PLOT_U * (traj.t[dst] - traj.t[src])
+        line = xyz[src] + _PLOT_U[:, None] * (xyz[dst] - xyz[src])
+        line[:, 0], line[:, -1] = xyz[idx[:-1]], xyz[idx[1:]]
+        rows += _plot_rows(float(eta), "original", traj.t, xyz)
+        rows += _plot_rows(float(eta), "reconstructed", t.ravel(), line.reshape(-1, 3))
+        rows += _plot_rows(float(eta), "waypoint", traj.t[idx], xyz[idx])
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")

@@ -12,8 +12,9 @@ canonicalization and the per-row relabel writer are the package's former
 code, kept here because the vectorized forms must reproduce them bit for
 bit and byte for byte. So are the replay tick loop, whose tick counts and
 reach flags the closed-form follower must match except at the knife edges
-test_replay.py pins, and the per-threshold zero-velocity calibration, whose
-thresholds the counting sweep must match.
+test_replay.py pins, the per-threshold zero-velocity calibration, whose
+thresholds the counting sweep must match, and the per-sample plot writer,
+whose bytes the column writer must match.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from waypoint_extraction.state_space import (
     interpolate,
     state_distance,
 )
-from waypoint_extraction.trajfile import RELABEL_SCHEMA, metric_to_dict
+from waypoint_extraction.trajfile import PLOT_HEADER, RELABEL_SCHEMA, metric_to_dict
 
 
 def _rotation(state: EEState) -> Rotation:
@@ -267,3 +268,27 @@ def oracle_calibrate_zero_velocity(traj, target: int) -> tuple[float, int]:
         if best_count is None or (abs(count - target), count) < (abs(best_count - target), best_count):
             best_thr, best_count = float(thr), count
     return best_thr, best_count
+
+
+def oracle_plot_data(traj, sweep, path) -> None:
+    """Plot-data CSV built one state at a time: frames, 12 interpolate
+    steps per chord, then the waypoints, per eta."""
+    rows = [PLOT_HEADER]
+
+    def add(eta, kind, t, state):
+        vec = state.position if isinstance(state, EEState) else state.joints[:3]
+        x, y, z = [float(v) for v in vec] + [0.0] * (3 - len(vec))
+        rows.append(f"{eta!r},{kind},{t!r},{x!r},{y!r},{z!r}")
+
+    for eta, wp in sweep:
+        eta = float(eta)
+        for frame in traj.frames:
+            add(eta, "original", frame.t, frame.state)
+        for i, j in zip(wp.indices, wp.indices[1:]):
+            a, b = traj.frames[i], traj.frames[j]
+            for s in range(13):
+                u = s / 12
+                add(eta, "reconstructed", a.t + u * (b.t - a.t), interpolate(a.state, b.state, u))
+        for i in wp.indices:
+            add(eta, "waypoint", traj.frames[i].t, traj.frames[i].state)
+    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")

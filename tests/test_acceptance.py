@@ -15,7 +15,7 @@ import pytest
 from oracles import oracle_next_waypoint
 from waypoint_extraction.cli import EXIT_OK, compare_selectors, main
 from waypoint_extraction.defaults import TASK_ETA_DEFAULTS, resolve_task_eta
-from waypoint_extraction.reconstruction import reconstruction_loss, segment_loss
+from waypoint_extraction.reconstruction import SegmentScorer, segment_loss
 from waypoint_extraction.relabel import relabel_trajectory
 from waypoint_extraction.solver import (
     ErrorBudget,
@@ -91,14 +91,14 @@ def test_criterion_2_constraint_satisfaction(random_instances, corpus_extraction
             checked += 1
             if segment_loss(traj, a, b) > eta + SLACK:
                 violations += 1
-        if reconstruction_loss(traj, wp) > eta + SLACK:
+        if SegmentScorer(traj).global_loss(wp.indices) > eta + SLACK:
             violations += 1
     for traj, wp in corpus_extractions:
         for a, b in zip(wp.indices, wp.indices[1:]):
             checked += 1
             if segment_loss(traj, a, b) > CORPUS_ETA + SLACK:
                 violations += 1
-        if reconstruction_loss(traj, wp) > CORPUS_ETA + SLACK:
+        if SegmentScorer(traj).global_loss(wp.indices) > CORPUS_ETA + SLACK:
             violations += 1
     ok = violations == 0
     report(2, ok, f"{checked} segments checked, {violations} violations at eta+1e-12")

@@ -167,7 +167,18 @@ def test_empty_input_directory_exits_io(tmp_path, capsys, command):
     (tmp_path / "in").mkdir()
     (tmp_path / "in" / "notes.txt").write_text("not a trajectory")
     assert main(_batch_argv(command, tmp_path / "in", tmp_path / "out")) == EXIT_IO
-    assert "no .json trajectory files" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "no .json trajectory files" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["relabel", "stats", "compare"])
+def test_missing_input_exits_io_before_any_output(tmp_path, capsys, command):
+    assert main(_batch_argv(command, tmp_path / "nowhere", tmp_path / "out")) == EXIT_IO
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: file not found")
     assert not (tmp_path / "out").exists()
 
 
@@ -321,6 +332,15 @@ def test_sweep_with_plot(tmp_path, demo_file, capsys):
     assert code == EXIT_OK
     assert plot.read_text().splitlines()[0] == "eta,kind,t,x,y,z"
     assert capsys.readouterr().out.count("eta=") == 3
+
+
+@pytest.mark.parametrize("etas", [",", "", "0.1,abc"])
+def test_sweep_rejects_a_bad_eta_list(tmp_path, demo_file, capsys, etas):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--input", str(demo_file), "--etas", etas, "--plot-out", str(tmp_path / "plot.csv")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "plot.csv").exists()
 
 
 def test_oracle_match(tiny_file, capsys):

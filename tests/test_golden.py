@@ -1,10 +1,11 @@
 """Byte-level golden outputs of the CLI on two small fixed demos.
 
 The digests pin the generated inputs, the `extract` and `relabel` files
-written with --no-timestamp, the `compare` table and the `stats` report
-(minus its wall time) for an end-effector demo and a joint-space demo read
-with a masked metric. A refactor that keeps behaviour keeps every digest;
-an intended numerical change must update them and say why.
+written with --no-timestamp, the `compare` table, the `stats` report
+(minus its wall time) and the `sweep` report with its plot data for an
+end-effector demo and a joint-space demo read with a masked metric. A
+refactor that keeps behaviour keeps every digest; an intended numerical
+change must update them and say why.
 """
 
 import hashlib
@@ -20,8 +21,8 @@ from waypoint_extraction.synthetic import make_random_walk_trajectory, make_segm
 from waypoint_extraction.trajfile import save_trajectory
 
 DEMOS = {
-    "ee": dict(eta=0.005, metric=None),
-    "joint": dict(eta=1.2, metric={"joint_mask": [1.0, 0.0, 2.0, 1.0, 0.5]}),
+    "ee": dict(eta=0.005, etas="0.02,0.005,0.001", metric=None),
+    "joint": dict(eta=1.2, etas="0.6,1.2,2.4", metric={"joint_mask": [1.0, 0.0, 2.0, 1.0, 0.5]}),
 }
 
 GOLDEN = {
@@ -31,6 +32,7 @@ GOLDEN = {
         "relabel": "efe5a42f5d68e517",
         "compare": "ce04b8b47c4f093e",
         "stats": "35c443385294f705",
+        "sweep": "a8cbebeca8cec0b3",
     },
     "joint": {
         "input": "4a932b0b16058c5f",
@@ -38,6 +40,7 @@ GOLDEN = {
         "relabel": "54d1e4b9250ec4ae",
         "compare": "9f187135f3773920",
         "stats": "e863911afb8f935c",
+        "sweep": "fb56d68af084f318",
     },
 }
 
@@ -60,11 +63,12 @@ def _outputs(kind, tmp_path, capsys) -> dict[str, str]:
     demo_dir.mkdir()
     demo = demo_dir / f"{kind}.json"
     save_trajectory(demo, _demo(kind))
-    common = ["--eta", str(spec["eta"])]
+    metric_args = []
     if spec["metric"] is not None:
         metric = tmp_path / "metric.json"
         metric.write_text(json.dumps(spec["metric"]))
-        common += ["--metric-config", str(metric)]
+        metric_args = ["--metric-config", str(metric)]
+    common = ["--eta", str(spec["eta"]), *metric_args]
     out = {"input": _sha(demo.read_bytes())}
     wp = tmp_path / "wp.json"
     assert main(["extract", "--input", str(demo), "--output", str(wp), "--no-timestamp", *common]) == EXIT_OK
@@ -78,6 +82,10 @@ def _outputs(kind, tmp_path, capsys) -> dict[str, str]:
     assert main(["stats", "--input", str(demo), *common]) == EXIT_OK
     stats = re.sub(r"wall_time=\S+", "wall_time=", capsys.readouterr().out)
     out["stats"] = _sha(stats.encode())
+    plot = tmp_path / "sweep.csv"
+    assert main(["sweep", "--input", str(demo), "--etas", spec["etas"], "--plot-out", str(plot), *metric_args]) == EXIT_OK
+    report = capsys.readouterr().out.replace(str(plot), "sweep.csv")
+    out["sweep"] = _sha(report.encode() + plot.read_bytes())
     return out
 
 

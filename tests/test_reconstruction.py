@@ -3,45 +3,45 @@ import pytest
 
 from conftest import ee_state, ee_trajectory
 from oracles import oracle_projection_distance, oracle_reconstruction_loss, oracle_segment_loss
-from waypoint_extraction.reconstruction import (
-    SegmentScorer,
-    project_onto_chord,
-    reconstruction_loss,
-    segment_loss,
-)
-from waypoint_extraction.state_space import MetricConfig
+from waypoint_extraction.reconstruction import SegmentScorer, segment_loss
+from waypoint_extraction.solver import annotate_losses
+from waypoint_extraction.state_space import Frame, MetricConfig, Trajectory
 from waypoint_extraction.synthetic import make_random_walk_trajectory
 
 
+def _global_loss(traj, indices) -> float:
+    return SegmentScorer(traj).global_loss(list(indices))
+
+
 # ---------------------------------------------------------------------------
-# project_onto_chord
+# chord projection: segment_loss of a three-frame trajectory (a, x, b)
 # ---------------------------------------------------------------------------
+
+
+def _projection(x, a, b) -> float:
+    """Distance of x to the chord a -> b, as segment_loss projects it."""
+    return segment_loss(Trajectory("p", x.kind, 10.0, [Frame(t, s) for t, s in enumerate((a, x, b))]), 0, 2)
 
 
 def test_projection_perpendicular_foot():
-    res = project_onto_chord(ee_state((1, 1, 0)), ee_state((0, 0, 0)), ee_state((2, 0, 0)))
-    assert abs(res.distance - 1.0) < 1e-12
-    assert abs(res.u - 0.5) < 1e-12
+    assert abs(_projection(ee_state((1, 1, 0)), ee_state((0, 0, 0)), ee_state((2, 0, 0))) - 1.0) < 1e-12
 
 
 def test_projection_point_on_chord():
-    res = project_onto_chord(ee_state((0.75, 0, 0)), ee_state((0, 0, 0)), ee_state((2, 0, 0)))
-    assert res.distance < 1e-12
+    assert _projection(ee_state((0.75, 0, 0)), ee_state((0, 0, 0)), ee_state((2, 0, 0))) < 1e-12
 
 
 def test_projection_clamps_to_endpoint():
-    res = project_onto_chord(ee_state((-1, 0, 0)), ee_state((0, 0, 0)), ee_state((2, 0, 0)))
-    assert res.u == 0.0
-    assert abs(res.distance - 1.0) < 1e-12
+    # unclamped, u* = -0.5 would put the foot at the frame itself
+    assert abs(_projection(ee_state((-1, 0, 0)), ee_state((0, 0, 0)), ee_state((2, 0, 0))) - 1.0) < 1e-12
 
 
 def test_projection_degenerate_chord():
+    # u* = 0 compares against a's orientation, which x shares; u* = 1 would add 0.6 rad
     a = ee_state((1, 1, 1), (0.3, 0, 0))
     b = ee_state((1, 1, 1), (0.9, 0, 0))
     x = ee_state((1, 2, 1), (0.3, 0, 0))
-    res = project_onto_chord(x, a, b)
-    assert res.u == 0.0
-    assert abs(res.distance - 1.0) < 1e-12
+    assert abs(_projection(x, a, b) - 1.0) < 1e-12
 
 
 def test_projection_uses_position_for_u_but_full_state_for_distance():
@@ -50,19 +50,15 @@ def test_projection_uses_position_for_u_but_full_state_for_distance():
     a = ee_state((0, 0, 0), (0, 0, 0))
     b = ee_state((2, 0, 0), (0, 0, 1.0))
     x = ee_state((1, 0, 0), (0, 0, 0))
-    res = project_onto_chord(x, a, b)
-    assert abs(res.u - 0.5) < 1e-12
-    assert abs(res.distance - 0.5) < 1e-9
+    assert abs(_projection(x, a, b) - 0.5) < 1e-9
 
 
 @pytest.mark.parametrize("kind", ["ee", "joint"])
 def test_projection_matches_grid_oracle(rng, kind):
     for _ in range(25):
         traj = make_random_walk_trajectory(rng, 3, kind, joint_dim=5)
-        x, a, b = (traj.frames[k].state for k in (0, 1, 2))
-        ours = project_onto_chord(x, a, b).distance
-        ref = oracle_projection_distance(x, a, b)
-        assert abs(ours - ref) < 1e-6
+        a, x, b = (traj.state(k) for k in (0, 1, 2))
+        assert abs(segment_loss(traj, 0, 2) - oracle_projection_distance(x, a, b)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +124,7 @@ def test_probe_pass_rejects_only_chords_over_budget(rng):
     src, dst = np.triu_indices(50, 1)
     exact = scorer.chord_losses(src, dst)
     for eta in np.quantile(exact, [0.1, 0.5, 0.9]):
-        keep = scorer.probe_pass(src, dst, eta)
+        keep = scorer.probe_pass(src, dst, eta, np.full(src.size, -1))
         assert np.all(keep[exact <= eta])
         assert not keep.all()
 
@@ -165,9 +161,9 @@ def test_probe_pass_ignores_witnesses_outside_the_chord(rng):
     src, dst = np.triu_indices(40, 1)
     eta = float(np.median(scorer.chord_losses(src, dst)))
     outside = np.where(rng.random(src.size) < 0.5, src, dst)
-    for witness in (np.full(src.size, -1), outside, np.where(outside == src, src - 1, dst + 1)):
-        keep = scorer.probe_pass(src, dst, eta, witness)
-        assert keep.tolist() == scorer.probe_pass(src, dst, eta).tolist()
+    none = scorer.probe_pass(src, dst, eta, np.full(src.size, -1))
+    for witness in (outside, np.where(outside == src, src - 1, dst + 1)):
+        assert scorer.probe_pass(src, dst, eta, witness).tolist() == none.tolist()
     assert scorer.witness_rejects == 0
 
 
@@ -195,26 +191,26 @@ def test_chord_worst_is_the_first_frame_at_the_loss(rng, case):
 
 
 # ---------------------------------------------------------------------------
-# reconstruction_loss
+# global reconstruction loss
 # ---------------------------------------------------------------------------
 
 
 def test_reconstruction_loss_all_frames_zero(rng):
     traj = make_random_walk_trajectory(rng, 12)
-    assert reconstruction_loss(traj, range(12)) < 1e-12
+    assert _global_loss(traj, range(12)) < 1e-12
 
 
 def test_reconstruction_loss_straight_line_endpoints():
     traj = ee_trajectory([(t, 0, 0) for t in range(8)])
-    assert reconstruction_loss(traj, [0, 7]) < 1e-12
+    assert _global_loss(traj, [0, 7]) < 1e-12
 
 
 def test_reconstruction_loss_requires_endpoints(rng):
     traj = make_random_walk_trajectory(rng, 6)
-    with pytest.raises(ValueError, match="endpoints"):
-        reconstruction_loss(traj, [0, 3])
-    with pytest.raises(ValueError, match="endpoints"):
-        reconstruction_loss(traj, [1, 5])
+    with pytest.raises(ValueError, match="ends at 3 but trajectory has 6 frames"):
+        annotate_losses(traj, [0, 3])
+    with pytest.raises(ValueError, match="must start at frame 0"):
+        annotate_losses(traj, [1, 5])
 
 
 @pytest.mark.parametrize("kind", ["ee", "joint"])
@@ -223,7 +219,7 @@ def test_reconstruction_loss_matches_double_loop_oracle(rng, kind):
         traj = make_random_walk_trajectory(rng, 10, kind)
         interior = sorted(rng.choice(np.arange(1, 9), size=int(rng.integers(0, 4)), replace=False).tolist())
         indices = [0] + interior + [9]
-        ours = reconstruction_loss(traj, indices)
+        ours = _global_loss(traj, indices)
         ref = oracle_reconstruction_loss(traj, indices)
         assert abs(ours - ref) < 1e-6
 
@@ -233,7 +229,7 @@ def test_global_loss_bounded_by_segment_losses(rng):
         traj = make_random_walk_trajectory(rng, 14)
         interior = sorted(rng.choice(np.arange(1, 13), size=3, replace=False).tolist())
         indices = [0] + interior + [13]
-        glob = reconstruction_loss(traj, indices)
+        glob = _global_loss(traj, indices)
         seg_max = max(segment_loss(traj, a, b) for a, b in zip(indices, indices[1:]))
         assert glob <= seg_max + 1e-9
 
@@ -241,7 +237,7 @@ def test_global_loss_bounded_by_segment_losses(rng):
 def test_refining_to_all_frames_reaches_zero(rng):
     for _ in range(10):
         traj = make_random_walk_trajectory(rng, 14)
-        assert reconstruction_loss(traj, range(14)) < 1e-12
+        assert _global_loss(traj, range(14)) < 1e-12
 
 
 def test_waypoint_refinement_is_not_always_monotone(rng):
@@ -252,9 +248,9 @@ def test_waypoint_refinement_is_not_always_monotone(rng):
     for _ in range(30):
         traj = make_random_walk_trajectory(rng, 14)
         base = [0, 6, 13]
-        before = reconstruction_loss(traj, base)
+        before = _global_loss(traj, base)
         extra = int(rng.integers(1, 13))
-        after = reconstruction_loss(traj, sorted(set(base) | {extra}))
+        after = _global_loss(traj, sorted(set(base) | {extra}))
         if after > before + 1e-9:
             increased = True
             ref_before = oracle_reconstruction_loss(traj, base)
@@ -272,7 +268,7 @@ def test_losses_translation_invariant(rng):
         axis_angles=[f.state.axis_angle() for f in traj.frames],
     )
     assert abs(segment_loss(traj, 0, 11) - segment_loss(shifted, 0, 11)) < 1e-9
-    assert abs(reconstruction_loss(traj, [0, 5, 11]) - reconstruction_loss(shifted, [0, 5, 11])) < 1e-9
+    assert abs(_global_loss(traj, [0, 5, 11]) - _global_loss(shifted, [0, 5, 11])) < 1e-9
 
 
 def test_gripper_weight_affects_losses_when_enabled():

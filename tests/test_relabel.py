@@ -6,30 +6,18 @@ import pytest
 from conftest import ee_trajectory
 from oracles import oracle_next_waypoint
 from waypoint_extraction.cli import EXIT_OK, main
-from waypoint_extraction.relabel import (
-    next_waypoint_index,
-    relabel_trajectory,
-)
+from waypoint_extraction.relabel import relabel_trajectory
 from waypoint_extraction.solver import ErrorBudget, WaypointSet, extract_waypoints_dp
 from waypoint_extraction.synthetic import make_random_walk_trajectory
 from waypoint_extraction.trajfile import load_relabeled, save_trajectory
 
 
 def test_next_waypoint_examples():
-    wp = WaypointSet((0, 3, 7))
-    assert next_waypoint_index(1, wp) == 3
-    assert next_waypoint_index(3, wp) == 7  # strictly after, never itself
-    assert next_waypoint_index(6, wp) == 7
-
-
-def test_next_waypoint_errors():
-    wp = WaypointSet((0, 3, 7))
-    with pytest.raises(ValueError, match="no waypoint after"):
-        next_waypoint_index(7, wp)
-    with pytest.raises(ValueError, match="no waypoint after"):
-        next_waypoint_index(9, wp)
-    with pytest.raises(ValueError):
-        next_waypoint_index(-1, wp)
+    traj = ee_trajectory([(t, 0, 0) for t in range(8)])
+    target = relabel_trajectory(traj, WaypointSet((0, 3, 7))).target_index
+    assert target[1] == 3
+    assert target[3] == 7  # strictly after, never itself
+    assert target[6] == 7
 
 
 def test_relabel_two_frames():

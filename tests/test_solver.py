@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ee_trajectory, joint_trajectory
-from oracles import oracle_pairwise_horizon
+from oracles import oracle_pairwise_horizon, oracle_reconstruction_loss
 from waypoint_extraction import solver
 from waypoint_extraction.reconstruction import SegmentScorer, _position_coords, _reach_horizon, segment_loss
 from waypoint_extraction.solver import (
@@ -221,12 +221,10 @@ def test_waypoint_set_invariants():
 
 def test_annotate_losses_matches_public_ops(rng):
     traj = make_random_walk_trajectory(rng, 15)
-    from waypoint_extraction.reconstruction import reconstruction_loss
-
     wp = annotate_losses(traj, [0, 7, 14])
     seg = max(segment_loss(traj, 0, 7), segment_loss(traj, 7, 14))
     assert abs(wp.achieved_segment_loss - seg) < 1e-11
-    assert abs(wp.achieved_global_loss - reconstruction_loss(traj, [0, 7, 14])) < 1e-11
+    assert abs(wp.achieved_global_loss - oracle_reconstruction_loss(traj, [0, 7, 14])) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import ee_trajectory, joint_trajectory
-from oracles import oracle_save_relabeled
+from oracles import oracle_plot_data, oracle_save_relabeled
 from waypoint_extraction import state_space
 from waypoint_extraction.defaults import ENV_TASK_DEFAULTS, TASK_ETA_DEFAULTS, load_task_defaults, resolve_task_eta
 from waypoint_extraction.relabel import relabel_trajectory
@@ -571,6 +571,27 @@ def test_plot_data_waypoint_rows_nondecreasing(tmp_path, rng):
     for eta, _ in results:
         counts.append(sum(1 for r in rows if r[1] == "waypoint" and float(r[0]) == eta))
     assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+
+PLOT_CASES = {
+    "ee": lambda rng: make_segmented_ee_trajectory(rng, n_segments=4, name="p"),
+    "joint-2d": lambda rng: make_random_walk_trajectory(rng, 40, "joint", joint_dim=2),
+    "joint-7d": lambda rng: make_random_walk_trajectory(rng, 40, "joint", joint_dim=7),
+    "gappy-t": lambda rng: Trajectory.from_columns(
+        "gappy", "ee", 10.0, np.r_[0, np.cumsum(rng.integers(1, 9, size=29))],
+        pos=-rng.normal(size=(30, 3)) * [1.0, 0.0, 1e-3], grip=np.zeros(30), axis_angle=rng.normal(size=(30, 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLOT_CASES))
+def test_plot_data_matches_per_sample_writer(tmp_path, rng, case):
+    traj = PLOT_CASES[case](rng)
+    etas = [2.0, 0.5, 0.05, 0.005] if traj.joints is not None else [0.05, 0.01, 0.001]
+    results = sweep_eta(traj, etas)
+    emit_plot_data(traj, results, tmp_path / "new.csv")
+    oracle_plot_data(traj, results, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_plot_data_rejects_empty_sweep(tmp_path, rng):
