@@ -8,13 +8,12 @@ the heuristics get matched against the budgeted solver for fair comparison.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .solver import WaypointSet
-from .state_space import StateKind, Trajectory
+from .state_space import StateKind, Trajectory, _count, _finite_scalar
 
 __all__ = [
     "HeuristicConfig",
@@ -43,14 +42,8 @@ class HeuristicConfig:
 
     def __post_init__(self):
         for name in ("velocity_threshold", "gripper_delta_threshold"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0")
-            object.__setattr__(self, name, v)
-        k = int(self.fixed_interval)
-        if k < 1:
-            raise ValueError("fixed_interval must be >= 1")
-        object.__setattr__(self, "fixed_interval", k)
+            object.__setattr__(self, name, _finite_scalar(getattr(self, name), name))
+        object.__setattr__(self, "fixed_interval", _count(self.fixed_interval, "fixed_interval"))
 
 
 @dataclass(frozen=True)
@@ -106,9 +99,7 @@ def heuristic_zero_velocity(traj: Trajectory, cfg: HeuristicConfig) -> WaypointS
 
 def heuristic_fixed_interval(traj: Trajectory, k: int) -> WaypointSet:
     """Every k-th frame plus the final one."""
-    k = int(k)
-    if k < 1:
-        raise ValueError("interval must be >= 1")
+    k = _count(k, "interval")
     indices = list(range(0, len(traj), k))
     if indices[-1] != len(traj) - 1:
         indices.append(len(traj) - 1)

@@ -23,6 +23,7 @@ from .state_space import (
     MetricConfig,
     StateKind,
     Trajectory,
+    _state_arrays,
     interpolate,
     state_distance,
 )
@@ -72,7 +73,9 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _slerp_rows(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise slerp; qa/qb broadcast against u along axis 0."""
+    """Row-wise slerp; qa/qb broadcast against u along axis 0. A row at u = 0
+    or 1 is qa or (up to sign) qb unchanged, as interpolate returns its end
+    states: its weights are exactly 1 and 0, and renormalizing could move it."""
     qa = np.broadcast_to(qa, (len(u), 4))
     qb = np.broadcast_to(qb, (len(u), 4))
     dots = _rowdot(qa, qb)
@@ -85,7 +88,9 @@ def _slerp_rows(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
     wa = np.where(near, 1.0 - u, np.sin((1.0 - u) * theta) / sin_theta)
     wb = np.where(near, u, np.sin(u * theta) / sin_theta)
     out = wa[:, None] * qa + wb[:, None] * qb
-    return out / np.sqrt(_rowdot(out, out))[:, None]
+    norm = np.sqrt(_rowdot(out, out))
+    norm[(u == 0.0) | (u == 1.0)] = 1.0
+    return out / norm[:, None]
 
 
 def _row_distances(points, anchors, t, src, dst, cfg: MetricConfig) -> np.ndarray:
@@ -96,22 +101,25 @@ def _row_distances(points, anchors, t, src, dst, cfg: MetricConfig) -> np.ndarra
     scalar src and dst score many frames against one chord. Each row is
     computed from its own inputs alone, so its value does not depend on the
     rest of the batch: the solver's screen, its exact checks and
-    SegmentScorer.loss agree bit for bit.
+    SegmentScorer.loss agree bit for bit. A row projecting onto an end of
+    its chord (u = 0 or 1) is compared with that end frame unchanged, as
+    interpolate returns it, so a frame's distance to a chord it ends is
+    exactly 0.
     """
     joint = points.joints is not None
-    if not joint:
-        a = anchors.pos[src]
-        span = anchors.pos[dst] - a
-        pts = points.pos[t]
-    else:
-        a = anchors.joints[src]
-        span = anchors.joints[dst] - a
-        pts = points.joints[t]
+    coords = anchors.joints if joint else anchors.pos
+    a, b = coords[src], coords[dst]
+    span = b - a
+    pts = points.joints[t] if joint else points.pos[t]
     denom = _rowdot(span, span)
     safe = np.where(denom == 0.0, 1.0, denom)
     u = np.clip(_rowdot(pts - a, span) / safe, 0.0, 1.0)
     u = np.where(denom == 0.0, 0.0, u)
-    off = pts - (a + u[:, None] * span)
+    # a + 1.0 * span can differ from b in the last bit
+    end = u == 1.0
+    ref = a + u[:, None] * span
+    np.copyto(ref, b, where=end[:, None])
+    off = pts - ref
     if joint:
         off = off * cfg.joint_weights(anchors.joints.shape[1])
         return np.sqrt(_rowdot(off, off))
@@ -125,6 +133,7 @@ def _row_distances(points, anchors, t, src, dst, cfg: MetricConfig) -> np.ndarra
     out = out + cfg.orientation_weight * 4.0 * np.arcsin(0.5 * np.sqrt(_rowdot(gap, gap)))
     if cfg.include_gripper:
         g = anchors.grip[src] + u * (anchors.grip[dst] - anchors.grip[src])
+        np.copyto(g, anchors.grip[dst], where=end)
         out = out + cfg.gripper_weight * np.abs(points.grip[t] - g)
     return out
 
@@ -422,10 +431,8 @@ def min_distances_to_polyline(columns, anchors: Trajectory, cfg: MetricConfig = 
     """Per-row distance of state columns, keyed as Trajectory.state_columns
     (pos, quat and grip, or joints), to the nearest chord of the polyline
     through the frames of anchors."""
-    points = SimpleNamespace(**{"joints": None, **{name: np.asarray(col) for name, col in columns.items()}})
-    count = min(map(len, columns.values()), default=0)
-    if count == 0:
-        raise ValueError("no states to score against the polyline")
+    count = len(next(iter(columns.values()), ()))
+    points = SimpleNamespace(**{"joints": None, **_state_arrays(columns, count)})
     kind = StateKind.EE if points.joints is None else StateKind.JOINT
     if kind is not anchors.state_space:
         raise ValueError(f"state-space kind mismatch: {kind.value} vs {anchors.state_space.value}")

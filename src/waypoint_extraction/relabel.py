@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import WaypointSet
-from .state_space import State, Trajectory, _state_views
+from .state_space import _STATE_COLUMNS, State, Trajectory, _state_arrays, _state_views
 
 __all__ = [
     "RelabeledFrame",
@@ -49,12 +49,6 @@ def _first_bad_row(t, target_index, waypoints_remaining) -> tuple[int, str] | No
     return k, ("target_index must lie strictly after the frame" if late[k] else "waypoints_remaining must be >= 1")
 
 
-def _read_only(column: np.ndarray) -> np.ndarray:
-    view = column.view()
-    view.setflags(write=False)
-    return view
-
-
 @dataclass(frozen=True, eq=False)
 class RelabeledDataset:
     """Relabeled rows for one demonstration, |trajectory| - 1 of them, held
@@ -80,11 +74,25 @@ class RelabeledDataset:
     gripper_dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "obs_ref", tuple(self.obs_ref))
+        rows = len(self.t)
         for name in ("t", "target_index", "waypoints_remaining"):
-            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype=np.int64)))
+            column = np.array(getattr(self, name), dtype=np.int64)
+            if column.shape != (rows,):
+                raise ValueError(f"{name} must have shape ({rows},), got {column.shape}")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "obs_ref", tuple(self.obs_ref))
+        if len(self.obs_ref) != rows:
+            raise ValueError(f"obs_ref has {len(self.obs_ref)} entries for {rows} rows")
         for name in ("states", "targets"):
-            object.__setattr__(self, name, {k: _read_only(np.asarray(v)) for k, v in getattr(self, name).items()})
+            try:
+                object.__setattr__(self, name, _state_arrays(getattr(self, name), rows, self.gripper_dims))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        states, targets = ({k: v.shape[1:] for k, v in getattr(self, name).items()} for name in ("states", "targets"))
+        if states != targets or set(states) not in map(set, _STATE_COLUMNS.values()):
+            raise ValueError(f"states and targets must hold the same columns, pos, quat, grip and axis_angle or "
+                             f"joints of one width; got {states} and {targets}")
         bad = _first_bad_row(self.t, self.target_index, self.waypoints_remaining)
         if bad is not None:
             raise ValueError(f"row {bad[0]}: {bad[1]}")

@@ -20,6 +20,8 @@ from .state_space import (
     DEFAULT_METRIC,
     MetricConfig,
     Trajectory,
+    _count,
+    _finite_scalar,
     _state_columns,
     interpolate,
     state_distance,
@@ -54,20 +56,10 @@ class FollowerConfig:
     metric: MetricConfig = field(default_factory=MetricConfig)
 
     def __post_init__(self):
-        step = float(self.max_step)
-        if not (math.isfinite(step) and step > 0.0):
-            raise ValueError("max_step must be a positive finite scalar")
-        object.__setattr__(self, "max_step", step)
-        tol = float(self.reach_tolerance)
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise ValueError("reach_tolerance must be finite and >= 0")
-        object.__setattr__(self, "reach_tolerance", tol)
-        if int(self.control_multiplier) < 1:
-            raise ValueError("control_multiplier must be >= 1")
-        object.__setattr__(self, "control_multiplier", int(self.control_multiplier))
-        if int(self.tick_limit) < 1:
-            raise ValueError("tick_limit must be >= 1")
-        object.__setattr__(self, "tick_limit", int(self.tick_limit))
+        object.__setattr__(self, "max_step", _finite_scalar(self.max_step, "max_step", positive=True))
+        object.__setattr__(self, "reach_tolerance", _finite_scalar(self.reach_tolerance, "reach_tolerance"))
+        object.__setattr__(self, "control_multiplier", _count(self.control_multiplier, "control_multiplier"))
+        object.__setattr__(self, "tick_limit", _count(self.tick_limit, "tick_limit"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,14 +25,13 @@ subsequences by cardinality and must agree with the solver.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .reconstruction import _CHUNK_ROWS, SegmentScorer, _ranks
-from .state_space import DEFAULT_METRIC, MetricConfig, Trajectory
+from .state_space import DEFAULT_METRIC, MetricConfig, Trajectory, _finite_scalar
 
 __all__ = [
     "ErrorBudget",
@@ -56,10 +55,7 @@ class ErrorBudget:
     metric: MetricConfig = field(default_factory=MetricConfig)
 
     def __post_init__(self):
-        eta = float(self.eta)
-        if not (math.isfinite(eta) and eta > 0.0):
-            raise ValueError("eta must be a positive finite scalar")
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta", _finite_scalar(self.eta, "eta", positive=True))
 
 
 @dataclass(frozen=True)
@@ -85,12 +81,8 @@ class WaypointSet:
             raise ValueError("waypoint indices must be strictly increasing")
         object.__setattr__(self, "indices", indices)
         for name in ("eta_used", "achieved_segment_loss", "achieved_global_loss"):
-            v = getattr(self, name)
-            if v is not None:
-                v = float(v)
-                if not math.isfinite(v) or v < 0.0:
-                    raise ValueError(f"{name} must be finite and >= 0")
-                object.__setattr__(self, name, v)
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _finite_scalar(getattr(self, name), name))
         if self.eta_used is not None and self.achieved_segment_loss is not None:
             if self.achieved_segment_loss > self.eta_used:
                 raise ValueError("achieved segment loss exceeds the budget it was solved under")
@@ -310,11 +302,9 @@ def sweep_eta(
     traj: Trajectory, etas, metric: MetricConfig = DEFAULT_METRIC
 ) -> list[tuple[float, WaypointSet]]:
     """One extraction per budget, returned in descending budget order."""
-    etas = [float(e) for e in etas]
+    etas = [_finite_scalar(e, "every eta", positive=True) for e in etas]
     if not etas:
         raise ValueError("sweep needs at least one eta")
-    if any(not (math.isfinite(e) and e > 0.0) for e in etas):
-        raise ValueError("every eta must be a positive finite scalar")
     scorer = SegmentScorer(traj, metric)
     out = []
     for eta in sorted(etas, reverse=True):

@@ -60,6 +60,42 @@ def _finite_array(values, shape: tuple[int | None, ...], name: str) -> np.ndarra
     return arr
 
 
+def _finite_scalar(value, name: str, positive: bool = False) -> float:
+    """value as a float that is finite and >= 0, or > 0 when positive."""
+    v = float(value)
+    if not (math.isfinite(v) and (v > 0.0 if positive else v >= 0.0)):
+        raise ValueError(f"{name} must be a positive finite scalar" if positive else f"{name} must be finite and >= 0")
+    return v
+
+
+def _count(value, name: str) -> int:
+    """value as an integer >= 1; a fractional value is refused, not truncated."""
+    if not (math.isfinite(value) and value >= 1 and value == int(value)):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+# Row shape of each state column; None matches any width, the same for every row.
+_ROW_SHAPES = {"pos": (3,), "quat": (4,), "grip": (), "axis_angle": (3,), "joints": (None,)}
+_STATE_NAMES = ({"pos", "quat", "grip"}, {"pos", "quat", "grip", "axis_angle"}, {"joints"})
+
+
+def _state_arrays(columns: dict, rows: int, gripper_dims=None) -> dict[str, np.ndarray]:
+    """State columns of one kind as finite read-only float arrays of rows
+    rows each: pos, quat and grip with axis_angle optional, or joints alone,
+    keyed as Trajectory.state_columns; gripper_dims, when given, must index
+    joint columns. The one check of the state-column format."""
+    if rows < 1:
+        raise ValueError("no states: state columns need at least one row")
+    if set(columns) not in _STATE_NAMES:
+        raise ValueError(f"state columns must be pos, quat, grip and optional axis_angle, or joints: {sorted(columns)}")
+    arrays = {name: _finite_array(values, (rows, *_ROW_SHAPES[name]), name) for name, values in columns.items()}
+    width = arrays["joints"].shape[1] if "joints" in arrays else 0
+    if gripper_dims is not None and not all(0 <= int(d) < width for d in gripper_dims):
+        raise ValueError(f"gripper_dims {tuple(gripper_dims)} must index the {width} joint dims")
+    return arrays
+
+
 # ---------------------------------------------------------------------------
 # quaternion helpers (w, x, y, z)
 # ---------------------------------------------------------------------------
@@ -135,12 +171,7 @@ def axis_angle_to_quaternion(v) -> np.ndarray:
     The zero vector maps to the identity rotation. Uses a series-safe
     evaluation of sin(theta/2)/theta so tiny rotations lose no precision.
     """
-    vec = np.asarray(v, dtype=float)
-    if vec.shape != (3,):
-        raise ValueError(f"axis-angle vector must have 3 components, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("axis-angle vector must be finite")
-    out = _exp_rows(vec[None])[0]
+    out = _exp_rows(_finite_array(v, (3,), "axis-angle vector")[None])[0]
     if math.isnan(out[0]):
         raise ValueError("axis-angle vector norm overflows")
     return out
@@ -228,10 +259,7 @@ class EEState:
         quat = canonicalize_quaternion(self.orientation)
         quat.setflags(write=False)
         object.__setattr__(self, "orientation", quat)
-        grip = float(self.gripper)
-        if not math.isfinite(grip):
-            raise ValueError("gripper must be finite")
-        object.__setattr__(self, "gripper", grip)
+        object.__setattr__(self, "gripper", float(_finite_array(self.gripper, (), "gripper")))
         if self.source_axis_angle is not None:
             object.__setattr__(
                 self, "source_axis_angle", _finite_array(self.source_axis_angle, (3,), "source_axis_angle")
@@ -381,9 +409,7 @@ class Trajectory:
         pos, grip and axis_angle; quat, when not given as canonical rows, is
         derived from axis_angle bit for bit as EEState.from_axis_angle
         derives it. obs_ref defaults to None."""
-        freq = float(frequency_hz)
-        if not (math.isfinite(freq) and freq > 0):
-            raise ValueError("frequency_hz must be a positive finite scalar")
+        freq = _finite_scalar(frequency_hz, "frequency_hz", positive=True)
         if len(t) < 2:
             raise ValueError("trajectory needs at least 2 frames")
         t = np.array(t, dtype=np.int64)
@@ -394,25 +420,23 @@ class Trajectory:
             raise ValueError(f"frames[{bad[0]}]: t={t[bad[0]]} not greater than previous t={t[bad[0] - 1]}")
         t.setflags(write=False)
         obs_ref = (None,) * len(t) if obs_ref is None else tuple(obs_ref)
+        if len(obs_ref) != len(t):
+            raise ValueError(f"obs_ref has {len(obs_ref)} entries for {len(t)} frames")
         fields = dict(name=name, state_space=StateKind(state_space), frequency_hz=freq, t=t, obs_ref=obs_ref)
         if fields["state_space"] is StateKind.EE:
-            axis_angle = _finite_array(axis_angle, (None, 3), "axis_angle")
             if quat is None:
-                quat = _stored_rotations(axis_angle, "frames[{}].axis_angle".format)
-            fields.update(
-                pos=_finite_array(pos, (None, 3), "pos"),
-                quat=_finite_array(quat, (None, 4), "quat"),
-                grip=_finite_array(grip, (None,), "grip"),
-                axis_angle=axis_angle,
-            )
+                quat = _stored_rotations(_finite_array(axis_angle, (len(t), 3), "axis_angle"),
+                                         "frames[{}].axis_angle".format)
+            columns = dict(pos=pos, quat=quat, grip=grip, axis_angle=axis_angle)
         else:
             rows = list(joints)
             for i, row in enumerate(rows):
                 if len(row) != len(rows[0]):
                     raise ValueError(f"frames[{i}]: joint dimension {len(row)} differs from "
                                      f"the {len(rows[0])} dims of earlier frames")
-            fields["joints"] = _finite_array(rows, (None, len(rows[0])), "joints")
+            columns = {"joints": rows}
             fields["gripper_dims"] = None if gripper_dims is None else tuple(map(int, gripper_dims))
+        fields.update(_state_arrays(columns, len(t), gripper_dims))
         traj = object.__new__(cls)
         traj.__dict__.update(fields)
         return traj
@@ -468,17 +492,12 @@ class MetricConfig:
 
     def __post_init__(self):
         for name in ("position_weight", "orientation_weight", "gripper_weight"):
-            w = float(getattr(self, name))
-            if not (math.isfinite(w) and w >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0")
-            object.__setattr__(self, name, w)
+            object.__setattr__(self, name, _finite_scalar(getattr(self, name), name))
         effective = self.position_weight + self.orientation_weight
         if self.include_gripper:
             effective += self.gripper_weight
         if self.joint_mask is not None:
-            mask = tuple(float(w) for w in self.joint_mask)
-            if any(not math.isfinite(w) or w < 0.0 for w in mask):
-                raise ValueError("joint_mask weights must be finite and >= 0")
+            mask = tuple(_finite_scalar(w, "joint_mask weights") for w in self.joint_mask)
             if not any(w > 0.0 for w in mask):
                 raise ValueError("joint_mask needs at least one nonzero weight")
             object.__setattr__(self, "joint_mask", mask)

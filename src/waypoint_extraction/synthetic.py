@@ -49,20 +49,20 @@ def _random_quaternion(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _band_limited_noise(
-    rng: np.random.Generator, n: int, cols: int, sigma: float, window: int
-) -> np.ndarray:
+# Frames the jitter is moving-averaged over.
+_NOISE_WINDOW = 3
+
+
+def _band_limited_noise(rng: np.random.Generator, n: int, cols: int, sigma: float) -> np.ndarray:
     """Gaussian noise with marginal std sigma per column, smoothed by a
-    moving average of the given window (window 1 means white noise)."""
+    moving average over _NOISE_WINDOW frames."""
     if sigma == 0.0:
         return np.zeros((n, cols))
-    white = rng.normal(0.0, 1.0, size=(n + window - 1, cols))
-    if window == 1:
-        return sigma * white
-    kernel = np.ones(window) / window
+    white = rng.normal(0.0, 1.0, size=(n + _NOISE_WINDOW - 1, cols))
+    kernel = np.ones(_NOISE_WINDOW) / _NOISE_WINDOW
     smoothed = np.stack([np.convolve(white[:, c], kernel, mode="valid") for c in range(cols)], axis=1)
     # the box filter shrinks the variance by 1/window; rescale it back
-    return sigma * math.sqrt(window) * smoothed
+    return sigma * math.sqrt(_NOISE_WINDOW) * smoothed
 
 
 def make_segmented_ee_trajectory(
@@ -71,16 +71,13 @@ def make_segmented_ee_trajectory(
     n_segments: int | None = None,
     frames_per_segment=None,
     name: str = "demo",
-    noise_sigma: float | None = None,
-    noise_window: int = 3,
-    frequency_hz: float = 50.0,
 ) -> Trajectory:
-    """Piecewise-linear end-effector demo with per-frame pose jitter.
+    """Piecewise-linear end-effector demo at 50 Hz with per-frame pose jitter.
 
     Defaults follow the synthetic benchmark recipe: 4 to 8 segments of 40 to
     80 frames each, anchors a few decimeters apart, and Gaussian jitter of
     marginal sigma = eta/5 on each position and axis-angle coordinate,
-    band-limited over noise_window frames. At the default budget this lands
+    band-limited over 3 frames. At the default budget this lands
     extractions in the recommended one-waypoint-per-5-to-15-frames band.
     """
     if n_segments is None:
@@ -89,7 +86,6 @@ def make_segmented_ee_trajectory(
         frames_per_segment = [int(rng.integers(40, 81)) for _ in range(n_segments)]
     elif np.isscalar(frames_per_segment):
         frames_per_segment = [int(frames_per_segment)] * n_segments
-    sigma = (eta / 5.0) if noise_sigma is None else float(noise_sigma)
 
     positions = [rng.uniform(-0.2, 0.2, size=3)]
     orientations = [_random_quaternion(rng)]
@@ -114,21 +110,16 @@ def make_segmented_ee_trajectory(
             axis_angle.append(quaternion_to_axis_angle(quat))
             grip.append(grippers[seg + 1] if u == 1.0 else grippers[seg])
 
-    noise = _band_limited_noise(rng, len(grip), 6, sigma, noise_window)
+    noise = _band_limited_noise(rng, len(grip), 6, eta / 5.0)
     return Trajectory.from_columns(
-        name, StateKind.EE, frequency_hz, np.arange(len(grip)),
+        name, StateKind.EE, 50.0, np.arange(len(grip)),
         pos=np.array(pos) + noise[:, :3], axis_angle=np.array(axis_angle) + noise[:, 3:], grip=grip,
     )
 
 
-def make_corpus(
-    rng: np.random.Generator, n: int, eta: float = 0.005, name_prefix: str = "demo"
-) -> list[Trajectory]:
-    """A batch of segmented demos with distinct names."""
-    return [
-        make_segmented_ee_trajectory(rng, eta=eta, name=f"{name_prefix}-{i:03d}")
-        for i in range(n)
-    ]
+def make_corpus(rng: np.random.Generator, n: int, eta: float = 0.005) -> list[Trajectory]:
+    """A batch of segmented demos named demo-000, demo-001, ..."""
+    return [make_segmented_ee_trajectory(rng, eta=eta, name=f"demo-{i:03d}") for i in range(n)]
 
 
 def make_random_walk_trajectory(

@@ -137,3 +137,26 @@ def test_polyline_distances_check_kind_and_dimension(rng):
         min_distances_to_polyline(ee.state_columns, joint)
     with pytest.raises(ValueError, match="dimension mismatch: 3 vs 4"):
         min_distances_to_polyline(joint_trajectory(np.zeros((2, 3))).state_columns, joint)
+
+
+_BIG = make_random_walk_trajectory(np.random.default_rng(3), 21)
+_BIG_JOINT = make_random_walk_trajectory(np.random.default_rng(3), 21, StateKind.JOINT, joint_dim=3)
+
+# (state columns, message). Unchecked, these would score 5 of 21 rows,
+# ignore a nan grip or a stray pos, or fail with AttributeError or a NumPy
+# broadcast error.
+_MISFIT_POINTS = {
+    "5 quat rows for 21": ({**_BIG.state_columns, "quat": _BIG.quat[:5]}, r"quat must have shape \(21, 4\)"),
+    "no quat": ({k: v for k, v in _BIG.state_columns.items() if k != "quat"}, "state columns must be pos, quat, grip"),
+    "2-wide pos": ({**_BIG.state_columns, "pos": _BIG.pos[:, :2]}, r"pos must have shape \(21, 3\)"),
+    "nan grip": ({**_BIG.state_columns, "grip": np.full(21, np.nan)}, "grip must be finite"),
+    "joints and pos": ({**_BIG_JOINT.state_columns, "pos": _BIG.pos}, "state columns must be pos, quat, grip"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISFIT_POINTS))
+def test_polyline_distances_reject_columns_that_do_not_fit(case):
+    columns, message = _MISFIT_POINTS[case]
+    anchors = _BIG_JOINT if "joints" in columns else _BIG
+    with pytest.raises(ValueError, match=message):
+        min_distances_to_polyline(columns, anchors)

@@ -3,10 +3,10 @@ import pytest
 
 from conftest import ee_state, ee_trajectory
 from oracles import oracle_projection_distance, oracle_reconstruction_loss, oracle_segment_loss
-from waypoint_extraction.reconstruction import SegmentScorer, segment_loss
+from waypoint_extraction.reconstruction import SegmentScorer, _row_distances, segment_loss
 from waypoint_extraction.solver import annotate_losses
 from waypoint_extraction.state_space import Frame, MetricConfig, Trajectory
-from waypoint_extraction.synthetic import make_random_walk_trajectory
+from waypoint_extraction.synthetic import make_random_walk_trajectory, make_segmented_ee_trajectory
 
 
 def _global_loss(traj, indices) -> float:
@@ -198,6 +198,27 @@ def test_chord_worst_is_the_first_frame_at_the_loss(rng, case):
 def test_reconstruction_loss_all_frames_zero(rng):
     traj = make_random_walk_trajectory(rng, 12)
     assert _global_loss(traj, range(12)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_all_frames_global_loss_is_exactly_zero(seed):
+    traj = make_segmented_ee_trajectory(np.random.default_rng(seed))
+    assert annotate_losses(traj, range(len(traj))).achieved_global_loss == 0.0
+
+
+@pytest.mark.parametrize("kind, metric", [
+    ("ee", MetricConfig(include_gripper=True, gripper_weight=3.0)),
+    ("joint", MetricConfig()),
+])
+def test_kernel_distance_of_a_chord_end_is_exactly_zero(rng, kind, metric):
+    # u clips to 0 or 1 there: the row is compared with the end frame itself,
+    # not with a + 1.0 * (b - a) or a renormalized slerp
+    traj = make_random_walk_trajectory(rng, 300, kind)
+    for hop in (1, 2, 5):
+        src = np.arange(len(traj) - hop)
+        dst = src + hop
+        assert not _row_distances(traj, traj, src, src, dst, metric).any()
+        assert not _row_distances(traj, traj, dst, src, dst, metric).any()
 
 
 def test_reconstruction_loss_straight_line_endpoints():

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ee_trajectory
+from conftest import ee_trajectory, joint_trajectory
 from oracles import oracle_next_waypoint
 from waypoint_extraction.cli import EXIT_OK, main
-from waypoint_extraction.relabel import relabel_trajectory
+from waypoint_extraction.relabel import RelabeledDataset, relabel_trajectory
 from waypoint_extraction.solver import ErrorBudget, WaypointSet, extract_waypoints_dp
 from waypoint_extraction.synthetic import make_random_walk_trajectory
-from waypoint_extraction.trajfile import load_relabeled, save_trajectory
+from waypoint_extraction.trajfile import load_relabeled, save_relabeled, save_trajectory
 
 
 def test_next_waypoint_examples():
@@ -104,3 +104,61 @@ def test_corpus_sizes_and_failures(tmp_path, rng, capsys):
     assert "FAILED" not in capsys.readouterr().err
     datasets = [load_relabeled(tmp_path / "out" / f"{traj.name}.relabeled.jsonl")[0] for traj in trajs]
     assert sum(len(ds) for ds in datasets) == sum(len(t) - 1 for t in trajs)
+
+
+def _fields(ds) -> dict:
+    return dict(source_name=ds.source_name, eta=ds.eta, t=ds.t, obs_ref=ds.obs_ref, states=ds.states,
+                targets=ds.targets, target_index=ds.target_index, waypoints_remaining=ds.waypoints_remaining,
+                gripper_dims=ds.gripper_dims)
+
+
+def _head(columns, n):
+    return {name: column[:n] for name, column in columns.items()}
+
+
+_EE = relabel_trajectory(ee_trajectory([(t, 0, 0) for t in range(4)]), WaypointSet((0, 2, 3)))
+_JOINT = relabel_trajectory(joint_trajectory(np.arange(8.0).reshape(4, 2)), WaypointSet((0, 3)))
+_WIDE = relabel_trajectory(joint_trajectory(np.arange(12.0).reshape(4, 3)), WaypointSet((0, 3)))
+
+# (dataset, changed fields, message). Unchecked, the writer would drop a
+# line (2 state rows for 3) or fail with IndexError (no rows) or KeyError
+# (end-effector states with joint targets; no axis_angle).
+_MISFIT_DATASETS = {
+    "2 state rows for 3": (_EE, lambda ds: dict(states=_head(ds.states, 2)), r"^states: pos must have shape \(3, 3\)"),
+    "2 target rows for 3": (_JOINT, lambda ds: dict(targets=_head(ds.targets, 2)),
+                            r"^targets: joints must have shape \(3, None\)"),
+    "no rows": (_EE, lambda ds: dict(t=[], obs_ref=(), states=_head(ds.states, 0), targets=_head(ds.targets, 0),
+                                     target_index=[], waypoints_remaining=[]), "^states: no states"),
+    "end-effector states, joint targets": (_EE, lambda ds: dict(targets=_JOINT.targets),
+                                           "^states and targets must hold the same columns"),
+    "joint widths differ": (_JOINT, lambda ds: dict(targets=_WIDE.targets), "^states and targets must hold the same columns"),
+    "no axis_angle": (_EE, lambda ds: dict(states={k: v for k, v in ds.states.items() if k != "axis_angle"},
+                                           targets={k: v for k, v in ds.targets.items() if k != "axis_angle"}),
+                      "^states and targets must hold the same columns"),
+    "nan state": (_JOINT, lambda ds: dict(states={"joints": np.where(ds.states["joints"] == 2.0, np.nan, 1.0)}),
+                  "^states: joints must be finite"),
+    "gripper dim outside the joints": (_JOINT, lambda ds: dict(gripper_dims=(2,)),
+                                       r"^states: gripper_dims \(2,\) must index the 2 joint dims"),
+    "1 obs_ref for 3 rows": (_EE, lambda ds: dict(obs_ref=("a",)), "^obs_ref has 1 entries for 3 rows"),
+    "1 target_index for 3 rows": (_EE, lambda ds: dict(target_index=ds.target_index[:1]),
+                                  r"^target_index must have shape \(3,\), got \(1,\)"),
+    "2 waypoints_remaining for 3 rows": (_EE, lambda ds: dict(waypoints_remaining=ds.waypoints_remaining[:2]),
+                                         r"^waypoints_remaining must have shape \(3,\), got \(2,\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISFIT_DATASETS))
+def test_relabeled_dataset_rejects_columns_that_do_not_fit(case):
+    ds, change, message = _MISFIT_DATASETS[case]
+    with pytest.raises(ValueError, match=message):
+        RelabeledDataset(**{**_fields(ds), **change(ds)})
+
+
+def test_relabeled_dataset_columns_are_read_only_copies(tmp_path):
+    states = {name: np.array(column) for name, column in _EE.states.items()}
+    ds = RelabeledDataset(**{**_fields(_EE), "states": states})
+    states["pos"][0] = 9.0
+    assert ds.states["pos"][0, 0] == 0.0
+    assert not any(column.flags.writeable for column in (ds.t, ds.target_index, *ds.states.values()))
+    save_relabeled(tmp_path / "ds.jsonl", ds)
+    assert len((tmp_path / "ds.jsonl").read_text().splitlines()) == len(ds) == 3

@@ -9,6 +9,9 @@ from scipy.spatial.transform import Rotation
 
 from conftest import ee_state
 from oracles import oracle_axis_angle_to_quaternion, oracle_canonicalize_quaternion, oracle_state_distance
+from waypoint_extraction.baselines import HeuristicConfig, heuristic_fixed_interval
+from waypoint_extraction.replay import FollowerConfig
+from waypoint_extraction.solver import ErrorBudget, WaypointSet, sweep_eta
 from waypoint_extraction.state_space import (
     EEState,
     Frame,
@@ -23,6 +26,7 @@ from waypoint_extraction.state_space import (
     quaternion_to_axis_angle,
     state_distance,
 )
+from waypoint_extraction.synthetic import make_random_walk_trajectory
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite)
@@ -325,3 +329,79 @@ def test_states_reject_non_finite():
         ee_state((np.nan, 0, 0))
     with pytest.raises(ValueError, match="finite"):
         JointState(np.array([0.0, np.inf]))
+
+
+# Columns that do not fit the time axis or each other. Unchecked, each
+# would be accepted and fail later, if at all: inside the solver or a
+# baseline, with an IndexError.
+_MISFIT_COLUMNS = {
+    "3 joint rows for 5 frames": (
+        dict(state_space="joint", t=range(5), joints=np.zeros((3, 2))), r"joints must have shape \(5, None\)"),
+    "2 axis_angle rows for 4 frames": (
+        dict(state_space="ee", t=range(4), pos=np.zeros((4, 3)), axis_angle=np.zeros((2, 3)), grip=np.zeros(5)),
+        r"axis_angle must have shape \(4, 3\)"),
+    "5 grip rows for 4 frames": (
+        dict(state_space="ee", t=range(4), pos=np.zeros((4, 3)), axis_angle=np.zeros((4, 3)), grip=np.zeros(5)),
+        r"grip must have shape \(4,\)"),
+    "3 quat rows for 4 frames": (
+        dict(state_space="ee", t=range(4), pos=np.zeros((4, 3)), quat=np.tile([1.0, 0, 0, 0], (3, 1)),
+             axis_angle=np.zeros((4, 3)), grip=np.zeros(4)), r"quat must have shape \(4, 4\)"),
+    "gripper dim outside the joints": (
+        dict(state_space="joint", t=range(4), joints=np.zeros((4, 2)), gripper_dims=(5,)),
+        r"gripper_dims \(5,\) must index the 2 joint dims"),
+    "1 obs_ref for 3 frames": (
+        dict(state_space="joint", t=range(3), obs_ref=["a"], joints=np.zeros((3, 2))), "obs_ref has 1 entries for 3 frames"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISFIT_COLUMNS))
+def test_from_columns_rejects_columns_that_do_not_fit(case):
+    kwargs, message = _MISFIT_COLUMNS[case]
+    with pytest.raises(ValueError, match=message):
+        Trajectory.from_columns("x", frequency_hz=50.0, **kwargs)
+
+
+def _walk():
+    return make_random_walk_trajectory(np.random.default_rng(0), 6)
+
+
+# (constructor call, message): every finite, positive and count check goes
+# through state_space._finite_scalar or _count. A fractional count is
+# refused, not truncated (2.9 would run as 2).
+_BAD_SCALARS = {
+    "control_multiplier 2.9": (lambda: FollowerConfig(max_step=0.1, control_multiplier=2.9),
+                               r"control_multiplier must be an integer >= 1, got 2\.9"),
+    "fixed_interval 1.5": (lambda: HeuristicConfig(fixed_interval=1.5), r"fixed_interval must be an integer >= 1, got 1\.5"),
+    "interval 1.5": (lambda: heuristic_fixed_interval(_walk(), 1.5), r"interval must be an integer >= 1, got 1\.5"),
+    "tick_limit nan": (lambda: FollowerConfig(max_step=0.1, tick_limit=math.nan), "tick_limit must be an integer >= 1, got nan"),
+    "fixed_interval -1": (lambda: HeuristicConfig(fixed_interval=-1), "fixed_interval must be an integer >= 1, got -1"),
+    "tick_limit 0": (lambda: FollowerConfig(max_step=0.1, tick_limit=0), "tick_limit must be an integer >= 1, got 0"),
+    "max_step 0": (lambda: FollowerConfig(max_step=0.0), "max_step must be a positive finite scalar"),
+    "max_step nan": (lambda: FollowerConfig(max_step=math.nan), "max_step must be a positive finite scalar"),
+    "reach_tolerance -1": (lambda: FollowerConfig(max_step=0.1, reach_tolerance=-1.0),
+                           "reach_tolerance must be finite and >= 0"),
+    "eta 0": (lambda: ErrorBudget(0), "eta must be a positive finite scalar"),
+    "sweep eta nan": (lambda: sweep_eta(_walk(), [0.1, math.nan]), "every eta must be a positive finite scalar"),
+    "achieved loss -1": (lambda: WaypointSet((0, 1), achieved_global_loss=-1),
+                         "achieved_global_loss must be finite and >= 0"),
+    "position_weight nan": (lambda: MetricConfig(position_weight=math.nan), "position_weight must be finite and >= 0"),
+    "joint_mask weight -1": (lambda: MetricConfig(joint_mask=(1.0, -1.0)), "joint_mask weights must be finite and >= 0"),
+    "velocity_threshold -1": (lambda: HeuristicConfig(velocity_threshold=-1), "velocity_threshold must be finite and >= 0"),
+    "frequency_hz 0": (lambda: Trajectory.from_columns("x", "joint", 0, range(2), joints=np.zeros((2, 1))),
+                       "frequency_hz must be a positive finite scalar"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SCALARS))
+def test_scalar_and_count_fields_are_checked_by_name(case):
+    call, message = _BAD_SCALARS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_whole_counts_are_kept_as_ints():
+    cfg = FollowerConfig(max_step=0.1, control_multiplier=2.0, tick_limit=np.int64(7))
+    assert (cfg.control_multiplier, cfg.tick_limit) == (2, 7)
+    assert type(cfg.control_multiplier) is int and type(cfg.tick_limit) is int
+    assert HeuristicConfig(fixed_interval=3.0).fixed_interval == 3
+    assert heuristic_fixed_interval(_walk(), 2.0).indices == (0, 2, 4, 5)
