@@ -155,8 +155,8 @@ def calibrate_to_count(traj: Trajectory, method: str, target_count: int) -> Cali
     The result carries exact=False when the target is unreachable and the
     nearest achievable count was returned instead.
     """
-    target = int(target_count)
-    if not 2 <= target <= len(traj):
+    target = _count(target_count, "target_count", least=2)
+    if target > len(traj):
         raise ValueError(f"target_count must be in [2, {len(traj)}], got {target}")
     if method == METHOD_FIXED_INTERVAL:
         return _calibrate_fixed(traj, target)

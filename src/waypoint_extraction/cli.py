@@ -234,8 +234,8 @@ def _cmd_compare(args, parser) -> int:
     budget = ErrorBudget(eta, metric)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     known = {"awe", METHOD_ZERO_VELOCITY, METHOD_FIXED_INTERVAL}
-    if not methods or not known.issuperset(methods):
-        parser.error(f"--methods must name one or more of {sorted(known)}; got {args.methods!r}")
+    if not methods or not known.issuperset(methods) or len(set(methods)) < len(methods):
+        parser.error(f"--methods must name one or more of {sorted(known)}, each once; got {args.methods!r}")
     files = _input_files(args.input)
     print(f"{'trajectory':<24} {'method':<10} {'count':>5} {'segment':>12} {'global':>12} {'replay_dev':>12}")
     wins = {m: {"global": 0, "replay": 0, "n": 0} for m in methods if m != "awe"}

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-import json
-import math
 import os
+
+from .state_space import _finite_scalar
+from .trajfile import TrajectorySchemaError, _number, _read_json
 
 __all__ = ["TASK_ETA_DEFAULTS", "ENV_TASK_DEFAULTS", "load_task_defaults", "resolve_task_eta"]
 
@@ -24,23 +25,17 @@ ENV_TASK_DEFAULTS = "AWE_TASK_DEFAULTS"
 
 
 def load_task_defaults() -> dict[str, float]:
-    """The task -> eta table, honoring the AWE_TASK_DEFAULTS override."""
+    """The task -> eta table, honoring the AWE_TASK_DEFAULTS override. A
+    bad file raises the trajfile error a bad metric config file raises,
+    naming the file; an eta <= 0 raises ValueError."""
     path = os.environ.get(ENV_TASK_DEFAULTS)
     if not path:
         return dict(TASK_ETA_DEFAULTS)
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: task defaults must be a JSON object of task -> eta")
-    table = {}
-    for task, eta in data.items():
-        if not isinstance(eta, (int, float)) or isinstance(eta, bool):
-            raise ValueError(f"{path}: eta for task {task!r} must be a number")
-        eta = float(eta)
-        if not (math.isfinite(eta) and eta > 0.0):
-            raise ValueError(f"{path}: eta for task {task!r} must be > 0")
-        table[str(task)] = eta
-    return table
+        raise TrajectorySchemaError(f"{path}: task defaults must be a JSON object of task -> eta")
+    return {task: _finite_scalar(_number(eta, f"{path}.{task}"), f"{path}.{task}", positive=True)
+            for task, eta in data.items()}
 
 
 def resolve_task_eta(task: str) -> float:

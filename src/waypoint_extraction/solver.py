@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .reconstruction import _CHUNK_ROWS, SegmentScorer, _ranks
-from .state_space import DEFAULT_METRIC, MetricConfig, Trajectory, _finite_scalar
+from .state_space import DEFAULT_METRIC, MetricConfig, Trajectory, _count, _finite_scalar
 
 __all__ = [
     "ErrorBudget",
@@ -72,7 +72,7 @@ class WaypointSet:
     achieved_global_loss: float | None = None
 
     def __post_init__(self):
-        indices = tuple(int(i) for i in self.indices)
+        indices = tuple(_count(i, "waypoint indices", least=0) for i in self.indices)
         if not indices:
             raise ValueError("waypoint set cannot be empty")
         if indices[0] != 0:

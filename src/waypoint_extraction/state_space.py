@@ -51,7 +51,10 @@ class StateKind(str, enum.Enum):
 def _finite_array(values, shape: tuple[int | None, ...], name: str) -> np.ndarray:
     """values as a nonempty, finite, read-only float array of the given shape;
     None in shape matches any length."""
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged rows, a non-number, an integer beyond floats
+        raise ValueError(f"{name} must be finite numbers of shape {shape} (None: any length)") from None
     if arr.ndim != len(shape) or arr.size == 0 or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
         raise ValueError(f"{name} must have shape {shape} (None: any length), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -62,17 +65,31 @@ def _finite_array(values, shape: tuple[int | None, ...], name: str) -> np.ndarra
 
 def _finite_scalar(value, name: str, positive: bool = False) -> float:
     """value as a float that is finite and >= 0, or > 0 when positive."""
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not (math.isfinite(v) and (v > 0.0 if positive else v >= 0.0)):
         raise ValueError(f"{name} must be a positive finite scalar" if positive else f"{name} must be finite and >= 0")
     return v
 
 
-def _count(value, name: str) -> int:
-    """value as an integer >= 1; a fractional value is refused, not truncated."""
-    if not (math.isfinite(value) and value >= 1 and value == int(value)):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _count(value, name: str, least: int = 1) -> int:
+    """value as an integer >= least, however large; a fractional, NaN or
+    infinite value is refused, not truncated."""
+    if not (value >= least and value % 1 == 0):  # nan fails the comparison, and inf % 1 is nan
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _gripper_dims(dims, width: int) -> tuple[int, ...] | None:
+    """gripper_dims as a tuple of indices of the width joint dims, or None."""
+    if dims is None:
+        return None
+    dims = tuple(_count(d, "gripper_dims entries", least=0) for d in dims)
+    if not all(d < width for d in dims):
+        raise ValueError(f"gripper_dims {dims} must index the {width} joint dims")
+    return dims
 
 
 # Row shape of each state column; None matches any width, the same for every row.
@@ -90,9 +107,7 @@ def _state_arrays(columns: dict, rows: int, gripper_dims=None) -> dict[str, np.n
     if set(columns) not in _STATE_NAMES:
         raise ValueError(f"state columns must be pos, quat, grip and optional axis_angle, or joints: {sorted(columns)}")
     arrays = {name: _finite_array(values, (rows, *_ROW_SHAPES[name]), name) for name, values in columns.items()}
-    width = arrays["joints"].shape[1] if "joints" in arrays else 0
-    if gripper_dims is not None and not all(0 <= int(d) < width for d in gripper_dims):
-        raise ValueError(f"gripper_dims {tuple(gripper_dims)} must index the {width} joint dims")
+    _gripper_dims(gripper_dims, arrays["joints"].shape[1] if "joints" in arrays else 0)
     return arrays
 
 
@@ -290,11 +305,7 @@ class JointState:
     def __post_init__(self):
         joints = _finite_array(self.joints, (None,), "joints")
         object.__setattr__(self, "joints", joints)
-        if self.gripper_dims is not None:
-            dims = tuple(int(d) for d in self.gripper_dims)
-            if any(d < 0 or d >= joints.shape[0] for d in dims):
-                raise ValueError("gripper_dims out of range")
-            object.__setattr__(self, "gripper_dims", dims)
+        object.__setattr__(self, "gripper_dims", _gripper_dims(self.gripper_dims, joints.shape[0]))
 
     @property
     def dim(self) -> int:
@@ -386,13 +397,17 @@ class Trajectory:
     gripper_dims: tuple[int, ...] | None = None
 
     def __init__(self, name: str, state_space, frequency_hz: float, frames):
-        """Stack frames of one state kind; gripper_dims come from the first."""
+        """Stack frames of one state kind and joint width; gripper_dims come
+        from the first."""
         kind = StateKind(state_space)
         states = [f.state for f in frames]
         for i, state in enumerate(states):
             if state.kind is not kind:
                 raise ValueError(f"frames[{i}]: state kind {state.kind.value} does not match "
                                  f"trajectory state space {kind.value}")
+            if kind is StateKind.JOINT and state.dim != states[0].dim:
+                raise ValueError(f"frames[{i}]: joint dimension {state.dim} differs from "
+                                 f"the {states[0].dim} dims of earlier frames")
         columns = _state_columns(states)
         if kind is StateKind.EE:
             columns["axis_angle"] = [s.axis_angle() for s in states]
@@ -429,14 +444,10 @@ class Trajectory:
                                          "frames[{}].axis_angle".format)
             columns = dict(pos=pos, quat=quat, grip=grip, axis_angle=axis_angle)
         else:
-            rows = list(joints)
-            for i, row in enumerate(rows):
-                if len(row) != len(rows[0]):
-                    raise ValueError(f"frames[{i}]: joint dimension {len(row)} differs from "
-                                     f"the {len(rows[0])} dims of earlier frames")
-            columns = {"joints": rows}
-            fields["gripper_dims"] = None if gripper_dims is None else tuple(map(int, gripper_dims))
+            columns = {"joints": joints}
         fields.update(_state_arrays(columns, len(t), gripper_dims))
+        if "joints" in fields:
+            fields["gripper_dims"] = _gripper_dims(gripper_dims, fields["joints"].shape[1])
         traj = object.__new__(cls)
         traj.__dict__.update(fields)
         return traj

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .relabel import RelabeledDataset, _first_bad_row
 from .solver import WaypointSet
-from .state_space import MetricConfig, StateKind, Trajectory, _stored_rotations
+from .state_space import DEFAULT_METRIC, MetricConfig, StateKind, Trajectory, _stored_rotations
 
 __all__ = [
     "TRAJECTORY_SCHEMA",
@@ -120,9 +120,11 @@ def _check_vector(value, length: int, where: str) -> None:
         _check_number(v, f"{where}[{k}]")
 
 
-def _check_state(rec, where: str, joint: bool) -> None:
+def _check_state(rec, where: str, joint: bool, dim: int | None = None) -> int | None:
     """Raise the error of the first bad field of one state record, in field
-    order: the slow path that names a fault _record_columns only detects."""
+    order: the slow path that names a fault _record_columns only detects.
+    A joint state must have dim joints, the first state's width, when dim
+    is given. Returns the joint width later states must have."""
     if not isinstance(rec, dict):
         raise TrajectorySchemaError(f"{where}: expected a JSON object")
     if joint:
@@ -130,7 +132,10 @@ def _check_state(rec, where: str, joint: bool) -> None:
         if type(joints) is not list or not joints:
             raise TrajectorySchemaError(f"{where}.joints: expected a nonempty list of numbers")
         _check_vector(joints, len(joints), f"{where}.joints")
-        return
+        if dim is not None and len(joints) != dim:
+            raise TrajectoryValidationError(f"{where}.joints: joint dimension {len(joints)} differs "
+                                            f"from the {dim} dims of the first state")
+        return len(joints)
     for key in ("pos", "axis_angle"):
         _check_vector(_require(rec, key, where), 3, f"{where}.{key}")
     _check_number(_require(rec, "gripper", where), f"{where}.gripper")
@@ -138,10 +143,10 @@ def _check_state(rec, where: str, joint: bool) -> None:
 
 def _record_columns(records: list, joint: bool) -> dict | None:
     """The values of a nonempty list of state records as columns named as
-    Trajectory.from_columns takes them: joints as lists of rows, or pos,
-    axis_angle and grip as float arrays. All values are type-checked in one
-    pass over them, then checked finite as arrays. None when any check
-    fails: the caller then names the fault with _check_state."""
+    Trajectory.from_columns takes them: joints, or pos, axis_angle and grip,
+    as float arrays. All values are type-checked in one pass over them, then
+    checked finite as arrays. None when any check fails, joint widths
+    included: the caller then names the fault with _check_state."""
     try:
         if joint:
             vectors = [rec["joints"] for rec in records]
@@ -153,7 +158,8 @@ def _record_columns(records: list, joint: bool) -> dict | None:
             scalars = [rec["gripper"] for rec in records]
     except (KeyError, TypeError):
         return None
-    if not (set(map(type, vectors)) <= {list} and all(vectors) and (joint or set(map(len, vectors)) == {3})
+    if not (set(map(type, vectors)) <= {list} and all(vectors)
+            and set(map(len, vectors)) == {len(vectors[0]) if joint else 3}
             and set(map(type, chain(chain.from_iterable(vectors), scalars))) <= _NUMBER_TYPES):
         return None
     try:
@@ -162,9 +168,9 @@ def _record_columns(records: list, joint: bool) -> dict | None:
         return None
     if not np.isfinite(values).all():
         return None
-    if joint:
-        return {"joints": vectors}
     n = len(records)
+    if joint:
+        return {"joints": values.reshape(n, -1)}
     return {"pos": values[: 3 * n].reshape(n, 3), "axis_angle": values[3 * n : 6 * n].reshape(n, 3),
             "grip": values[6 * n :]}
 
@@ -197,22 +203,22 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
 
 def _raise_frame_fault(raw_frames: list, where: str, joint: bool):
     """Raise the error of the first bad field of the frames, in file order."""
+    dim = None
     for i, rec in enumerate(raw_frames):
         here = f"{where}.frames[{i}]"
         if not isinstance(rec, dict):
             raise TrajectorySchemaError(f"{here}: expected a JSON object")
         _check_int(rec, "t", here)
         _check_obs_ref(rec, here)
-        _check_state(rec, here, joint)
+        dim = _check_state(rec, here, joint, dim)
     raise AssertionError(f"{where}: the frame checks failed on frames with no bad field")
 
 
 def trajectory_from_dict(doc: dict, where: str = "trajectory") -> Trajectory:
     """Gather the frame fields into columns, check their JSON types and
-    finiteness column by column, then hand the columns to
-    Trajectory.from_columns, which checks the time axis and the joint
-    dimension. Only a failed check scans the frames, to name the first bad
-    field."""
+    finiteness and joint width column by column, then hand the columns to
+    Trajectory.from_columns, which checks the time axis. Only a failed check
+    scans the frames, to name the first bad field."""
     if not isinstance(doc, dict):
         raise TrajectorySchemaError(f"{where}: expected a JSON object")
     version = _require(doc, "schema_version", where)
@@ -245,8 +251,15 @@ def trajectory_from_dict(doc: dict, where: str = "trajectory") -> Trajectory:
         raise TrajectoryValidationError(f"{where}: {exc}") from exc
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TrajectoryParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def _read_json(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -317,14 +330,12 @@ def load_metric_config(path) -> MetricConfig:
 def save_waypoints(path, wp: WaypointSet, provenance: dict) -> None:
     """Write an awe-wp-v1 document.
 
-    provenance must carry "source_name" and may carry "metric" (MetricConfig
-    or dict) and "created_at"; the tool version is stamped automatically.
+    provenance must carry "source_name" and may carry "metric" (a
+    MetricConfig, DEFAULT_METRIC when absent) and "created_at"; the tool
+    version is stamped automatically.
     """
     prov = {"source_name": str(provenance["source_name"])}
-    metric = provenance.get("metric")
-    if isinstance(metric, MetricConfig):
-        metric = metric_to_dict(metric)
-    prov["metric"] = metric if metric is not None else metric_to_dict(MetricConfig())
+    prov["metric"] = metric_to_dict(provenance.get("metric") or DEFAULT_METRIC)
     prov["tool_version"] = __version__
     if provenance.get("created_at") is not None:
         prov["created_at"] = str(provenance["created_at"])
@@ -445,12 +456,7 @@ def _raise_line_fault(records: list, lines: list[str], joint: bool):
             if isinstance(state, dict) and ("joints" in state) != joint:
                 raise TrajectorySchemaError(f"{label}: {_STATE_KINDS[not joint]} state in a file of "
                                             f"{_STATE_KINDS[joint]} states")
-            _check_state(state, label, joint)
-            if joint:
-                dim = dim or len(state["joints"])
-                if len(state["joints"]) != dim:
-                    raise TrajectorySchemaError(f"{label}.joints: joint dimension {len(state['joints'])} differs "
-                                                f"from the {dim} dims of the first state")
+            dim = _check_state(state, label, joint, dim)
     raise AssertionError(f"{lines[0]}: the record checks failed on records with no bad field")
 
 
@@ -460,7 +466,7 @@ def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
     only a failed check scans the records, to name the line at fault."""
     where = str(path)
     records, lines = [], []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -493,9 +499,6 @@ def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
             and set(map(type, obs_refs)) <= {str, type(None)} and set(map(type, states)) <= {dict}
             and {"joints" in state for state in states} == {joint}):
         columns = _record_columns(states, joint)
-    if joint and columns is not None:
-        rows = columns["joints"]
-        columns = {"joints": np.array(rows)} if len(set(map(len, rows))) == 1 else None
     if columns is None:
         _raise_line_fault(records, lines, joint)
 

@@ -10,13 +10,14 @@ from waypoint_extraction.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
     EXIT_OK,
+    EXIT_PARSE,
     EXIT_SCHEMA,
     EXIT_VALIDATION,
     main,
 )
 from waypoint_extraction.relabel import relabel_trajectory
 from waypoint_extraction.solver import ErrorBudget, extract_waypoints_dp
-from waypoint_extraction.defaults import TASK_ETA_DEFAULTS
+from waypoint_extraction.defaults import ENV_TASK_DEFAULTS, TASK_ETA_DEFAULTS
 from waypoint_extraction.replay import default_follower_config, replay_waypoints
 from waypoint_extraction.state_space import DEFAULT_METRIC, MetricConfig
 from waypoint_extraction.synthetic import make_random_walk_trajectory, make_segmented_ee_trajectory
@@ -299,6 +300,20 @@ def test_compare_rejects_an_empty_method_list(demo_file, capsys, methods):
     assert capsys.readouterr().out == ""
 
 
+def test_compare_rejects_a_repeated_method(demo_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--input", str(demo_file), "--eta", "0.01", "--methods", "zero-vel,zero-vel,awe"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "each once" in captured.err
+
+
+def test_compare_accepts_a_multiplier_beyond_the_float_range(demo_file, capsys):
+    code = main(["compare", "--input", str(demo_file), "--eta", "0.005", "--control-multiplier", "1" + "0" * 400])
+    assert code == EXIT_OK
+    assert "awe <= fixed" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["compare", "replay-check"])
 @pytest.mark.parametrize("multiplier", ["0", "-3", "two"])
 def test_control_multiplier_must_be_a_positive_integer(tmp_path, demo_file, capsys, command, multiplier):
@@ -435,3 +450,37 @@ def test_stats_accepts_a_one_point_ratio_band(demo_file, capsys):
     code = main(["stats", "--input", str(demo_file), "--eta", "100.0", "--ratio-low", "0.5", "--ratio-high", "0.5"])
     assert code == EXIT_OK
     assert "outside [1:2, 1:2]" in capsys.readouterr().err
+
+
+# AWE_TASK_DEFAULTS text -> exit code: the file's faults exit as a metric
+# config file's do, and every message names the file
+_TASK_DEFAULTS_FAULTS = {
+    "not JSON": ('{"lift": 0.1,\n', EXIT_PARSE),
+    "not an object": ("[0.1]", EXIT_SCHEMA),
+    "bool eta": ('{"lift": true}', EXIT_SCHEMA),
+    "string eta": ('{"lift": "0.1"}', EXIT_SCHEMA),
+    "400-digit eta": ('{"lift": 1' + "0" * 400 + "}", EXIT_VALIDATION),
+    "negative eta": ('{"lift": -0.1}', EXIT_DOMAIN),
+}
+
+
+@pytest.mark.parametrize("case", list(_TASK_DEFAULTS_FAULTS))
+def test_bad_task_defaults_file_exit_codes(tmp_path, demo_file, capsys, monkeypatch, case):
+    text, code = _TASK_DEFAULTS_FAULTS[case]
+    table = tmp_path / "tasks.json"
+    table.write_text(text)
+    monkeypatch.setenv(ENV_TASK_DEFAULTS, str(table))
+    assert main(["extract", "--input", str(demo_file), "--task", "lift", "--output", str(tmp_path / "o.json")]) == code
+    assert capsys.readouterr().err.startswith(f"error: {table}")
+
+
+def test_non_utf8_input_exits_parse(tmp_path, rng, capsys):
+    (tmp_path / "in").mkdir()
+    save_trajectory(tmp_path / "in" / "a.json", make_random_walk_trajectory(rng, 14, name="a"))
+    (tmp_path / "in" / "b.json").write_bytes(b"\xff\xfe{\x00}\x00")
+    argv = ["extract", "--input", str(tmp_path / "in" / "b.json"), "--eta", "0.5", "--output", str(tmp_path / "o.json")]
+    assert main(argv) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'in' / 'b.json'}: not UTF-8 text")
+    assert main(_batch_argv("relabel", tmp_path / "in", tmp_path / "out")) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("FAILED b.json: ") and "relabeled 1/2 trajectories" in captured.out

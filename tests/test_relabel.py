@@ -154,6 +154,12 @@ def test_relabeled_dataset_rejects_columns_that_do_not_fit(case):
         RelabeledDataset(**{**_fields(ds), **change(ds)})
 
 
+def test_relabeled_dataset_names_ragged_joint_rows():
+    states = {"joints": [[0.0, 1.0], [1.0], [2.0, 3.0]]}
+    with pytest.raises(ValueError, match=r"^states: joints must be finite numbers of shape \(3, None\)"):
+        RelabeledDataset(**{**_fields(_JOINT), "states": states})
+
+
 def test_relabeled_dataset_columns_are_read_only_copies(tmp_path):
     states = {name: np.array(column) for name, column in _EE.states.items()}
     ds = RelabeledDataset(**{**_fields(_EE), "states": states})

@@ -9,9 +9,10 @@ from scipy.spatial.transform import Rotation
 
 from conftest import ee_state
 from oracles import oracle_axis_angle_to_quaternion, oracle_canonicalize_quaternion, oracle_state_distance
-from waypoint_extraction.baselines import HeuristicConfig, heuristic_fixed_interval
+from waypoint_extraction.baselines import HeuristicConfig, calibrate_to_count, heuristic_fixed_interval
+from waypoint_extraction.reconstruction import min_distances_to_polyline
 from waypoint_extraction.replay import FollowerConfig
-from waypoint_extraction.solver import ErrorBudget, WaypointSet, sweep_eta
+from waypoint_extraction.solver import ErrorBudget, WaypointSet, annotate_losses, sweep_eta
 from waypoint_extraction.state_space import (
     EEState,
     Frame,
@@ -405,3 +406,47 @@ def test_whole_counts_are_kept_as_ints():
     assert type(cfg.control_multiplier) is int and type(cfg.tick_limit) is int
     assert HeuristicConfig(fixed_interval=3.0).fixed_interval == 3
     assert heuristic_fixed_interval(_walk(), 2.0).indices == (0, 2, 4, 5)
+
+
+def _joint_columns(**kwargs):
+    return Trajectory.from_columns("x", "joint", 50.0, range(len(kwargs["joints"])), **kwargs)
+
+
+# (call, message): inputs that once reached a hand-written copy of a shared
+# check and were truncated (an index of 2.7 scored as 2) or failed without
+# naming the field (OverflowError, NumPy's inhomogeneous-shape error).
+_FOLDED_CHECKS = {
+    "waypoint index 1.5": (lambda: WaypointSet((0, 1.5, 3)), r"waypoint indices must be an integer >= 0, got 1\.5"),
+    "annotated index 2.7": (lambda: annotate_losses(_walk(), (0, 2.7, 5)),
+                            r"waypoint indices must be an integer >= 0, got 2\.7"),
+    "target_count 2.9": (lambda: calibrate_to_count(_walk(), "fixed", 2.9), r"target_count must be an integer >= 2, got 2\.9"),
+    "gripper dim 1.5 in columns": (lambda: _joint_columns(joints=np.zeros((3, 4)), gripper_dims=(1.5,)),
+                                   r"gripper_dims entries must be an integer >= 0, got 1\.5"),
+    "gripper dim 1.5 in a state": (lambda: JointState(np.zeros(4), (1.5,)),
+                                   r"gripper_dims entries must be an integer >= 0, got 1\.5"),
+    "gripper dim 4 in a 4-joint state": (lambda: JointState(np.zeros(4), (4,)),
+                                         r"gripper_dims \(4,\) must index the 4 joint dims"),
+    "position_weight 10**400": (lambda: MetricConfig(position_weight=10**400), "position_weight must be finite and >= 0"),
+    "1-D joints": (lambda: Trajectory.from_columns("x", "joint", 50.0, range(5), joints=np.zeros(5)),
+                   r"joints must have shape \(5, None\) \(None: any length\), got \(5,\)"),
+    "ragged joints": (lambda: _joint_columns(joints=[[0.0, 1.0], [1.0]]),
+                      r"joints must be finite numbers of shape \(2, None\) \(None: any length\)"),
+    "ragged polyline joints": (lambda: min_distances_to_polyline({"joints": [[0.0, 1.0], [1.0]]},
+                                                                 _joint_columns(joints=np.zeros((3, 2)))),
+                               r"joints must be finite numbers of shape \(2, None\) \(None: any length\)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FOLDED_CHECKS))
+def test_folded_checks_refuse_with_a_named_value_error(case):
+    call, message = _FOLDED_CHECKS[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_counts_are_not_bounded_by_the_float_range():
+    huge = 10**400
+    cfg = FollowerConfig(max_step=0.1, control_multiplier=huge, tick_limit=huge + 1)
+    assert (cfg.control_multiplier, cfg.tick_limit) == (huge, huge + 1)
+    assert WaypointSet((0, huge)).indices == (0, huge)
+    assert _joint_columns(joints=np.zeros((3, 4)), gripper_dims=(3.0,)).gripper_dims == (3,)

@@ -124,6 +124,23 @@ def test_joint_dim_change_rejected(tmp_path):
         load_trajectory(write(tmp_path, doc))
 
 
+def test_joint_width_fault_reads_as_in_relabeled_files(tmp_path):
+    # the first state whose width is not the first state's, in the words of load_relabeled
+    frames = [{"t": 0, "joints": [0.0, 0.0]}, {"t": 1, "joints": [1.0, 0.0]}, {"t": 2, "joints": [2.0]}]
+    doc = {"schema_version": "awe-traj-v1", "name": "j", "state_space": "joint", "frequency_hz": 50.0, "frames": frames}
+    with pytest.raises(TrajectoryValidationError,
+                       match=r"\.frames\[2\]\.joints: joint dimension 1 differs from the 2 dims of the first state$"):
+        load_trajectory(write(tmp_path, doc))
+
+
+@pytest.mark.parametrize("loader", [load_trajectory, load_relabeled, load_metric_config, load_waypoints])
+def test_non_utf8_file_is_a_parse_error_naming_it(tmp_path, loader):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(TrajectoryParseError, match=r"utf16\.json: not UTF-8 text: invalid start byte at byte 0$"):
+        loader(path)
+
+
 def _demo_doc(kind: str) -> dict:
     if kind == "ee":
         frames = [{"t": t, "pos": [0.1 * t, 0.0, 1.0], "axis_angle": [0.0, 0.01 * t, 0.0], "gripper": 0.04}
@@ -481,7 +498,9 @@ EE_STATE = {"pos": [0.0, 0.0, 0.0], "axis_angle": [0.0, 0.0, 0.0], "gripper": 0.
     ([_row(0, EE_STATE, EE_STATE), "row"], r"line 2: expected a JSON object"),
 ])
 def test_relabeled_loader_names_the_bad_line(tmp_path, rows, message):
-    with pytest.raises(TrajectorySchemaError, match=message):
+    # a joint width other than the first state's is a value fault, as in trajectory files
+    error = TrajectoryValidationError if "joint dimension" in message else TrajectorySchemaError
+    with pytest.raises(error, match=message):
         load_relabeled(_relabel_lines(tmp_path, rows))
 
 
@@ -630,5 +649,5 @@ def test_env_override_validates(tmp_path, monkeypatch):
     alt = tmp_path / "alt.json"
     alt.write_text(json.dumps({"lift": -1.0}))
     monkeypatch.setenv(ENV_TASK_DEFAULTS, str(alt))
-    with pytest.raises(ValueError, match="> 0"):
+    with pytest.raises(ValueError, match="positive finite scalar"):
         load_task_defaults()
