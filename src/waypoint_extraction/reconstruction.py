@@ -8,7 +8,9 @@ per-segment loss, because a frame may project onto a chord other than the
 one containing it.
 
 Everything here is pure. The vectorized code reads the trajectory's columns
-directly; the scalar reference, segment_loss, works on state views.
+directly; the scalar reference, segment_loss, keeps its own projection and
+loop over state views but measures in the kernel's metric, which the tests
+check against scipy.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .state_space import (
     MetricConfig,
     StateKind,
     Trajectory,
+    _distance_rows,
+    _interpolate_rows,
+    _rowdot,
     _state_arrays,
     interpolate,
     state_distance,
@@ -65,77 +70,40 @@ def segment_loss(traj: Trajectory, i: int, j: int, cfg: MetricConfig = DEFAULT_M
 # ---------------------------------------------------------------------------
 
 
-def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products along the last axis. einsum sums each row in the same
-    order whatever the batch size or broadcasting, and faster than
-    np.sum(x * y, axis=-1)."""
-    return np.einsum("...i,...i->...", x, y)
-
-
-def _slerp_rows(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise slerp; qa/qb broadcast against u along axis 0. A row at u = 0
-    or 1 is qa or (up to sign) qb unchanged, as interpolate returns its end
-    states: its weights are exactly 1 and 0, and renormalizing could move it."""
-    qa = np.broadcast_to(qa, (len(u), 4))
-    qb = np.broadcast_to(qb, (len(u), 4))
-    dots = _rowdot(qa, qb)
-    sign = np.where(dots < 0.0, -1.0, 1.0)
-    qb = qb * sign[:, None]
-    dots = np.minimum(np.abs(dots), 1.0)
-    near = dots > 1.0 - 1e-12
-    theta = np.arccos(dots)
-    sin_theta = np.where(near, 1.0, np.sin(theta))
-    wa = np.where(near, 1.0 - u, np.sin((1.0 - u) * theta) / sin_theta)
-    wb = np.where(near, u, np.sin(u * theta) / sin_theta)
-    out = wa[:, None] * qa + wb[:, None] * qb
-    norm = np.sqrt(_rowdot(out, out))
-    norm[(u == 0.0) | (u == 1.0)] = 1.0
-    return out / norm[:, None]
-
-
 def _row_distances(points, anchors, t, src, dst, cfg: MetricConfig) -> np.ndarray:
     """Distance of points[t[k]] to the chord anchors[src[k]] -> anchors[dst[k]].
 
     The one vectorized chord-distance kernel; points and anchors hold state
     columns as a Trajectory names them. Index arguments broadcast, so
-    scalar src and dst score many frames against one chord. Each row is
-    computed from its own inputs alone, so its value does not depend on the
-    rest of the batch: the solver's screen, its exact checks and
-    SegmentScorer.loss agree bit for bit. A row projecting onto an end of
-    its chord (u = 0 or 1) is compared with that end frame unchanged, as
-    interpolate returns it, so a frame's distance to a chord it ends is
-    exactly 0.
+    scalar src and dst score many frames against one chord. The projection
+    u comes from the position columns (joints in joint space); the state at
+    u and its distance are one _interpolate_rows and one _distance_rows call
+    over the columns the metric weighs. A row depends on its own inputs
+    alone, so the solver's screen, its exact checks and SegmentScorer.loss
+    agree bit for bit. A row at u = 0 or 1 is compared with that end frame
+    unchanged, so a frame's distance to a chord it ends is exactly 0.
     """
-    joint = points.joints is not None
-    coords = anchors.joints if joint else anchors.pos
+    key = "pos" if points.joints is None else "joints"
+    coords = getattr(anchors, key)
     a, b = coords[src], coords[dst]
     span = b - a
-    pts = points.joints[t] if joint else points.pos[t]
+    pts = getattr(points, key)[t]
     denom = _rowdot(span, span)
-    safe = np.where(denom == 0.0, 1.0, denom)
-    u = np.clip(_rowdot(pts - a, span) / safe, 0.0, 1.0)
-    u = np.where(denom == 0.0, 0.0, u)
-    # a + 1.0 * span can differ from b in the last bit
-    end = u == 1.0
-    ref = a + u[:, None] * span
-    np.copyto(ref, b, where=end[:, None])
-    off = pts - ref
-    if joint:
-        off = off * cfg.joint_weights(anchors.joints.shape[1])
-        return np.sqrt(_rowdot(off, off))
-    out = cfg.position_weight * np.sqrt(_rowdot(off, off))
-    qs = _slerp_rows(anchors.quat[src], anchors.quat[dst], u)
-    # rotation angle 4 asin(|q - s qs| / 2) with s = sign(q . qs), so
-    # |q - s qs| <= sqrt(2): exact 0 for equal quaternions, where
-    # 2 acos(|q . qs|) reads one ulp of the dot product as 3e-8 rad
-    qt = points.quat[t]
-    gap = qt - np.copysign(1.0, _rowdot(qt, qs))[:, None] * qs
-    out = out + cfg.orientation_weight * 4.0 * np.arcsin(0.5 * np.sqrt(_rowdot(gap, gap)))
-    if cfg.include_gripper:
-        g = anchors.grip[src] + u * (anchors.grip[dst] - anchors.grip[src])
-        np.copyto(g, anchors.grip[dst], where=end)
-        out = out + cfg.gripper_weight * np.abs(points.grip[t] - g)
-    return out
+    degenerate = denom == 0.0
+    # the clip to [0, 1] as np.clip computes it, in fewer calls
+    u = np.minimum(np.maximum(0.0, _rowdot(pts - a, span) / np.where(degenerate, 1.0, denom)), 1.0)
+    u = np.where(degenerate, 0.0, u)
+    names = () if key == "joints" else ("quat", "grip") if cfg.include_gripper else ("quat",)
+    start, end = {key: a}, {key: b}
+    for name in names:
+        start[name], end[name] = getattr(anchors, name)[src], getattr(anchors, name)[dst]
+    ref = _interpolate_rows(start, end, u, {key: span})
+    # gathering the points' rows only now, with fewer large temporaries
+    # alive, measured 1-2% faster per 2,000-row call
+    x = {key: pts}
+    for name in names:
+        x[name] = getattr(points, name)[t]
+    return _distance_rows(x, ref, cfg)
 
 
 def _batches(sizes: np.ndarray, cap: int):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import WaypointSet
-from .state_space import _STATE_COLUMNS, State, Trajectory, _state_arrays, _state_views
+from .state_space import _STATE_COLUMNS, State, Trajectory, _gripper_dims, _state_arrays, _state_views
 
 __all__ = [
     "RelabeledFrame",
@@ -93,6 +93,8 @@ class RelabeledDataset:
         if states != targets or set(states) not in map(set, _STATE_COLUMNS.values()):
             raise ValueError(f"states and targets must hold the same columns, pos, quat, grip and axis_angle or "
                              f"joints of one width; got {states} and {targets}")
+        width = self.states["joints"].shape[1] if "joints" in self.states else 0
+        object.__setattr__(self, "gripper_dims", _gripper_dims(self.gripper_dims, width))
         bad = _first_bad_row(self.t, self.target_index, self.waypoints_remaining)
         if bad is not None:
             raise ValueError(f"row {bad[0]}: {bad[1]}")

@@ -14,14 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .reconstruction import _check_metric, _ranks, _slerp_rows, min_distances_to_polyline
+from .reconstruction import _check_metric, _ranks, min_distances_to_polyline
 from .solver import WaypointSet
 from .state_space import (
     DEFAULT_METRIC,
     MetricConfig,
     Trajectory,
     _count,
+    _distance_rows,
     _finite_scalar,
+    _interpolate_rows,
     _state_columns,
     interpolate,
     state_distance,
@@ -89,19 +91,24 @@ def replay_waypoints(traj: Trajectory, wp: WaypointSet, cfg: FollowerConfig) -> 
     """
     wp.validate_for(traj)
     times = traj.t.tolist()
+    prevs = wp.indices[:1] + wp.indices[:-1]
+    columns = traj.state_columns
+    d0 = _distance_rows({name: column[list(prevs)] for name, column in columns.items()},
+                        {name: column[list(wp.indices)] for name, column in columns.items()}, cfg.metric)
     current = traj.frames[0].state
-    path = [_state_columns([current])]
-    segments = []
+    # (start, target, ticks, d0) per segment; path row 0 is frame 0, one tick to itself at u = 1
+    segments = [(current, 0, 1, cfg.max_step)]
     ticks = 0
     reached_flags = []
-    for prev_idx, idx in zip(wp.indices[:1] + wp.indices[:-1], wp.indices):
+    for prev_idx, idx, dist in zip(prevs, wp.indices, d0.tolist()):
         target = traj.frames[idx].state
         limit = cfg.tick_limit - ticks
         if not cfg.blocking:
             # pace by the demo's own clock: time span of the segment, not the
             # frame count (identical for contiguous trajectories)
             limit = min(limit, (times[idx] - times[prev_idx]) * cfg.control_multiplier)
-        dist = state_distance(current, target, cfg.metric)
+        if current is not traj.frames[prev_idx].state:  # the segment before stopped short: d0 is not known
+            dist = state_distance(current, target, cfg.metric)
         need = dist - cfg.reach_tolerance
         # least n with n * max_step >= need as computed: the quotient may round across an integer
         n = math.ceil(min(max(0.0, need / cfg.max_step), limit + 1))
@@ -116,16 +123,11 @@ def replay_waypoints(traj: Trajectory, wp: WaypointSet, cfg: FollowerConfig) -> 
             ticks += n
             u = min(1.0, n * cfg.max_step / dist)
             current = target if u == 1.0 else interpolate(current, target, u)
-    if segments:
-        starts, targets, counts, spans = zip(*segments)
-        seg = np.repeat(np.arange(len(counts)), counts)
-        u = np.minimum(1.0, (_ranks(np.array(counts)) + 1) * cfg.max_step / np.array(spans)[seg])
-        a = {name: np.array(rows)[seg] for name, rows in _state_columns(starts).items()}
-        b = {name: getattr(traj, name)[np.array(targets)[seg]] for name in a}
-        path.append({name: _slerp_rows(a[name], b[name], u) if name == "quat"
-                     else a[name] + (u[:, None] if a[name].ndim > 1 else u) * (b[name] - a[name])
-                     for name in a})
-    path = {name: np.concatenate([rows[name] for rows in path]) for name in path[0]}
+    starts, targets, counts, spans = zip(*segments)
+    seg = np.repeat(np.arange(len(counts)), counts)
+    u = np.minimum(1.0, (_ranks(np.array(counts)) + 1) * cfg.max_step / np.array(spans)[seg])
+    a = {name: rows[seg] for name, rows in _state_columns(starts).items()}
+    path = _interpolate_rows(a, {name: columns[name][np.array(targets)[seg]] for name in a}, u)
     deviation = max_deviation_from_polyline(path, traj, cfg.metric)
     return ReplayReport(reached_final=reached_flags[-1], per_waypoint_reached=tuple(reached_flags),
                         max_tracking_deviation=deviation, executed_path=path, ticks_used=ticks)
@@ -148,13 +150,12 @@ def default_follower_config(
     1.5x the median frame-to-frame distance (over the moving frames when
     most pause) and a reach tolerance tied to the budget when one is given."""
     _check_metric(traj, metric)
-    steps = [
-        state_distance(traj.frames[t].state, traj.frames[t + 1].state, metric)
-        for t in range(len(traj) - 1)
-    ]
+    columns = traj.state_columns
+    steps = _distance_rows({name: column[:-1] for name, column in columns.items()},
+                           {name: column[1:] for name, column in columns.items()}, metric)
     median_step = float(np.median(steps))
-    if median_step == 0.0 and any(steps):
-        median_step = float(np.median([s for s in steps if s > 0.0]))
+    if median_step == 0.0 and steps.any():
+        median_step = float(np.median(steps[steps > 0.0]))
     max_step = max(1.5 * median_step, 1e-9)
     tolerance = 0.25 * eta if eta is not None else 0.25 * max_step
     tick_limit = 20 * len(traj) * control_multiplier + 1000

@@ -1,4 +1,4 @@
-"""Proprioceptive states, trajectories, and interpolation between states.
+"""Proprioceptive states, trajectories, and the metric and interpolation.
 
 A demonstration frame is either an end-effector pose (position, orientation,
 gripper width) or a joint vector. Orientations are unit quaternions in
@@ -6,9 +6,11 @@ gripper width) or a joint vector. Orientations are unit quaternions in
 cover never leaks into distances. A Trajectory keeps its frames as
 read-only columns, one array per component, which the vectorized code reads
 directly; Frame and state objects of a trajectory are views of one row,
-built on demand for the scalar code paths. All types are immutable and every
-operation is pure, so values can be shared across worker processes without
-synchronization.
+built on demand for the scalar code paths. _distance_rows and
+_interpolate_rows define the metric and the interpolation on rows of
+columns; state_distance and interpolate are one-row calls of them. All
+types are immutable and every operation is pure, so values can be shared
+across worker processes without synchronization.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,6 @@ __all__ = [
     "axis_angle_to_quaternion",
     "quaternion_to_axis_angle",
     "quaternion_slerp",
-    "quaternion_geodesic_angle",
     "quaternion_multiply",
     "canonicalize_quaternion",
 ]
@@ -203,22 +203,6 @@ def quaternion_to_axis_angle(q) -> np.ndarray:
     return (angle / sin_half) * quat[1:]
 
 
-def quaternion_geodesic_angle(q1, q2) -> float:
-    """Rotation angle between two orientations, in [0, pi].
-
-    Kahan's form 4 atan2(|q1 - s q2|, |q1 + s q2|) with s = sign(q1 . q2):
-    exactly 0 for equal quaternions and accurate at small angles, where
-    2 acos(|q1 . q2|) turns one ulp of the dot product into ~1e-8 rad.
-    """
-    a = np.asarray(q1, dtype=float).tolist()
-    b = np.asarray(q2, dtype=float).tolist()
-    minus = math.dist(a, b)
-    plus = math.hypot(*map(operator.add, a, b))
-    if sum(map(operator.mul, a, b)) < 0.0:
-        minus, plus = plus, minus
-    return 4.0 * math.atan2(minus, plus)
-
-
 def quaternion_slerp(qa, qb, u: float) -> np.ndarray:
     """Spherical interpolation along the shorter arc, returned canonical."""
     qa = np.asarray(qa, dtype=float)
@@ -319,12 +303,11 @@ class JointState:
 State = EEState | JointState
 
 
-def _check_same_kind(a: State, b: State) -> StateKind:
+def _check_same_kind(a: State, b: State) -> None:
     if a.kind is not b.kind:
         raise ValueError(f"state-space kind mismatch: {a.kind.value} vs {b.kind.value}")
     if isinstance(a, JointState) and a.dim != b.dim:
         raise ValueError(f"joint dimension mismatch: {a.dim} vs {b.dim}")
-    return a.kind
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +325,12 @@ class Frame:
     obs_ref: str | None = None
 
 
-def _state_columns(states) -> dict:
-    """pos, quat and grip, or joints, of states of one kind as lists of rows."""
+def _state_columns(states) -> dict[str, np.ndarray]:
+    """pos, quat and grip, or joints, of states of one kind as arrays of rows."""
     if states and states[0].kind is StateKind.JOINT:
-        return {"joints": [s.joints for s in states]}
-    return {"pos": [s.position for s in states], "quat": [s.orientation for s in states],
-            "grip": [s.gripper for s in states]}
+        return {"joints": np.array([s.joints for s in states])}
+    return {"pos": np.array([s.position for s in states]), "quat": np.array([s.orientation for s in states]),
+            "grip": np.array([s.gripper for s in states])}
 
 
 def _view(cls, **fields):
@@ -527,13 +510,80 @@ class MetricConfig:
 DEFAULT_METRIC = MetricConfig()
 
 
-def interpolate(a: State, b: State, u: float) -> State:
-    """Interpolate between two states of the same kind.
+def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis. einsum sums each row in the same
+    order whatever the batch size or broadcasting, and faster than
+    np.sum(x * y, axis=-1)."""
+    return np.einsum("...i,...i->...", x, y)
 
-    Positions and gripper widths interpolate linearly; orientations slerp
-    along the shorter arc; joint vectors interpolate componentwise. u=0 and
-    u=1 return the input states unchanged.
-    """
+
+def _slerp_rows(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise slerp along the shorter arc; qa/qb broadcast against u along
+    axis 0. A row at u = 0 or 1 is qa or (up to sign) qb unchanged: its
+    weights are exactly 1 and 0, and renormalizing could move it."""
+    qa = np.broadcast_to(qa, (len(u), 4))
+    qb = np.broadcast_to(qb, (len(u), 4))
+    dots = _rowdot(qa, qb)
+    sign = np.where(dots < 0.0, -1.0, 1.0)
+    qb = qb * sign[:, None]
+    dots = np.minimum(np.abs(dots), 1.0)
+    near = dots > 1.0 - 1e-12
+    theta = np.arccos(dots)
+    sin_theta = np.where(near, 1.0, np.sin(theta))
+    wa = np.where(near, 1.0 - u, np.sin((1.0 - u) * theta) / sin_theta)
+    wb = np.where(near, u, np.sin(u * theta) / sin_theta)
+    out = wa[:, None] * qa + wb[:, None] * qb
+    norm = np.sqrt(_rowdot(out, out))
+    norm[(u == 0.0) | (u == 1.0)] = 1.0
+    return out / norm[:, None]
+
+
+def _interpolate_rows(a: dict, b: dict, u: np.ndarray, spans: dict | None = None) -> dict[str, np.ndarray]:
+    """The one interpolation: rows at parameters u from a to b, both state
+    columns keyed as Trajectory.state_columns, for a's columns; linear but
+    for quat, which goes by _slerp_rows. A column given as one row
+    broadcasts against u; spans may hold b - a of a column. A row at u = 1
+    is b's unchanged (quat up to sign), as a + 1.0 * (b - a) may not be."""
+    end = u == 1.0
+    out = {}
+    for name, start in a.items():
+        if name == "quat":
+            out[name] = _slerp_rows(start, b[name], u)
+            continue
+        span = spans[name] if spans and name in spans else b[name] - start
+        vector = name != "grip"
+        out[name] = start + (u[:, None] if vector else u) * span
+        np.copyto(out[name], b[name], where=end[:, None] if vector else end)
+    return out
+
+
+def _distance_rows(x: dict, y: dict, cfg: MetricConfig) -> np.ndarray:
+    """The one metric: distance under cfg of each row of x to the same row
+    of y, both state columns keyed as Trajectory.state_columns. End
+    effectors: position_weight |p - p'|, plus orientation_weight times the
+    angle 4 asin(|q - s q'| / 2) with s = sign(q . q'), plus gripper_weight
+    |g - g'| when include_gripper; |q - s q'| <= sqrt(2), and equal
+    quaternions read exactly 0 where 2 acos(|q . q'|) reads one ulp of the
+    dot product as 3e-8 rad. Joints: |w * (j - j')|, w the joint_mask
+    weights. A row depends on its own inputs alone, so a one-row call
+    equals the same row of a batch bit for bit."""
+    if "joints" in x:
+        off = (x["joints"] - y["joints"]) * cfg.joint_weights(x["joints"].shape[1])
+        return np.sqrt(_rowdot(off, off))
+    off = x["pos"] - y["pos"]
+    out = cfg.position_weight * np.sqrt(_rowdot(off, off))
+    qx, qy = x["quat"], y["quat"]
+    gap = qx - np.copysign(1.0, _rowdot(qx, qy))[:, None] * qy
+    out = out + cfg.orientation_weight * 4.0 * np.arcsin(0.5 * np.sqrt(_rowdot(gap, gap)))
+    if cfg.include_gripper:
+        out = out + cfg.gripper_weight * np.abs(x["grip"] - y["grip"])
+    return out
+
+
+def interpolate(a: State, b: State, u: float) -> State:
+    """Interpolate between two states of the same kind: one row of
+    _interpolate_rows, with orientations along the shorter arc. u=0 and u=1
+    return the input states unchanged."""
     _check_same_kind(a, b)
     u = float(u)
     if not 0.0 <= u <= 1.0:
@@ -542,28 +592,16 @@ def interpolate(a: State, b: State, u: float) -> State:
         return a
     if u == 1.0:
         return b
+    rows = _interpolate_rows(_state_columns([a]), _state_columns([b]), np.array([u]))
     if isinstance(a, EEState):
-        return EEState(
-            a.position + u * (b.position - a.position),
-            quaternion_slerp(a.orientation, b.orientation, u),
-            a.gripper + u * (b.gripper - a.gripper),
-        )
-    return JointState(a.joints + u * (b.joints - a.joints), a.gripper_dims)
+        return EEState(rows["pos"][0], rows["quat"][0], rows["grip"][0])
+    return JointState(rows["joints"][0], a.gripper_dims)
 
 
 def state_distance(x: State, y: State, cfg: MetricConfig = DEFAULT_METRIC) -> float:
-    """Proprioceptive distance between two states of the same kind.
-
-    Symmetric, non-negative, and zero exactly when the states agree on every
-    component the config weights. Adding a constant offset to both positions
-    leaves it unchanged.
-    """
+    """Proprioceptive distance between two states of the same kind: one row
+    of _distance_rows. Symmetric, non-negative, zero exactly when the states
+    agree on every component the config weights, and unchanged by a common
+    offset of both positions."""
     _check_same_kind(x, y)
-    if isinstance(x, EEState):
-        d = cfg.position_weight * float(np.linalg.norm(x.position - y.position))
-        d += cfg.orientation_weight * quaternion_geodesic_angle(x.orientation, y.orientation)
-        if cfg.include_gripper:
-            d += cfg.gripper_weight * abs(x.gripper - y.gripper)
-        return d
-    weights = cfg.joint_weights(x.dim)
-    return float(np.linalg.norm(weights * (x.joints - y.joints)))
+    return float(_distance_rows(_state_columns([x]), _state_columns([y]), cfg)[0])

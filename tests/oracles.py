@@ -249,8 +249,7 @@ def oracle_replay(traj, wp, cfg) -> tuple[int, tuple[bool, ...], float]:
             dist = state_distance(current, target, cfg.metric)
         reached_flags.append(dist <= cfg.reach_tolerance)
         prev_idx = idx
-    columns = {name: np.array(rows) for name, rows in _state_columns(executed).items()}
-    points = SimpleNamespace(**{"joints": None, **columns})
+    points = SimpleNamespace(**{"joints": None, **_state_columns(executed)})
     deviation = oracle_nearest_chord(points, len(executed), traj, range(len(traj)), cfg.metric).max()
     return ticks, tuple(reached_flags), float(deviation)
 

@@ -168,3 +168,11 @@ def test_relabeled_dataset_columns_are_read_only_copies(tmp_path):
     assert not any(column.flags.writeable for column in (ds.t, ds.target_index, *ds.states.values()))
     save_relabeled(tmp_path / "ds.jsonl", ds)
     assert len((tmp_path / "ds.jsonl").read_text().splitlines()) == len(ds) == 3
+
+
+def test_relabeled_dataset_stores_gripper_dims_as_trajectory_does():
+    ds = RelabeledDataset(**{**_fields(_WIDE), "gripper_dims": [2.0]})
+    assert ds.gripper_dims == (2,) and isinstance(ds.gripper_dims[0], int)
+    assert {row.state.gripper_dims for row in ds.frames} == {(2,)}
+    with pytest.raises(ValueError, match=r"^states: gripper_dims entries must be an integer >= 0, got 1\.5"):
+        RelabeledDataset(**{**_fields(_WIDE), "gripper_dims": [1.5]})

@@ -211,6 +211,25 @@ def test_closed_form_at_knife_edges(length, step, ticks, loop_ticks):
     assert oracle_replay(traj, wp, cfg)[:2] == (loop_ticks, (True, True))
 
 
+def test_reached_waypoints_are_exact_in_the_executed_path():
+    # with no reach tolerance a reached waypoint's last tick has u == 1, and
+    # its row is the waypoint frame: position and gripper bit for bit, the
+    # quaternion up to sign. a + 1.0 * (b - a) can miss b in the last bit
+    reached = 0
+    for seed in range(20):
+        traj = make_segmented_ee_trajectory(np.random.default_rng(seed), eta=0.005)
+        wp, _ = extract_waypoints_dp(traj, ErrorBudget(0.005))
+        cfg = dataclasses.replace(default_follower_config(traj, 0.005), reach_tolerance=0.0)
+        report = replay_waypoints(traj, wp, cfg)
+        path = report.executed_path
+        for idx in np.array(wp.indices)[list(report.per_waypoint_reached)]:
+            quat = path["quat"] * np.sign(path["quat"] @ traj.quat[idx])[:, None]
+            rows = (path["pos"] == traj.pos[idx]).all(axis=1) & (path["grip"] == traj.grip[idx])
+            assert (rows & (quat == traj.quat[idx]).all(axis=1)).any(), (seed, idx)
+            reached += 1
+    assert reached > 800
+
+
 def test_mostly_paused_demo_is_paced_by_its_moving_frames():
     # 60% of the steps are pauses, so the median step is 0
     traj = make_random_walk_trajectory(np.random.default_rng(3), 100, pause_prob=0.6)

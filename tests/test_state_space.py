@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from conftest import ee_state
-from oracles import oracle_axis_angle_to_quaternion, oracle_canonicalize_quaternion, oracle_state_distance
+from oracles import _rotation, oracle_axis_angle_to_quaternion, oracle_canonicalize_quaternion, oracle_state_distance
 from waypoint_extraction.baselines import HeuristicConfig, calibrate_to_count, heuristic_fixed_interval
-from waypoint_extraction.reconstruction import min_distances_to_polyline
-from waypoint_extraction.replay import FollowerConfig
+from waypoint_extraction.reconstruction import _row_distances, min_distances_to_polyline
+from waypoint_extraction.replay import FollowerConfig, default_follower_config
 from waypoint_extraction.solver import ErrorBudget, WaypointSet, annotate_losses, sweep_eta
 from waypoint_extraction.state_space import (
     EEState,
@@ -23,11 +23,10 @@ from waypoint_extraction.state_space import (
     axis_angle_to_quaternion,
     canonicalize_quaternion,
     interpolate,
-    quaternion_geodesic_angle,
     quaternion_to_axis_angle,
     state_distance,
 )
-from waypoint_extraction.synthetic import make_random_walk_trajectory
+from waypoint_extraction.synthetic import make_random_walk_trajectory, make_segmented_ee_trajectory
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite)
@@ -163,11 +162,16 @@ def test_interpolate_endpoints_exact():
     assert interpolate(a, b, 1.0) is b
 
 
+def _angle(a: EEState, b: EEState) -> float:
+    """Rotation angle between the orientations of two states, by scipy."""
+    return float((_rotation(a).inv() * _rotation(b)).magnitude())
+
+
 def test_slerp_halfway_quarter_turn():
     a = ee_state((0, 0, 0), (0, 0, 0))
     b = ee_state((0, 0, 0), (0, 0, math.pi / 2))
     mid = interpolate(a, b, 0.5)
-    assert abs(quaternion_geodesic_angle(a.orientation, mid.orientation) - math.pi / 4) < 1e-9
+    assert abs(_angle(a, mid) - math.pi / 4) < 1e-9
 
 
 def test_interpolate_kind_mismatch():
@@ -194,11 +198,8 @@ def test_joint_interpolation_componentwise():
 def test_shorter_arc_monotone(v1, v2):
     a = ee_state((0, 0, 0), v1)
     b = ee_state((0, 0, 0), v2)
-    total = quaternion_geodesic_angle(a.orientation, b.orientation)
-    angles = [
-        quaternion_geodesic_angle(a.orientation, interpolate(a, b, u).orientation)
-        for u in np.linspace(0.0, 1.0, 9)
-    ]
+    total = _angle(a, b)
+    angles = [_angle(a, interpolate(a, b, u)) for u in np.linspace(0.0, 1.0, 9)]
     assert all(angles[k + 1] >= angles[k] - 1e-9 for k in range(len(angles) - 1))
     assert all(angle <= total + 1e-9 for angle in angles)
 
@@ -285,6 +286,22 @@ def test_joint_distance_with_mask():
 def test_joint_dim_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         state_distance(JointState(np.zeros(3)), JointState(np.zeros(4)))
+
+
+@pytest.mark.parametrize("kind", ["ee-with-gripper", "masked-joints"])
+def test_one_metric_for_the_kernel_the_scalar_api_and_the_follower(rng, kind):
+    # kernel row (a, b, b) is a degenerate chord: u = 0, so its reference is frame b
+    if kind == "ee-with-gripper":
+        traj = make_segmented_ee_trajectory(rng, n_segments=3)
+        cfg = MetricConfig(include_gripper=True, gripper_weight=5.0)
+    else:
+        traj = make_random_walk_trajectory(rng, 150, StateKind.JOINT, joint_dim=5, pause_prob=0.0)
+        cfg = MetricConfig(joint_mask=(1.0, 0.0, 2.0, 0.0, 0.5))
+    a = np.arange(len(traj) - 1)
+    rows = _row_distances(traj, traj, a, a + 1, a + 1, cfg)
+    steps = [state_distance(traj.state(i), traj.state(i + 1), cfg) for i in range(len(traj) - 1)]
+    assert rows.tolist() == steps
+    assert default_follower_config(traj, 0.01, metric=cfg).max_step == 1.5 * float(np.median(steps))
 
 
 def test_metric_requires_some_weight():
