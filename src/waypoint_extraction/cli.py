@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 failed check, 2 usage, 3 missing file or I/O
 failure, 4 parse error, 5 schema error, 6 validation error, 7 domain error
 (bad budget, malformed waypoint set, oversized oracle input, ...). relabel,
 stats and compare report each failed file and go on; they exit with the code
-of the first failed file.
+of the first failed file. A metric that cannot score a file's states stops
+them as an error of the run.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 from .baselines import METHOD_FIXED_INTERVAL, METHOD_ZERO_VELOCITY, calibrate_to_count
 from .defaults import resolve_task_eta
-from .reconstruction import SegmentScorer
+from .reconstruction import SegmentScorer, _check_metric
 from .relabel import relabel_trajectory
 from .replay import default_follower_config, replay_waypoints
 from .solver import (
@@ -110,19 +111,30 @@ def _input_files(path_str: str) -> list[Path]:
     return files
 
 
-def _each_input(files: list[Path], work) -> int:
+def _each_input(files: list[Path], metric: MetricConfig, work) -> int:
     """Call work(path, trajectory) on each file in order. A file whose load
     or work raises a TrajectoryFileError or ValueError is reported after the
     batch as FAILED <name>: <message> on stderr and does not stop the rest.
-    Returns the exit code of the first failed file, or EXIT_OK."""
+    A metric that cannot score a file's states is a fault of the run, not of
+    the file: its ValueError ends the batch, once, after the FAILED lines so
+    far, and the files already done keep their outputs. Returns the exit
+    code of the first failed file, or EXIT_OK."""
     failures = []
-    for f in files:
-        try:
-            work(f, load_trajectory(f))
-        except (TrajectoryFileError, ValueError) as exc:
-            failures.append((f"FAILED {f.name}: {exc}", _exit_code(exc)))
-    for line, _ in failures:
-        print(line, file=sys.stderr)
+    try:
+        for f in files:
+            try:
+                traj = load_trajectory(f)
+            except (TrajectoryFileError, ValueError) as exc:
+                failures.append((f"FAILED {f.name}: {exc}", _exit_code(exc)))
+                continue
+            _check_metric(traj, metric)
+            try:
+                work(f, traj)
+            except (TrajectoryFileError, ValueError) as exc:
+                failures.append((f"FAILED {f.name}: {exc}", _exit_code(exc)))
+    finally:
+        for line, _ in failures:
+            print(line, file=sys.stderr)
     return failures[0][1] if failures else EXIT_OK
 
 
@@ -177,7 +189,7 @@ def _cmd_relabel(args, parser) -> int:
         print(f"{f.name}: {len(ds)} rows, {len(wp)} waypoints -> {out}")
 
     files = _input_files(args.input)
-    code = _each_input(files, work)
+    code = _each_input(files, metric, work)
     print(f"relabeled {done}/{len(files)} trajectories, {rows} rows total")
     return code
 
@@ -210,7 +222,7 @@ def _cmd_stats(args, parser) -> int:
                 file=sys.stderr,
             )
 
-    code = _each_input(_input_files(args.input), work)
+    code = _each_input(_input_files(args.input), metric, work)
     return code or (EXIT_CHECK_FAILED if warned and args.strict_ratio else EXIT_OK)
 
 
@@ -255,7 +267,7 @@ def _cmd_compare(args, parser) -> int:
             tally["global"] += awe_wp.achieved_global_loss <= wp.achieved_global_loss
             tally["replay"] += rows["awe"][1] <= deviation
 
-    code = _each_input(files, work)
+    code = _each_input(files, metric, work)
     for method, tally in wins.items():
         if tally["n"]:
             print(

@@ -85,9 +85,9 @@ def _row_distances(points, anchors, t, src, dst, cfg: MetricConfig) -> np.ndarra
     """
     key = "pos" if points.joints is None else "joints"
     coords = getattr(anchors, key)
-    a, b = coords[src], coords[dst]
+    a, b = coords.take(src, axis=0), coords.take(dst, axis=0)
     span = b - a
-    pts = getattr(points, key)[t]
+    pts = getattr(points, key).take(t, axis=0)
     denom = _rowdot(span, span)
     degenerate = denom == 0.0
     # the clip to [0, 1] as np.clip computes it, in fewer calls
@@ -96,13 +96,14 @@ def _row_distances(points, anchors, t, src, dst, cfg: MetricConfig) -> np.ndarra
     names = () if key == "joints" else ("quat", "grip") if cfg.include_gripper else ("quat",)
     start, end = {key: a}, {key: b}
     for name in names:
-        start[name], end[name] = getattr(anchors, name)[src], getattr(anchors, name)[dst]
+        column = getattr(anchors, name)
+        start[name], end[name] = column.take(src, axis=0), column.take(dst, axis=0)
     ref = _interpolate_rows(start, end, u, {key: span})
     # gathering the points' rows only now, with fewer large temporaries
     # alive, measured 1-2% faster per 2,000-row call
     x = {key: pts}
     for name in names:
-        x[name] = getattr(points, name)[t]
+        x[name] = getattr(points, name).take(t, axis=0)
     return _distance_rows(x, ref, cfg)
 
 
@@ -186,7 +187,7 @@ def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
         offset += 1
         active = active[active + offset < T - 1]
         k = active + offset
-        v = coords[k] - coords[active]
+        v = coords.take(k, axis=0) - coords.take(active, axis=0)
         dist = np.linalg.norm(v, axis=1)
         rows = np.flatnonzero(dist > r)
         r2 = np.arcsin(r / dist[rows])
@@ -195,9 +196,9 @@ def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
         if rows.size == 0:
             continue
         src = active[rows]
-        a2 = v[rows] / dist[rows, None]
-        kept = radii[src]
-        cut = np.any(_angle(axes[src], a2[:, None, :]) > kept + r2[:, None], axis=1)
+        a2 = v.take(rows, axis=0) / dist[rows, None]
+        kept = radii.take(src, axis=0)
+        cut = np.any(_angle(axes.take(src, axis=0), a2[:, None, :]) > kept + r2[:, None], axis=1)
         horizon[src[cut]] = k[rows[cut]]
         widest = np.argmax(kept, axis=1)
         swap = r2 < kept[np.arange(src.size), widest]
@@ -272,10 +273,11 @@ def _nearest_chord(points, count: int, anchors, chain, cfg: MetricConfig) -> np.
     src, dst = chain[:-1], chain[1:]
     yp = _position_coords(points, cfg)[:count]
     ya = _position_coords(anchors, cfg)
-    span = ya[dst] - ya[src]
+    ys, yd = ya.take(src, axis=0), ya.take(dst, axis=0)
+    span = yd - ys
     half = 0.5 * np.sqrt(_rowdot(span, span))
     # one coordinate per row, so each block sums d contiguous 2-D arrays
-    mid = (0.5 * (ya[src] + ya[dst])).T.copy()
+    mid = (0.5 * (ys + yd)).T.copy()
     yp_cols = yp.T.copy()
     size = max(np.sqrt(_rowdot(yp, yp)).max(initial=0.0), np.sqrt(_rowdot(ya, ya)).max(initial=0.0))
     margin = (yp.shape[1] + 16) * 2.0**-44 * size + 2.0**-500

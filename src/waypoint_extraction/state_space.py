@@ -519,20 +519,26 @@ def _rowdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _slerp_rows(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Row-wise slerp along the shorter arc; qa/qb broadcast against u along
-    axis 0. A row at u = 0 or 1 is qa or (up to sign) qb unchanged: its
+    axis 0. The shorter arc takes s qb with s = -1 where qa . qb < 0; s is
+    folded into qb's weight, which is exact, as (wb s) qb == wb (s qb) for
+    s = +-1. A row at u = 0 or 1 is qa or (up to sign) qb unchanged: its
     weights are exactly 1 and 0, and renormalizing could move it."""
-    qa = np.broadcast_to(qa, (len(u), 4))
-    qb = np.broadcast_to(qb, (len(u), 4))
+    n = len(u)
+    if qa.shape != (n, 4):
+        qa = np.broadcast_to(qa, (n, 4))
+    if qb.shape != (n, 4):
+        qb = np.broadcast_to(qb, (n, 4))
     dots = _rowdot(qa, qb)
     sign = np.where(dots < 0.0, -1.0, 1.0)
-    qb = qb * sign[:, None]
     dots = np.minimum(np.abs(dots), 1.0)
     near = dots > 1.0 - 1e-12
     theta = np.arccos(dots)
     sin_theta = np.where(near, 1.0, np.sin(theta))
-    wa = np.where(near, 1.0 - u, np.sin((1.0 - u) * theta) / sin_theta)
-    wb = np.where(near, u, np.sin(u * theta) / sin_theta)
-    out = wa[:, None] * qa + wb[:, None] * qb
+    rest = 1.0 - u
+    wa = np.where(near, rest, np.sin(rest * theta) / sin_theta)
+    wb = np.where(near, u, np.sin(u * theta) / sin_theta) * sign
+    out = wa[:, None] * qa
+    out += wb[:, None] * qb
     norm = np.sqrt(_rowdot(out, out))
     norm[(u == 0.0) | (u == 1.0)] = 1.0
     return out / norm[:, None]

@@ -5,9 +5,13 @@ package's own quaternion code, and chord projections are found by grid
 minimization instead of the closed form, so agreement is meaningful.
 oracle_nearest_chord is the exception: it is the unpruned form of the
 package's nearest-chord pass, the same kernel with no bound, so the pruned
-pass must match it bit for bit. oracle_pairwise_horizon is the other: the
+pass must match it bit for bit. oracle_pairwise_horizon is another: the
 reach horizon's cone scan, with the same angles and margins, and no cone
-dropped, so its bound can only be tighter. The scalar exponential map and
+dropped, so its bound can only be tighter. oracle_row_distances,
+oracle_interpolate_rows and oracle_slerp_rows are the chord kernel and its
+interpolation as they were before rows were gathered with take and the
+slerp's sign was folded into a weight: the same float operations, so the
+kernel must match them bit for bit. The scalar exponential map and
 canonicalization and the per-row relabel writer are the package's former
 code, kept here because the vectorized forms must reproduce them bit for
 bit and byte for byte. So are the replay tick loop, whose tick counts and
@@ -139,6 +143,80 @@ def oracle_nearest_chord(points, count: int, anchors, chain, cfg: MetricConfig =
         d = _row_distances(points, anchors, ts, int(a), int(b), cfg)
         best = d if best is None else np.minimum(best, d)
     return best
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...i->...", x, y)
+
+
+def oracle_slerp_rows(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise slerp along the shorter arc: both ends broadcast to
+    (len(u), 4), and qb flipped by the sign of the dot product before it is
+    weighted."""
+    qa = np.broadcast_to(qa, (len(u), 4))
+    qb = np.broadcast_to(qb, (len(u), 4))
+    dots = _dot(qa, qb)
+    sign = np.where(dots < 0.0, -1.0, 1.0)
+    qb = qb * sign[:, None]
+    dots = np.minimum(np.abs(dots), 1.0)
+    near = dots > 1.0 - 1e-12
+    theta = np.arccos(dots)
+    sin_theta = np.where(near, 1.0, np.sin(theta))
+    wa = np.where(near, 1.0 - u, np.sin((1.0 - u) * theta) / sin_theta)
+    wb = np.where(near, u, np.sin(u * theta) / sin_theta)
+    out = wa[:, None] * qa + wb[:, None] * qb
+    norm = np.sqrt(_dot(out, out))
+    norm[(u == 0.0) | (u == 1.0)] = 1.0
+    return out / norm[:, None]
+
+
+def oracle_interpolate_rows(a: dict, b: dict, u: np.ndarray, spans: dict | None = None) -> dict:
+    """Rows at parameters u from columns a to columns b: linear, quat by
+    oracle_slerp_rows, b's row unchanged at u == 1."""
+    end = u == 1.0
+    out = {}
+    for name, start in a.items():
+        if name == "quat":
+            out[name] = oracle_slerp_rows(start, b[name], u)
+            continue
+        span = spans[name] if spans and name in spans else b[name] - start
+        vector = name != "grip"
+        out[name] = start + (u[:, None] if vector else u) * span
+        np.copyto(out[name], b[name], where=end[:, None] if vector else end)
+    return out
+
+
+def oracle_row_distances(points, anchors, t, src, dst, cfg: MetricConfig = MetricConfig()) -> np.ndarray:
+    """Distance of points[t[k]] to the chord anchors[src[k]] ->
+    anchors[dst[k]], every row gathered by fancy indexing: the projection on
+    the position columns (joints in joint space), the state there by
+    oracle_interpolate_rows and the metric's position, angle, gripper or
+    masked joint terms."""
+    key = "pos" if points.joints is None else "joints"
+    coords = getattr(anchors, key)
+    a, b = coords[src], coords[dst]
+    span = b - a
+    pts = getattr(points, key)[t]
+    denom = _dot(span, span)
+    degenerate = denom == 0.0
+    u = np.minimum(np.maximum(0.0, _dot(pts - a, span) / np.where(degenerate, 1.0, denom)), 1.0)
+    u = np.where(degenerate, 0.0, u)
+    names = () if key == "joints" else ("quat", "grip") if cfg.include_gripper else ("quat",)
+    start, end = {key: a}, {key: b}
+    for name in names:
+        start[name], end[name] = getattr(anchors, name)[src], getattr(anchors, name)[dst]
+    ref = oracle_interpolate_rows(start, end, u, {key: span})
+    if key == "joints":
+        off = (pts - ref["joints"]) * cfg.joint_weights(pts.shape[1])
+        return np.sqrt(_dot(off, off))
+    off = pts - ref["pos"]
+    out = cfg.position_weight * np.sqrt(_dot(off, off))
+    qx, qy = points.quat[t], ref["quat"]
+    gap = qx - np.copysign(1.0, _dot(qx, qy))[:, None] * qy
+    out = out + cfg.orientation_weight * 4.0 * np.arcsin(0.5 * np.sqrt(_dot(gap, gap)))
+    if cfg.include_gripper:
+        out = out + cfg.gripper_weight * np.abs(points.grip[t] - ref["grip"])
+    return out
 
 
 def oracle_pairwise_horizon(coords: np.ndarray, eta: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from waypoint_extraction.relabel import relabel_trajectory
 from waypoint_extraction.solver import ErrorBudget, extract_waypoints_dp
 from waypoint_extraction.defaults import ENV_TASK_DEFAULTS, TASK_ETA_DEFAULTS
 from waypoint_extraction.replay import default_follower_config, replay_waypoints
-from waypoint_extraction.state_space import DEFAULT_METRIC, MetricConfig
+from waypoint_extraction.state_space import DEFAULT_METRIC, MetricConfig, StateKind
 from waypoint_extraction.synthetic import make_random_walk_trajectory, make_segmented_ee_trajectory
 from waypoint_extraction.trajfile import load_trajectory, load_waypoints, save_relabeled, save_trajectory
 
@@ -241,6 +241,43 @@ def test_metric_without_end_effector_weight_exits_domain(tmp_path, demo_file, ca
     assert main(argv) == EXIT_DOMAIN
     assert "no nonzero end-effector weight" in capsys.readouterr().err
     assert not (tmp_path / "wp.json").exists()
+
+
+@pytest.mark.parametrize("command", ["relabel", "stats", "compare"])
+def test_batch_reports_an_unusable_metric_once(tmp_path, rng, capsys, command):
+    # the mask fits the 1-D joint demo a; it weighs nothing on the end-effector demos c and d
+    mpath = tmp_path / "metric.json"
+    mpath.write_text(json.dumps({"position_weight": 0, "orientation_weight": 0, "joint_mask": [1]}))
+    demos = tmp_path / "in"
+    demos.mkdir()
+    save_trajectory(demos / "a.json", make_random_walk_trajectory(rng, 14, StateKind.JOINT, name="a", joint_dim=1))
+    (demos / "b.json").write_text(json.dumps({"schema_version": "other"}))
+    for name in ("c", "d"):
+        save_trajectory(demos / f"{name}.json", make_random_walk_trajectory(rng, 14, name=name))
+    code = main(_batch_argv(command, demos, tmp_path / "out") + ["--metric-config", str(mpath)])
+    captured = capsys.readouterr()
+    assert code == EXIT_DOMAIN
+    err = captured.err.splitlines()
+    assert len(err) == 2 and err[0].startswith("FAILED b.json: ")
+    assert err[1] == ("error: metric has no nonzero end-effector weight: position, orientation and "
+                      "included gripper weights are all 0")
+    names = [line.split()[0] for line in captured.out.splitlines()[command == "compare":]]
+    assert names and {name[0] for name in names} == {"a"}
+    if command == "relabel":  # the demo done before the fault keeps its output
+        assert [f.name for f in (tmp_path / "out").iterdir()] == ["a.relabeled.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["relabel", "stats", "compare"])
+def test_batch_reports_a_joint_mask_of_the_wrong_width_once(tmp_path, rng, capsys, command):
+    mpath = tmp_path / "metric.json"
+    mpath.write_text(json.dumps({"joint_mask": [1, 0]}))
+    (tmp_path / "in").mkdir()
+    for name in ("a", "b", "c"):
+        traj = make_random_walk_trajectory(rng, 14, StateKind.JOINT, name=name, joint_dim=3)
+        save_trajectory(tmp_path / "in" / f"{name}.json", traj)
+    assert main(_batch_argv(command, tmp_path / "in", tmp_path / "out") + ["--metric-config", str(mpath)]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == "error: joint_mask has 2 weights but states have 3 dims\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_gripper_only_end_effector_metric_is_accepted(tmp_path, demo_file):
