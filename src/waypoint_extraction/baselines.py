@@ -112,14 +112,9 @@ def _fixed_interval_count(length: int, k: int) -> int:
 
 def _calibrate_fixed(traj: Trajectory, target: int) -> CalibrationResult:
     T = len(traj)
-    # count(k) is nonincreasing in k: bisect for the largest k still >= target
-    lo, hi = 1, T - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _fixed_interval_count(T, mid) >= target:
-            lo = mid
-        else:
-            hi = mid - 1
+    # the largest k in [1, T - 1] whose count is still >= target: ceil((T - 1) / k) >= target - 1
+    # holds for every k when target is 2, and else exactly for k < (T - 1) / (target - 2)
+    lo = T - 1 if target == 2 else min(T - 1, -(-(T - 1) // (target - 2)) - 1)
     candidates = [lo] if lo == T - 1 else [lo, lo + 1]
     # ties toward the smaller count, i.e. the larger interval
     best = min(candidates, key=lambda k: (abs(_fixed_interval_count(T, k) - target), _fixed_interval_count(T, k)))

@@ -51,8 +51,7 @@ def segment_loss(traj: Trajectory, i: int, j: int, cfg: MetricConfig = DEFAULT_M
     projection. A degenerate chord (identical projection anchors) pins u* to
     0. Zero for adjacent frames: the endpoints project onto themselves.
     """
-    if not (0 <= i < j < len(traj)):
-        raise IndexError(f"segment ({i}, {j}) out of range for trajectory of length {len(traj)}")
+    _chord_indices(i, j, len(traj))
     a = traj.state(i)
     b = traj.state(j)
     coords = traj.pos if traj.joints is None else traj.joints
@@ -70,19 +69,37 @@ def segment_loss(traj: Trajectory, i: int, j: int, cfg: MetricConfig = DEFAULT_M
 # ---------------------------------------------------------------------------
 
 
+def _chord_indices(src, dst, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """src and dst, of one shape, as index arrays of chords 0 <= src < dst < length."""
+    src, dst = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+    bad = np.flatnonzero((src < 0) | (src >= dst) | (dst >= length))
+    if bad.size:
+        i, j = src.flat[bad[0]], dst.flat[bad[0]]
+        raise IndexError(f"segment ({i}, {j}) out of range for trajectory of length {length}")
+    return src, dst
+
+
 def _row_distances(points, anchors, t, src, dst, cfg: MetricConfig) -> np.ndarray:
     """Distance of points[t[k]] to the chord anchors[src[k]] -> anchors[dst[k]].
 
     The one vectorized chord-distance kernel; points and anchors hold state
-    columns as a Trajectory names them. Index arguments broadcast, so
-    scalar src and dst score many frames against one chord. The projection
-    u comes from the position columns (joints in joint space); the state at
-    u and its distance are one _interpolate_rows and one _distance_rows call
-    over the columns the metric weighs. A row depends on its own inputs
-    alone, so the solver's screen, its exact checks and SegmentScorer.loss
-    agree bit for bit. A row at u = 0 or 1 is compared with that end frame
-    unchanged, so a frame's distance to a chord it ends is exactly 0.
+    columns as a Trajectory names them. src and dst broadcast against the
+    1-D t, so scalars score many frames against one chord. Past _CHUNK_ROWS
+    rows it calls itself on equal slices of at most _CHUNK_ROWS rows. The
+    projection u comes from the position columns (joints in joint space);
+    the state at u and its distance are one _interpolate_rows and one
+    _distance_rows call over the columns the metric weighs. A row depends on
+    its own inputs alone, so the solver's screen, its exact checks and
+    SegmentScorer.loss agree bit for bit. A row at u = 0 or 1 is compared
+    with that end frame unchanged, so a frame's distance to a chord it ends
+    is exactly 0.
     """
+    if len(t) > _CHUNK_ROWS:
+        # slices of equal size reuse each other's freed temporaries
+        parts = zip(*(np.array_split(x, -(-len(t) // _CHUNK_ROWS)) for x in np.broadcast_arrays(t, src, dst)))
+        return np.concatenate([_row_distances(points, anchors, *part, cfg) for part in parts])
+    if len(t) == 0:
+        return np.empty(0)
     key = "pos" if points.joints is None else "joints"
     coords = getattr(anchors, key)
     a, b = coords.take(src, axis=0), coords.take(dst, axis=0)
@@ -210,7 +227,7 @@ def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
 
 # Kernel rows per call, which keeps its temporaries near 1 MB.
 _CHUNK_ROWS = 2048
-# (point, chord) pairs bounded per block in _nearest_chord.
+# (point, chord) pairs built at once by _nearest_chord and chord_worst.
 _PAIR_BLOCK = 2**14
 
 
@@ -248,14 +265,13 @@ def _nearest_chord(points, count: int, anchors, chain, cfg: MetricConfig) -> np.
     minimum over the segment. The segment lies in the ball of radius
     half_c = |Y_b - Y_a| / 2 around its midpoint mid_c, so
     LB_c = |Y_p - mid_c| - half_c is a lower bound. Points go in blocks of
-    about _PAIR_BLOCK (point, chord) pairs, and at most _CHUNK_ROWS points
-    or kernel rows are scored at once. Per point, the chord with the nearest
-    midpoint is scored exactly, giving an upper bound U of the minimum (any
-    chord would do; the chord of smallest LB is often a long one passing
-    by), and of the other chords only those with LB_c - margin <= U are
-    scored. A skipped chord's computed distance is above U, so the minimum
-    is unchanged; and a row of _row_distances depends on its own inputs
-    alone, so every scored row equals the unpruned one.
+    about _PAIR_BLOCK (point, chord) pairs. Per point, the chord with the
+    nearest midpoint is scored exactly, giving an upper bound U of the
+    minimum (any chord would do; the one of smallest LB is often a long one
+    passing by), and of the other chords only those with LB_c - margin <= U
+    are scored. A skipped chord's computed distance is above U, so the
+    minimum is unchanged; and a row of _row_distances depends on its own
+    inputs alone, so every scored row equals the unpruned one.
 
     Rounding, with u = 2**-53, d = Y.shape[1] and M = max |Y_k| over points
     and anchors: every distance above is at most 2 M. The kernel's
@@ -270,7 +286,9 @@ def _nearest_chord(points, count: int, anchors, chain, cfg: MetricConfig) -> np.
     term (zero position weight) every LB is 0 and nothing is skipped.
     """
     chain = np.asarray(chain, dtype=np.intp)
-    src, dst = chain[:-1], chain[1:]
+    if chain.size < 2:
+        raise ValueError(f"a polyline needs at least 2 indices, got {chain.size}")
+    src, dst = _chord_indices(chain[:-1], chain[1:], len(anchors))
     yp = _position_coords(points, cfg)[:count]
     ya = _position_coords(anchors, cfg)
     ys, yd = ya.take(src, axis=0), ya.take(dst, axis=0)
@@ -282,7 +300,7 @@ def _nearest_chord(points, count: int, anchors, chain, cfg: MetricConfig) -> np.
     size = max(np.sqrt(_rowdot(yp, yp)).max(initial=0.0), np.sqrt(_rowdot(ya, ya)).max(initial=0.0))
     margin = (yp.shape[1] + 16) * 2.0**-44 * size + 2.0**-500
     out = np.empty(count)
-    step = max(1, min(_CHUNK_ROWS, _PAIR_BLOCK // src.size))
+    step = max(1, _PAIR_BLOCK // src.size)
     for lo in range(0, count, step):
         t = np.arange(lo, min(lo + step, count))
         square = np.zeros((t.size, src.size))
@@ -296,9 +314,7 @@ def _nearest_chord(points, count: int, anchors, chain, cfg: MetricConfig) -> np.
         keep = lb - margin <= upper[:, None]
         keep[np.arange(t.size), guess] = False
         rows, cols = np.nonzero(keep)
-        for k in range(0, rows.size, _CHUNK_ROWS):
-            r, c = rows[k : k + _CHUNK_ROWS], cols[k : k + _CHUNK_ROWS]
-            np.minimum.at(upper, r, _row_distances(points, anchors, t[r], src[c], dst[c], cfg))
+        np.minimum.at(upper, rows, _row_distances(points, anchors, t[rows], src[cols], dst[cols], cfg))
         out[lo : lo + step] = upper
     return out
 
@@ -308,9 +324,9 @@ class SegmentScorer:
 
     Every query goes through _row_distances, so losses from loss(),
     chord_losses(), chord_worst() and probe_pass() are the same
-    floating-point numbers. Rows are scored in chunks of about _CHUNK_ROWS
-    (a longer chord goes alone), however many chords a call holds. Matches
-    the scalar segment_loss up to floating-point reassociation.
+    floating-point numbers. Matches the scalar segment_loss up to
+    floating-point reassociation. A chord is a pair src < dst of frames of
+    the trajectory; any other pair is an IndexError.
     """
 
     def __init__(self, traj: Trajectory, cfg: MetricConfig = DEFAULT_METRIC):
@@ -334,13 +350,12 @@ class SegmentScorer:
         """Segment losses of the chords (src[k], dst[k]) and, per chord, its
         worst frame: the first interior frame whose distance equals the loss
         (-1 for adjacent frames, which have none)."""
-        src = np.asarray(src, dtype=np.intp)
-        dst = np.asarray(dst, dtype=np.intp)
+        src, dst = _chord_indices(src, dst, len(self))
         out = np.zeros(src.shape)
         worst = np.full(src.shape, -1)
         inner = np.flatnonzero(dst - src > 1)
         sizes = dst[inner] - src[inner] - 1
-        for part in _batches(sizes, _CHUNK_ROWS):
+        for part in _batches(sizes, _PAIR_BLOCK):
             k, n = inner[part], sizes[part]
             starts = np.cumsum(n) - n
             s = np.repeat(src[k], n)
@@ -368,23 +383,17 @@ class SegmentScorer:
         over eta too, with no slack. witness_rejects counts the chords the
         witness stage rejected, over all calls.
         """
-        src = np.asarray(src, dtype=np.intp)
-        dst = np.asarray(dst, dtype=np.intp)
+        src, dst = _chord_indices(src, dst, len(self))
         witness = np.asarray(witness, dtype=np.intp)
         keep = np.ones(src.shape, dtype=bool)
         inside = np.flatnonzero((src < witness) & (witness < dst))
-        for lo in range(0, inside.size, _CHUNK_ROWS):
-            k = inside[lo : lo + _CHUNK_ROWS]
-            keep[k] = self._rows(witness[k], src[k], dst[k]) <= eta
+        keep[inside] = self._rows(witness[inside], src[inside], dst[inside]) <= eta
         self.witness_rejects += inside.size - int(np.count_nonzero(keep[inside]))
         wide = np.flatnonzero(keep & (dst - src > 1))
-        step = _CHUNK_ROWS // 3
-        for lo in range(0, wide.size, step):
-            k = wide[lo : lo + step]
-            s, d = src[k], dst[k]
-            probes = np.clip(s + np.outer((1, 2, 3), d - s) // 4, s + 1, d - 1)
-            rows = self._rows(probes.ravel(), np.tile(s, 3), np.tile(d, 3))
-            keep[k] = rows.reshape(3, -1).max(axis=0) <= eta
+        s, d = src[wide], dst[wide]
+        probes = np.clip(s + np.outer((1, 2, 3), d - s) // 4, s + 1, d - 1)
+        rows = self._rows(probes.ravel(), np.tile(s, 3), np.tile(d, 3))
+        keep[wide] = rows.reshape(3, -1).max(axis=0) <= eta
         return keep
 
     def horizon(self, eta: float) -> np.ndarray:
@@ -393,7 +402,7 @@ class SegmentScorer:
         return _reach_horizon(_position_coords(self.traj, self.cfg), eta)
 
     def global_loss(self, indices: Sequence[int]) -> float:
-        """Reconstruction loss of the polyline through the given indices."""
+        """Reconstruction loss of the polyline through two or more increasing frame indices."""
         return float(_nearest_chord(self.traj, len(self), self.traj, indices, self.cfg).max())
 
 

@@ -75,6 +75,16 @@ class TrajectoryValidationError(TrajectoryFileError):
     """Well-formed file whose values violate a domain invariant."""
 
 
+def _object(value, where: str, schema: str | None = None) -> dict:
+    """value, which must be a JSON object, with schema_version schema when one is given."""
+    if not isinstance(value, dict):
+        raise TrajectorySchemaError(f"{where}: expected a JSON object")
+    version = schema and _require(value, "schema_version", where)
+    if version != schema:
+        raise TrajectorySchemaError(f"{where}: schema_version {version!r} is not {schema!r}")
+    return value
+
+
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise TrajectorySchemaError(f"{where}: missing field {key!r}")
@@ -125,8 +135,7 @@ def _check_state(rec, where: str, joint: bool, dim: int | None = None) -> int | 
     order: the slow path that names a fault _record_columns only detects.
     A joint state must have dim joints, the first state's width, when dim
     is given. Returns the joint width later states must have."""
-    if not isinstance(rec, dict):
-        raise TrajectorySchemaError(f"{where}: expected a JSON object")
+    _object(rec, where)
     if joint:
         joints = _require(rec, "joints", where)
         if type(joints) is not list or not joints:
@@ -206,8 +215,7 @@ def _raise_frame_fault(raw_frames: list, where: str, joint: bool):
     dim = None
     for i, rec in enumerate(raw_frames):
         here = f"{where}.frames[{i}]"
-        if not isinstance(rec, dict):
-            raise TrajectorySchemaError(f"{here}: expected a JSON object")
+        _object(rec, here)
         _check_int(rec, "t", here)
         _check_obs_ref(rec, here)
         dim = _check_state(rec, here, joint, dim)
@@ -219,11 +227,7 @@ def trajectory_from_dict(doc: dict, where: str = "trajectory") -> Trajectory:
     finiteness and joint width column by column, then hand the columns to
     Trajectory.from_columns, which checks the time axis. Only a failed check
     scans the frames, to name the first bad field."""
-    if not isinstance(doc, dict):
-        raise TrajectorySchemaError(f"{where}: expected a JSON object")
-    version = _require(doc, "schema_version", where)
-    if version != TRAJECTORY_SCHEMA:
-        raise TrajectorySchemaError(f"{where}: schema_version {version!r} is not {TRAJECTORY_SCHEMA!r}")
+    _object(doc, where, TRAJECTORY_SCHEMA)
     name = _require(doc, "name", where)
     if not isinstance(name, str):
         raise TrajectorySchemaError(f"{where}: name must be a string")
@@ -295,8 +299,7 @@ def metric_to_dict(cfg: MetricConfig) -> dict:
 
 
 def metric_from_dict(doc: dict, where: str = "metric") -> MetricConfig:
-    if not isinstance(doc, dict):
-        raise TrajectorySchemaError(f"{where}: expected a JSON object")
+    _object(doc, where)
     known = {"position_weight", "orientation_weight", "include_gripper", "gripper_weight", "joint_mask"}
     unknown = set(doc) - known
     if unknown:
@@ -351,13 +354,8 @@ def save_waypoints(path, wp: WaypointSet, provenance: dict) -> None:
 
 
 def load_waypoints(path) -> tuple[WaypointSet, dict]:
-    doc = _read_json(path)
     where = str(path)
-    if not isinstance(doc, dict):
-        raise TrajectorySchemaError(f"{where}: expected a JSON object")
-    version = _require(doc, "schema_version", where)
-    if version != WAYPOINTS_SCHEMA:
-        raise TrajectorySchemaError(f"{where}: schema_version {version!r} is not {WAYPOINTS_SCHEMA!r}")
+    doc = _object(_read_json(path), where, WAYPOINTS_SCHEMA)
     raw = _require(doc, "indices", where)
     if not isinstance(raw, list) or not raw:
         raise TrajectorySchemaError(f"{where}: indices must be a nonempty list")
@@ -446,8 +444,7 @@ def _raise_line_fault(records: list, lines: list[str], joint: bool):
     state's kind, and joint states of its dimension."""
     dim = None
     for rec, here in zip(records, lines):
-        if not isinstance(rec, dict):
-            raise TrajectorySchemaError(f"{here}: expected a JSON object")
+        _object(rec, here)
         for key in _RELABEL_INTS:
             _check_int(rec, key, here)
         _check_obs_ref(rec, here)
@@ -476,9 +473,7 @@ def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
         lines.append(f"{where}: line {lineno}")
     if not records:
         raise TrajectorySchemaError(f"{where}: no records")
-    first = records[0]
-    if not isinstance(first, dict):
-        raise TrajectorySchemaError(f"{lines[0]}: expected a JSON object")
+    first = _object(records[0], lines[0])
     prov = first.get("provenance") or {}
     if not isinstance(prov, dict):
         raise TrajectorySchemaError(f"{lines[0]}: provenance must be a JSON object")

@@ -17,7 +17,9 @@ code, kept here because the vectorized forms must reproduce them bit for
 bit and byte for byte. So are the replay tick loop, whose tick counts and
 reach flags the closed-form follower must match except at the knife edges
 test_replay.py pins, the per-threshold zero-velocity calibration, whose
-thresholds the counting sweep must match, and the per-sample plot writer,
+thresholds the counting sweep must match, the bisected fixed-interval
+calibration, whose interval the closed form must match, and the
+per-sample plot writer,
 whose bytes the column writer must match.
 """
 
@@ -345,6 +347,26 @@ def oracle_calibrate_zero_velocity(traj, target: int) -> tuple[float, int]:
         if best_count is None or (abs(count - target), count) < (abs(best_count - target), best_count):
             best_thr, best_count = float(thr), count
     return best_thr, best_count
+
+
+def oracle_calibrate_fixed(length: int, target: int) -> int:
+    """Interval of the fixed-interval selector tuned to target on a
+    length-frame trajectory: bisect for the largest interval whose count is
+    still >= target, then take it or the next interval, whichever count is
+    nearer the target, ties toward the smaller count."""
+
+    def count(k: int) -> int:
+        return -(-(length - 1) // k) + 1
+
+    lo, hi = 1, length - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if count(mid) >= target:
+            lo = mid
+        else:
+            hi = mid - 1
+    candidates = [lo] if lo == length - 1 else [lo, lo + 1]
+    return min(candidates, key=lambda k: (abs(count(k) - target), count(k)))
 
 
 def oracle_plot_data(traj, sweep, path) -> None:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ee_trajectory
-from oracles import oracle_calibrate_zero_velocity
+from oracles import oracle_calibrate_fixed, oracle_calibrate_zero_velocity
 from waypoint_extraction.baselines import (
     HeuristicConfig,
     calibrate_to_count,
@@ -133,6 +133,14 @@ def test_calibrate_fixed_near_targets(rng):
         best = min(abs(c - target) for c in achievable)
         assert abs(len(res.waypoints) - target) == best
         assert res.exact == (best == 0)
+
+
+def test_calibrate_fixed_closed_form_equals_bisection():
+    for T in range(2, 121):
+        traj = ee_trajectory(np.zeros((T, 3)))
+        for target in range(2, T + 1):
+            res = calibrate_to_count(traj, "fixed", target)
+            assert res.config.fixed_interval == oracle_calibrate_fixed(T, target), (T, target)
 
 
 def test_calibrate_zero_velocity_dense_sweep_oracle(rng):

@@ -1,15 +1,18 @@
 """The chord kernel and its interpolation against their frozen reference
 forms (oracles.oracle_row_distances, oracle_interpolate_rows and
 oracle_slerp_rows), byte for byte: gathering rows with take and folding the
-slerp's sign into a weight must not move a single bit."""
+slerp's sign into a weight must not move a single bit. Nor may the kernel's
+slicing of a long call into calls of _CHUNK_ROWS rows."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from oracles import oracle_interpolate_rows, oracle_row_distances, oracle_slerp_rows
-from waypoint_extraction.reconstruction import _row_distances
+from waypoint_extraction import reconstruction
+from waypoint_extraction.reconstruction import _CHUNK_ROWS, _row_distances
 from waypoint_extraction.state_space import MetricConfig, _interpolate_rows, _slerp_rows
 
 T = 90
@@ -133,3 +136,35 @@ def test_interpolate_rows_match_reference_bits(rng, quats):
         got, want = _interpolate_rows(x, y, u), oracle_interpolate_rows(x, y, u)
         assert got.keys() == want.keys()
         assert all(_same(got[name], want[name]) for name in want)
+
+
+@pytest.mark.parametrize("metric", ["ee", "ee-gripper"])
+def test_a_long_call_is_its_slices_and_stays_small(rng, metric):
+    cfg = METRICS[metric]
+    cols = (_ee(rng, "sign-flipped"),) * 2
+    n = 20_000
+    t, src, dst = _chords(rng, n)
+    # per-row chords, and one chord whose scalar ends broadcast past one slice
+    for src, dst in ((src, dst), (5, 60)):
+        tracemalloc.start()
+        try:
+            rows = _row_distances(*cols, t, src, dst, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        parts = [slice(lo, lo + _CHUNK_ROWS) for lo in range(0, n, _CHUNK_ROWS)]
+        ends = [(src, dst) if np.ndim(src) == 0 else (src[k], dst[k]) for k in parts]
+        slices = [_row_distances(*cols, t[k], *end, cfg) for k, end in zip(parts, ends)]
+        assert _same(rows, np.concatenate(slices))
+        # unsliced, the 20,000 rows trace 6.9 MB
+        assert peak < 2 * 2**20
+
+
+def test_no_rows_make_no_kernel_call(rng, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("kernel called on no rows")
+
+    monkeypatch.setattr(reconstruction, "_interpolate_rows", unreachable)
+    cols = (_ee(rng, "random"),) * 2
+    for src, dst in ((np.array([], dtype=int),) * 2, (5, 60)):
+        assert _same(_row_distances(*cols, np.array([], dtype=int), src, dst, MetricConfig()), np.empty(0))

@@ -1,6 +1,7 @@
 """The pruned nearest-chord pass behind the global loss and the replay
 deviation, against its unpruned form (oracles.oracle_nearest_chord)."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -97,18 +98,21 @@ def test_skipped_chords_are_farther_than_the_minimum(rng, monkeypatch, family):
     T = len(traj)
     scored = np.zeros((T, T - 1), dtype=bool)
     kernel = reconstruction._row_distances
+    exact = np.stack([kernel(traj, traj, np.arange(T), c, c + 1, metric) for c in range(T - 1)], axis=1)
 
     def recording(points, anchors, t, src, dst, cfg):
         scored[t, src] = True
         return kernel(points, anchors, t, src, dst, cfg)
 
     monkeypatch.setattr(reconstruction, "_row_distances", recording)
-    # small blocks: many of them, and one point per block at the end
-    for block in (reconstruction._PAIR_BLOCK, 7 * (T - 1), 5):
+    # small blocks: many of them, and one point per block at the end; and
+    # few rows per kernel call, which the kernel slices itself
+    blocks = (reconstruction._PAIR_BLOCK, 7 * (T - 1), 5)
+    for block, kernel_rows in itertools.product(blocks, (reconstruction._CHUNK_ROWS, 7)):
         monkeypatch.setattr(reconstruction, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(reconstruction, "_CHUNK_ROWS", kernel_rows)
         scored[:] = False
         got = _nearest_chord(traj, T, traj, range(T), metric)
-        exact = np.stack([kernel(traj, traj, np.arange(T), c, c + 1, metric) for c in range(T - 1)], axis=1)
         assert np.array_equal(got, exact.min(axis=1))
         assert np.all(exact[~scored] > np.broadcast_to(got[:, None], exact.shape)[~scored])
         if family == "orientation-only":

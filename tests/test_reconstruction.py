@@ -90,6 +90,39 @@ def test_segment_loss_index_errors():
         segment_loss(traj, 1, 1)
 
 
+# (src, dst) pairs that are no chord of a 41-frame trajectory: backwards,
+# empty, negative (which would wrap to chord (36, 40)) and past either end
+NOT_CHORDS = [(5, 3), (30, 10), (7, 7), (-5, -1), (-1, 4), (0, 41), (40, 41)]
+
+
+@pytest.mark.parametrize("src, dst", NOT_CHORDS)
+def test_scorer_refuses_what_is_not_a_chord(src, dst):
+    traj = make_segmented_ee_trajectory(np.random.default_rng(0), n_segments=2, frames_per_segment=20)
+    assert len(traj) == 41
+    scorer = SegmentScorer(traj)
+    message = f"segment \\({src}, {dst}\\) out of range for trajectory of length 41"
+    with pytest.raises(IndexError, match=message):
+        segment_loss(traj, src, dst)
+    with pytest.raises(IndexError, match=message):
+        scorer.loss(src, dst)
+    # the first bad chord of a batch is the one named
+    for call in (scorer.chord_losses, scorer.chord_worst, lambda s, d: scorer.probe_pass(s, d, 0.1, [-1] * 3)):
+        with pytest.raises(IndexError, match=message):
+            call([0, src, 2], [3, dst, 40])
+    with pytest.raises(IndexError, match=message):
+        scorer.global_loss([src, dst])
+
+
+def test_global_loss_refuses_fewer_than_two_indices():
+    traj = make_segmented_ee_trajectory(np.random.default_rng(0), n_segments=2, frames_per_segment=20)
+    scorer = SegmentScorer(traj)
+    for indices in ([0], [], [40]):
+        with pytest.raises(ValueError, match=f"a polyline needs at least 2 indices, got {len(indices)}"):
+            scorer.global_loss(indices)
+    with pytest.raises(IndexError, match="segment \\(20, 20\\)"):
+        scorer.global_loss([0, 20, 20, 40])
+
+
 @pytest.mark.parametrize("kind", ["ee", "joint"])
 def test_segment_loss_matches_exhaustive_oracle(rng, kind):
     for _ in range(10):

@@ -1,9 +1,12 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import ee_trajectory, joint_trajectory
 from oracles import oracle_pairwise_horizon, oracle_reconstruction_loss
-from waypoint_extraction import solver
+from waypoint_extraction import reconstruction, solver
 from waypoint_extraction.reconstruction import SegmentScorer, _position_coords, _reach_horizon, segment_loss
 from waypoint_extraction.solver import (
     BRUTE_FORCE_LIMIT,
@@ -370,6 +373,13 @@ def test_dp_matches_plain_dp_in_small_rounds(rng, family, chunk, monkeypatch):
     for eta in (0.002, 0.02, 0.1, 0.5):
         wp, stats = extract_waypoints_dp(traj, ErrorBudget(eta, metric))
         assert wp.indices == _plain_min_hop_path(loss, eta)
+        # kernel calls of a few rows each, sliced by the kernel, change
+        # neither the rounds nor anything they return
+        with monkeypatch.context() as patch:
+            patch.setattr(reconstruction, "_CHUNK_ROWS", 7)
+            sliced, sliced_stats = extract_waypoints_dp(traj, ErrorBudget(eta, metric))
+        assert sliced == wp
+        assert replace(sliced_stats, wall_time=0.0) == replace(stats, wall_time=0.0)
         finished_by_bfs.append(stats.subproblems_evaluated < len(traj))
     # the backward DP finishes the small budgets; with three waypoints at
     # the largest, the BFS front reaches frame 0 first on these families
@@ -385,6 +395,20 @@ def test_static_demo_classifies_linearly_many_chords():
     # every chord fits: checking them all would be T^2 / 2 chords
     assert stats.chords_screened <= 3 * T
     assert stats.segment_loss_evaluations <= 3 * T
+
+
+def test_static_demo_builds_bounded_pairs():
+    # every source's chord to the last frame fits and goes to one exact
+    # check: 3.1M (frame, chord) rows, 120 MB if chord_worst built them at once
+    traj = ee_trajectory(np.zeros((2500, 3)))
+    tracemalloc.start()
+    try:
+        wp, _ = extract_waypoints_dp(traj, ErrorBudget(0.005))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wp.indices == (0, 2499)
+    assert peak < 16 * 2**20
 
 
 def test_large_budget_few_waypoints_classifies_linearly_many_chords():
