@@ -32,7 +32,6 @@ from .reconstruction import SegmentScorer, _check_metric
 from .relabel import relabel_trajectory
 from .replay import default_follower_config, replay_waypoints
 from .solver import (
-    BRUTE_FORCE_LIMIT,
     ErrorBudget,
     WaypointSet,
     annotate_losses,
@@ -331,15 +330,9 @@ def _cmd_sweep(args, parser) -> int:
 
 def _cmd_oracle(args, parser) -> int:
     traj = load_trajectory(args.input)
-    if len(traj) > BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"oracle requires T <= {BRUTE_FORCE_LIMIT}, got {len(traj)}; "
-            "the brute-force enumeration would blow up"
-        )
-    metric = _metric(args)
-    budget = ErrorBudget(float(args.eta), metric)
-    wp, _ = extract_waypoints_dp(traj, budget)
+    budget = ErrorBudget(float(args.eta), _metric(args))
     brute = extract_waypoints_bruteforce(traj, budget)
+    wp, _ = extract_waypoints_dp(traj, budget)
     verdict = "MATCH" if len(wp) == len(brute) else "MISMATCH"
     print(f"dp={len(wp)} brute={len(brute)} {verdict}")
     print(f"dp indices:    {list(wp.indices)}")

@@ -23,8 +23,8 @@ import numpy as np
 from .state_space import (
     DEFAULT_METRIC,
     MetricConfig,
-    StateKind,
     Trajectory,
+    _check_same_kind,
     _distance_rows,
     _interpolate_rows,
     _rowdot,
@@ -252,9 +252,9 @@ def _position_coords(columns, cfg: MetricConfig) -> np.ndarray:
     return (columns.joints * weights)[:, weights > 0.0]
 
 
-def _nearest_chord(points, count: int, anchors, chain, cfg: MetricConfig) -> np.ndarray:
-    """Distance of points 0..count-1 to the nearest chord (chain[k],
-    chain[k+1]) of anchors: the minimum of _row_distances over all chords,
+def _nearest_chord(points, anchors, chain, cfg: MetricConfig) -> np.ndarray:
+    """Distance of each point to the nearest chord (chain[k], chain[k+1])
+    of anchors: the minimum of _row_distances over all chords,
     the same floating-point value, without scoring far chords.
 
     Bound: with Y the weighted coordinates (_position_coords), the kernel's
@@ -289,7 +289,8 @@ def _nearest_chord(points, count: int, anchors, chain, cfg: MetricConfig) -> np.
     if chain.size < 2:
         raise ValueError(f"a polyline needs at least 2 indices, got {chain.size}")
     src, dst = _chord_indices(chain[:-1], chain[1:], len(anchors))
-    yp = _position_coords(points, cfg)[:count]
+    yp = _position_coords(points, cfg)
+    count = len(yp)
     ya = _position_coords(anchors, cfg)
     ys, yd = ya.take(src, axis=0), ya.take(dst, axis=0)
     span = yd - ys
@@ -320,7 +321,7 @@ def _nearest_chord(points, count: int, anchors, chain, cfg: MetricConfig) -> np.
 
 
 class SegmentScorer:
-    """Cached per-trajectory evaluator for chord losses.
+    """Chord losses of one trajectory under one metric.
 
     Every query goes through _row_distances, so losses from loss(),
     chord_losses(), chord_worst() and probe_pass() are the same
@@ -403,19 +404,14 @@ class SegmentScorer:
 
     def global_loss(self, indices: Sequence[int]) -> float:
         """Reconstruction loss of the polyline through two or more increasing frame indices."""
-        return float(_nearest_chord(self.traj, len(self), self.traj, indices, self.cfg).max())
+        return float(_nearest_chord(self.traj, self.traj, indices, self.cfg).max())
 
 
 def min_distances_to_polyline(columns, anchors: Trajectory, cfg: MetricConfig = DEFAULT_METRIC) -> np.ndarray:
     """Per-row distance of state columns, keyed as Trajectory.state_columns
     (pos, quat and grip, or joints), to the nearest chord of the polyline
     through the frames of anchors."""
-    count = len(next(iter(columns.values()), ()))
-    points = SimpleNamespace(**{"joints": None, **_state_arrays(columns, count)})
-    kind = StateKind.EE if points.joints is None else StateKind.JOINT
-    if kind is not anchors.state_space:
-        raise ValueError(f"state-space kind mismatch: {kind.value} vs {anchors.state_space.value}")
-    if kind is StateKind.JOINT and points.joints.shape[1] != anchors.joints.shape[1]:
-        raise ValueError(f"joint dimension mismatch: {points.joints.shape[1]} vs {anchors.joints.shape[1]}")
+    arrays = _state_arrays(columns, len(next(iter(columns.values()), ())))
+    _check_same_kind(arrays, anchors.state_columns)
     _check_metric(anchors, cfg)
-    return _nearest_chord(points, count, anchors, range(len(anchors)), cfg)
+    return _nearest_chord(SimpleNamespace(**{"joints": None, **arrays}), anchors, range(len(anchors)), cfg)

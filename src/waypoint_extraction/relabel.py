@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import WaypointSet
-from .state_space import _STATE_COLUMNS, State, Trajectory, _gripper_dims, _state_arrays, _state_views
+from .state_space import _STATE_COLUMNS, State, Trajectory, _gripper_dims, _obs_refs, _state_arrays, _state_views
 
 __all__ = [
     "RelabeledFrame",
@@ -74,6 +74,8 @@ class RelabeledDataset:
     gripper_dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.source_name, str):
+            raise ValueError(f"source_name must be a string, got {self.source_name!r}")
         rows = len(self.t)
         for name in ("t", "target_index", "waypoints_remaining"):
             column = np.array(getattr(self, name), dtype=np.int64)
@@ -81,9 +83,7 @@ class RelabeledDataset:
                 raise ValueError(f"{name} must have shape ({rows},), got {column.shape}")
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-        object.__setattr__(self, "obs_ref", tuple(self.obs_ref))
-        if len(self.obs_ref) != rows:
-            raise ValueError(f"obs_ref has {len(self.obs_ref)} entries for {rows} rows")
+        object.__setattr__(self, "obs_ref", _obs_refs(self.obs_ref, rows, "rows"))
         for name in ("states", "targets"):
             try:
                 object.__setattr__(self, name, _state_arrays(getattr(self, name), rows, self.gripper_dims))

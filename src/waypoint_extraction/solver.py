@@ -138,9 +138,9 @@ def _classify(scorer: SegmentScorer, src, dst, eta: float, witness, stats: Solve
     return kept[fits]
 
 
-def _min_hop_path(scorer: SegmentScorer, eta: float, stats: SolveStats) -> tuple[list[int], float]:
+def _min_hop_path(scorer: SegmentScorer, eta: float, stats: SolveStats) -> list[int]:
     """The lexicographically smallest minimum-hop path from frame 0 to frame
-    T-1 over the chords within eta, and the largest loss among its chords.
+    T-1 over the chords within eta.
 
     Only chords (i, j) with j <= horizon[i] can fit, and adjacent chords
     always do. Rounds classify them from two fronts in shared kernel calls,
@@ -235,7 +235,7 @@ def _min_hop_path(scorer: SegmentScorer, eta: float, stats: SolveStats) -> tuple
     while path[-1] != T - 1:
         path.append(succ[path[-1]])
     stats.bfs_layers = len(path) - 1
-    return path, float(scorer.chord_losses(path[:-1], path[1:]).max())
+    return path
 
 
 def _finish_backward(hops: list[int], succ: list[int], src, dst, stats: SolveStats) -> None:
@@ -256,13 +256,19 @@ def _finish_backward(hops: list[int], succ: list[int], src, dst, stats: SolveSta
     stats.subproblems_evaluated += len(rest)
 
 
+def _with_losses(scorer: SegmentScorer, indices, eta: float | None = None) -> WaypointSet:
+    """The waypoint set of indices, solved under eta when given, with its
+    achieved losses: the largest chord loss and the global loss."""
+    indices = tuple(indices)
+    seg = float(scorer.chord_losses(indices[:-1], indices[1:]).max())
+    return WaypointSet(indices, eta, seg, scorer.global_loss(indices))
+
+
 def _solve(scorer: SegmentScorer, eta: float) -> tuple[WaypointSet, SolveStats]:
     stats = SolveStats()
     start = time.perf_counter()
-    indices, seg = _min_hop_path(scorer, eta, stats)
-    glob = scorer.global_loss(indices)
+    wp = _with_losses(scorer, _min_hop_path(scorer, eta, stats), eta)
     stats.wall_time = time.perf_counter() - start
-    wp = WaypointSet(tuple(indices), eta_used=eta, achieved_segment_loss=seg, achieved_global_loss=glob)
     return wp, stats
 
 
@@ -283,7 +289,7 @@ def extract_waypoints_bruteforce(traj: Trajectory, budget: ErrorBudget) -> Waypo
     """
     T = len(traj)
     if T > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force is limited to {BRUTE_FORCE_LIMIT} frames, got {T}")
+        raise ValueError(f"brute force is limited to T <= {BRUTE_FORCE_LIMIT} frames, got {T}")
     scorer = SegmentScorer(traj, budget.metric)
     src, dst = np.triu_indices(T, 1)
     loss = dict(zip(zip(src.tolist(), dst.tolist()), scorer.chord_losses(src, dst).tolist()))
@@ -291,10 +297,8 @@ def extract_waypoints_bruteforce(traj: Trajectory, budget: ErrorBudget) -> Waypo
     for k in range(0, T - 1):
         for combo in itertools.combinations(interior, k):
             seq = (0, *combo, T - 1)
-            chords = list(itertools.pairwise(seq))
-            if all(loss[c] <= budget.eta for c in chords):
-                seg = max(loss[c] for c in chords)
-                return WaypointSet(seq, budget.eta, seg, scorer.global_loss(seq))
+            if all(loss[c] <= budget.eta for c in itertools.pairwise(seq)):
+                return _with_losses(scorer, seq, budget.eta)
     raise AssertionError("the full frame sequence is always feasible")
 
 
@@ -319,8 +323,4 @@ def annotate_losses(traj: Trajectory, waypoints, metric: MetricConfig = DEFAULT_
     to the trajectory's last frame, strictly increasing."""
     wp = WaypointSet(getattr(waypoints, "indices", waypoints))
     wp.validate_for(traj)
-    indices = wp.indices
-    scorer = SegmentScorer(traj, metric)
-    seg = float(scorer.chord_losses(indices[:-1], indices[1:]).max())
-    glob = scorer.global_loss(indices)
-    return WaypointSet(indices, eta_used=None, achieved_segment_loss=seg, achieved_global_loss=glob)
+    return _with_losses(SegmentScorer(traj, metric), wp.indices)

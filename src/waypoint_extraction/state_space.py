@@ -92,6 +92,18 @@ def _gripper_dims(dims, width: int) -> tuple[int, ...] | None:
     return dims
 
 
+def _obs_refs(values, rows: int, unit: str) -> tuple[str | None, ...]:
+    """values, one observation reference per row of rows, as a tuple of
+    strings and Nones; unit names the rows."""
+    refs = tuple(values)
+    if len(refs) != rows:
+        raise ValueError(f"obs_ref has {len(refs)} entries for {rows} {unit}")
+    for k, ref in enumerate(refs):
+        if ref is not None and not isinstance(ref, str):
+            raise ValueError(f"obs_ref[{k}] must be a string or None, got {ref!r}")
+    return refs
+
+
 # Row shape of each state column; None matches any width, the same for every row.
 _ROW_SHAPES = {"pos": (3,), "quat": (4,), "grip": (), "axis_angle": (3,), "joints": (None,)}
 _STATE_NAMES = ({"pos", "quat", "grip"}, {"pos", "quat", "grip", "axis_angle"}, {"joints"})
@@ -303,13 +315,6 @@ class JointState:
 State = EEState | JointState
 
 
-def _check_same_kind(a: State, b: State) -> None:
-    if a.kind is not b.kind:
-        raise ValueError(f"state-space kind mismatch: {a.kind.value} vs {b.kind.value}")
-    if isinstance(a, JointState) and a.dim != b.dim:
-        raise ValueError(f"joint dimension mismatch: {a.dim} vs {b.dim}")
-
-
 # ---------------------------------------------------------------------------
 # frames and trajectories
 # ---------------------------------------------------------------------------
@@ -331,6 +336,17 @@ def _state_columns(states) -> dict[str, np.ndarray]:
         return {"joints": np.array([s.joints for s in states])}
     return {"pos": np.array([s.position for s in states]), "quat": np.array([s.orientation for s in states]),
             "grip": np.array([s.gripper for s in states])}
+
+
+def _check_same_kind(x: dict, y: dict) -> None:
+    """Raise unless state columns x and y, keyed as
+    Trajectory.state_columns, are of one kind and joint width."""
+    joint = "joints" in x
+    if joint != ("joints" in y):
+        kinds = (StateKind.JOINT, StateKind.EE) if joint else (StateKind.EE, StateKind.JOINT)
+        raise ValueError(f"state-space kind mismatch: {kinds[0].value} vs {kinds[1].value}")
+    if joint and x["joints"].shape[1] != y["joints"].shape[1]:
+        raise ValueError(f"joint dimension mismatch: {x['joints'].shape[1]} vs {y['joints'].shape[1]}")
 
 
 def _view(cls, **fields):
@@ -417,10 +433,8 @@ class Trajectory:
         if bad.size:
             raise ValueError(f"frames[{bad[0]}]: t={t[bad[0]]} not greater than previous t={t[bad[0] - 1]}")
         t.setflags(write=False)
-        obs_ref = (None,) * len(t) if obs_ref is None else tuple(obs_ref)
-        if len(obs_ref) != len(t):
-            raise ValueError(f"obs_ref has {len(obs_ref)} entries for {len(t)} frames")
-        fields = dict(name=name, state_space=StateKind(state_space), frequency_hz=freq, t=t, obs_ref=obs_ref)
+        fields = dict(name=name, state_space=StateKind(state_space), frequency_hz=freq, t=t,
+                      obs_ref=_obs_refs((None,) * len(t) if obs_ref is None else obs_ref, len(t), "frames"))
         if fields["state_space"] is StateKind.EE:
             if quat is None:
                 quat = _stored_rotations(_finite_array(axis_angle, (len(t), 3), "axis_angle"),
@@ -590,7 +604,8 @@ def interpolate(a: State, b: State, u: float) -> State:
     """Interpolate between two states of the same kind: one row of
     _interpolate_rows, with orientations along the shorter arc. u=0 and u=1
     return the input states unchanged."""
-    _check_same_kind(a, b)
+    a_rows, b_rows = _state_columns([a]), _state_columns([b])
+    _check_same_kind(a_rows, b_rows)
     u = float(u)
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"interpolation parameter must be in [0, 1], got {u}")
@@ -598,7 +613,7 @@ def interpolate(a: State, b: State, u: float) -> State:
         return a
     if u == 1.0:
         return b
-    rows = _interpolate_rows(_state_columns([a]), _state_columns([b]), np.array([u]))
+    rows = _interpolate_rows(a_rows, b_rows, np.array([u]))
     if isinstance(a, EEState):
         return EEState(rows["pos"][0], rows["quat"][0], rows["grip"][0])
     return JointState(rows["joints"][0], a.gripper_dims)
@@ -609,5 +624,6 @@ def state_distance(x: State, y: State, cfg: MetricConfig = DEFAULT_METRIC) -> fl
     of _distance_rows. Symmetric, non-negative, zero exactly when the states
     agree on every component the config weights, and unchanged by a common
     offset of both positions."""
-    _check_same_kind(x, y)
-    return float(_distance_rows(_state_columns([x]), _state_columns([y]), cfg)[0])
+    x_rows, y_rows = _state_columns([x]), _state_columns([y])
+    _check_same_kind(x_rows, y_rows)
+    return float(_distance_rows(x_rows, y_rows, cfg)[0])

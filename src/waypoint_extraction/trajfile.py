@@ -85,6 +85,19 @@ def _object(value, where: str, schema: str | None = None) -> dict:
     return value
 
 
+def _provenance(doc: dict, where: str, schema: str | None = None) -> dict:
+    """doc's provenance, a JSON object with schema_version schema when one
+    is given. Absent or null reads as {}, which only passes without a
+    schema. A source_name, when present, must be a string."""
+    prov = {} if doc.get("provenance") is None else doc["provenance"]
+    if not isinstance(prov, dict):
+        raise TrajectorySchemaError(f"{where}: provenance must be a JSON object")
+    _object(prov, where, schema)
+    if not isinstance(prov.get("source_name", ""), str):
+        raise TrajectorySchemaError(f"{where}: provenance source_name must be a string")
+    return prov
+
+
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise TrajectorySchemaError(f"{where}: missing field {key!r}")
@@ -330,6 +343,15 @@ def load_metric_config(path) -> MetricConfig:
 # ---------------------------------------------------------------------------
 
 
+def _stamp(fields: dict, metric: MetricConfig | None, created_at) -> dict:
+    """A file's provenance: fields, then the metric (DEFAULT_METRIC when
+    None), the tool version and created_at when given."""
+    prov = {**fields, "metric": metric_to_dict(metric or DEFAULT_METRIC), "tool_version": __version__}
+    if created_at is not None:
+        prov["created_at"] = str(created_at)
+    return prov
+
+
 def save_waypoints(path, wp: WaypointSet, provenance: dict) -> None:
     """Write an awe-wp-v1 document.
 
@@ -337,11 +359,8 @@ def save_waypoints(path, wp: WaypointSet, provenance: dict) -> None:
     MetricConfig, DEFAULT_METRIC when absent) and "created_at"; the tool
     version is stamped automatically.
     """
-    prov = {"source_name": str(provenance["source_name"])}
-    prov["metric"] = metric_to_dict(provenance.get("metric") or DEFAULT_METRIC)
-    prov["tool_version"] = __version__
-    if provenance.get("created_at") is not None:
-        prov["created_at"] = str(provenance["created_at"])
+    prov = _stamp({"source_name": str(provenance["source_name"])}, provenance.get("metric"),
+                  provenance.get("created_at"))
     doc = {
         "schema_version": WAYPOINTS_SCHEMA,
         "eta": wp.eta_used,
@@ -375,10 +394,7 @@ def load_waypoints(path) -> tuple[WaypointSet, dict]:
         )
     except ValueError as exc:
         raise TrajectoryValidationError(f"{where}: {exc}") from exc
-    prov = doc.get("provenance") or {}
-    if not isinstance(prov, dict):
-        raise TrajectorySchemaError(f"{where}: provenance must be a JSON object")
-    return wp, prov
+    return wp, _provenance(doc, where)
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +429,8 @@ def save_relabeled(path, ds: RelabeledDataset, metric: MetricConfig | None = Non
     Provenance (schema version, source, eta, metric, tool version) is
     embedded in the first record so the line count equals the row count.
     """
-    prov = {
-        "schema_version": RELABEL_SCHEMA,
-        "source_name": ds.source_name,
-        "eta": None if math.isnan(ds.eta) else ds.eta,
-        "metric": metric_to_dict(metric if metric is not None else MetricConfig()),
-        "tool_version": __version__,
-    }
-    if created_at is not None:
-        prov["created_at"] = str(created_at)
+    prov = _stamp({"schema_version": RELABEL_SCHEMA, "source_name": ds.source_name,
+                   "eta": None if math.isnan(ds.eta) else ds.eta}, metric, created_at)
     obs_refs = ["" if ref is None else f'"obs_ref": {json.dumps(ref)}, ' for ref in ds.obs_ref]
     lines = [
         f'{{"t": {t}, {obs}"state": {state}, "target_waypoint": {target}, "target_index": {index}, '
@@ -474,12 +483,7 @@ def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
     if not records:
         raise TrajectorySchemaError(f"{where}: no records")
     first = _object(records[0], lines[0])
-    prov = first.get("provenance") or {}
-    if not isinstance(prov, dict):
-        raise TrajectorySchemaError(f"{lines[0]}: provenance must be a JSON object")
-    version = prov.get("schema_version")
-    if version != RELABEL_SCHEMA:
-        raise TrajectorySchemaError(f"{lines[0]}: schema_version {version!r} is not {RELABEL_SCHEMA!r}")
+    prov = _provenance(first, lines[0], RELABEL_SCHEMA)
 
     first_state = first.get("state")
     joint = isinstance(first_state, dict) and "joints" in first_state
@@ -513,9 +517,8 @@ def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
             raise TrajectoryValidationError(str(exc)) from exc
     eta = prov.get("eta")
     eta = math.nan if eta is None else _number(eta, f"{lines[0]}.provenance.eta")
-    source = str(prov.get("source_name", ""))
     dataset = RelabeledDataset(
-        source, eta, t, tuple(obs_refs),
+        prov.get("source_name", ""), eta, t, obs_refs,
         states={name: column[:n] for name, column in columns.items()},
         targets={name: column[n:] for name, column in columns.items()},
         target_index=target_index, waypoints_remaining=remaining,

@@ -70,7 +70,7 @@ def test_nearest_chord_equals_unpruned_reference(rng, family):
     for _ in range(2):
         traj, metric = _family(family, rng)
         for chain in _chains(traj, metric, rng):
-            got = _nearest_chord(traj, len(traj), traj, chain, metric)
+            got = _nearest_chord(traj, traj, chain, metric)
             assert np.array_equal(got, oracle_nearest_chord(traj, len(traj), traj, chain, metric))
 
 
@@ -82,7 +82,7 @@ def test_replay_deviation_equals_unpruned_reference(rng, family, multiplier):
     else:
         traj, metric = _family(family, rng)
     wp, _ = extract_waypoints_dp(traj, ErrorBudget(0.05, metric))
-    steps = np.diff(_nearest_chord(traj, len(traj), traj, [0, len(traj) - 1], metric))
+    steps = np.diff(_nearest_chord(traj, traj, [0, len(traj) - 1], metric))
     follower = FollowerConfig(max_step=float(np.abs(steps).max()) + 0.01, reach_tolerance=0.01,
                               control_multiplier=multiplier, metric=metric)
     executed = replay_waypoints(traj, wp, follower).executed_path
@@ -112,7 +112,7 @@ def test_skipped_chords_are_farther_than_the_minimum(rng, monkeypatch, family):
         monkeypatch.setattr(reconstruction, "_PAIR_BLOCK", block)
         monkeypatch.setattr(reconstruction, "_CHUNK_ROWS", kernel_rows)
         scored[:] = False
-        got = _nearest_chord(traj, T, traj, range(T), metric)
+        got = _nearest_chord(traj, traj, range(T), metric)
         assert np.array_equal(got, exact.min(axis=1))
         assert np.all(exact[~scored] > np.broadcast_to(got[:, None], exact.shape)[~scored])
         if family == "orientation-only":

@@ -176,3 +176,17 @@ def test_relabeled_dataset_stores_gripper_dims_as_trajectory_does():
     assert {row.state.gripper_dims for row in ds.frames} == {(2,)}
     with pytest.raises(ValueError, match=r"^states: gripper_dims entries must be an integer >= 0, got 1\.5"):
         RelabeledDataset(**{**_fields(_WIDE), "gripper_dims": [1.5]})
+
+
+def test_relabeled_dataset_refuses_obs_refs_a_file_cannot_hold():
+    # save_relabeled would write them, and load_relabeled refuse the file
+    with pytest.raises(ValueError, match=r"^obs_ref\[1\] must be a string or None, got 7$"):
+        RelabeledDataset(**{**_fields(_EE), "obs_ref": ("a", 7, None)})
+    assert RelabeledDataset(**{**_fields(_EE), "obs_ref": ("a", None, "c")}).obs_ref == ("a", None, "c")
+
+
+@pytest.mark.parametrize("source_name", [None, 5])
+def test_relabeled_dataset_refuses_a_source_name_a_file_cannot_hold(source_name):
+    # save_relabeled would write it, and load_relabeled refuse the file
+    with pytest.raises(ValueError, match=f"^source_name must be a string, got {source_name}$"):
+        RelabeledDataset(**{**_fields(_EE), "source_name": source_name})

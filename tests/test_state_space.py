@@ -467,3 +467,41 @@ def test_counts_are_not_bounded_by_the_float_range():
     assert (cfg.control_multiplier, cfg.tick_limit) == (huge, huge + 1)
     assert WaypointSet((0, huge)).indices == (0, huge)
     assert _joint_columns(joints=np.zeros((3, 4)), gripper_dims=(3.0,)).gripper_dims == (3,)
+
+
+_KIND_PAIRS = {
+    "ee, joint": ((None, 3), "^state-space kind mismatch: ee vs joint$"),
+    "joint, ee": ((3, None), "^state-space kind mismatch: joint vs ee$"),
+    "joint widths": ((3, 4), "^joint dimension mismatch: 3 vs 4$"),
+}
+_KIND_CALLS = {
+    "interpolate": lambda x, y: interpolate(x.state(0), y.state(1), 0.5),
+    "state_distance": lambda x, y: state_distance(x.state(0), y.state(1)),
+    "min_distances_to_polyline": lambda x, y: min_distances_to_polyline(x.state_columns, y),
+}
+
+
+@pytest.mark.parametrize("call", list(_KIND_CALLS))
+@pytest.mark.parametrize("pair", list(_KIND_PAIRS))
+def test_state_kind_checks_agree(call, pair):
+    # one owner, state_space._check_same_kind, names a kind or width fault
+    # alike for states and for state columns
+    widths, message = _KIND_PAIRS[pair]
+    x, y = (make_random_walk_trajectory(np.random.default_rng(0), 4) if width is None else
+            make_random_walk_trajectory(np.random.default_rng(0), 4, StateKind.JOINT, joint_dim=width)
+            for width in widths)
+    with pytest.raises(ValueError, match=message):
+        _KIND_CALLS[call](x, y)
+
+
+@pytest.mark.parametrize("obs_ref, message", [
+    ([1, 2.5, None], r"^obs_ref\[0\] must be a string or None, got 1$"),
+    (["a", 2.5, None], r"^obs_ref\[1\] must be a string or None, got 2.5$"),
+    ([None, None, b"c"], r"^obs_ref\[2\] must be a string or None, got b'c'$"),
+])
+def test_from_columns_refuses_obs_refs_a_file_cannot_hold(obs_ref, message):
+    # save_trajectory would write them, and load_trajectory refuse the file
+    with pytest.raises(ValueError, match=message):
+        Trajectory.from_columns("x", "joint", 10.0, [0, 1, 2], obs_ref=obs_ref, joints=[[0.0], [1.0], [2.0]])
+    traj = Trajectory.from_columns("x", "joint", 10.0, [0, 1, 2], obs_ref=["a", None, "c"], joints=[[0.0], [1.0], [2.0]])
+    assert traj.obs_ref == ("a", None, "c")

@@ -542,6 +542,54 @@ def test_relabeled_non_object_provenance_is_a_schema_error(tmp_path, provenance)
         load_relabeled(path)
 
 
+def _waypoints_doc(tmp_path, **provenance) -> Path:
+    path = tmp_path / "wp.json"
+    save_waypoints(path, WaypointSet((0, 3, 9)), {"source_name": "h"})
+    doc = json.loads(path.read_text())
+    doc.update(provenance)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("provenance", [[], 0, "", False, [1]])
+def test_waypoints_non_object_provenance_is_a_schema_error(tmp_path, provenance):
+    # a falsy non-object once loaded as {}, while [1] was refused
+    with pytest.raises(TrajectorySchemaError, match=r"wp\.json: provenance must be a JSON object$"):
+        load_waypoints(_waypoints_doc(tmp_path, provenance=provenance))
+
+
+def test_waypoints_provenance_is_optional(tmp_path):
+    assert load_waypoints(_waypoints_doc(tmp_path, provenance=None))[1] == {}
+    path = _waypoints_doc(tmp_path)
+    doc = json.loads(path.read_text())
+    del doc["provenance"]
+    path.write_text(json.dumps(doc))
+    assert load_waypoints(path)[1] == {}
+
+
+@pytest.mark.parametrize("first", [
+    {"t": 0}, {"t": 0, "provenance": None}, {"t": 0, "provenance": {}}, {"t": 0, "provenance": {"eta": 0.1}},
+])
+def test_relabeled_provenance_needs_its_schema_version(tmp_path, first):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(first) + "\n")
+    with pytest.raises(TrajectorySchemaError, match=r"line 1: missing field 'schema_version'$"):
+        load_relabeled(path)
+
+
+@pytest.mark.parametrize("source_name", [None, 5, ["x"]])
+def test_provenance_source_name_must_be_a_string(tmp_path, source_name):
+    message = r"provenance source_name must be a string$"
+    with pytest.raises(TrajectorySchemaError, match=message):
+        load_waypoints(_waypoints_doc(tmp_path, provenance={"source_name": source_name}))
+    path = _relabel_lines(tmp_path, [_row(0, EE_STATE, EE_STATE)])
+    record = json.loads(path.read_text())
+    record["provenance"]["source_name"] = source_name
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(TrajectorySchemaError, match=r"line 1: " + message):
+        load_relabeled(path)
+
+
 # ---------------------------------------------------------------------------
 # metric configs
 # ---------------------------------------------------------------------------
