@@ -537,11 +537,6 @@ def _slerp_rows(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
     folded into qb's weight, which is exact, as (wb s) qb == wb (s qb) for
     s = +-1. A row at u = 0 or 1 is qa or (up to sign) qb unchanged: its
     weights are exactly 1 and 0, and renormalizing could move it."""
-    n = len(u)
-    if qa.shape != (n, 4):
-        qa = np.broadcast_to(qa, (n, 4))
-    if qb.shape != (n, 4):
-        qb = np.broadcast_to(qb, (n, 4))
     dots = _rowdot(qa, qb)
     sign = np.where(dots < 0.0, -1.0, 1.0)
     dots = np.minimum(np.abs(dots), 1.0)

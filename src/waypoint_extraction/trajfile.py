@@ -125,17 +125,6 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def _check_int(rec: dict, key: str, where: str) -> None:
-    if type(_require(rec, key, where)) is not int:
-        raise TrajectorySchemaError(f"{where}: {key} must be an integer")
-
-
-def _check_obs_ref(rec: dict, where: str) -> None:
-    obs_ref = rec.get("obs_ref")
-    if obs_ref is not None and type(obs_ref) is not str:
-        raise TrajectorySchemaError(f"{where}: obs_ref must be a string")
-
-
 def _check_vector(value, length: int, where: str) -> None:
     if type(value) is not list or len(value) != length:
         raise TrajectorySchemaError(f"{where}: expected a list of {length} numbers")
@@ -197,6 +186,50 @@ def _record_columns(records: list, joint: bool) -> dict | None:
             "grip": values[6 * n :]}
 
 
+_STATE_KINDS = {True: "joint", False: "end-effector"}
+
+
+def _record_table(records: list, where, ints: tuple, states: tuple, joint: bool):
+    """(int columns, obs_refs, state columns) of a nonempty list of records,
+    where(k) naming record k: a list of values per key of ints, each
+    record's obs_ref, and _record_columns of its state records, key by key
+    of states (None: the record is its own state). All fields are gathered
+    and type-checked in one pass; only a failed check walks the records in
+    file order, to raise the error of the first bad field. A state carrying
+    the other kind's field (joints in an end-effector file, pos in a joint
+    file) is a schema error, and a joint state must have the first state's
+    width."""
+    other = "pos" if joint else "joints"
+    try:
+        int_columns = [[rec[key] for rec in records] for key in ints]
+        obs_refs = [rec.get("obs_ref") for rec in records]
+        subs = [rec if key is None else rec[key] for key in states for rec in records]
+    except (KeyError, TypeError, AttributeError):
+        subs = None
+    if (subs is not None and set(map(type, chain.from_iterable(int_columns))) <= {int}
+            and set(map(type, obs_refs)) <= {str, type(None)} and set(map(type, subs)) <= {dict}
+            and not any(other in s for s in subs)):
+        columns = _record_columns(subs, joint)
+        if columns is not None:
+            return int_columns, obs_refs, columns
+    dim = None
+    for k, rec in enumerate(records):
+        here = where(k)
+        _object(rec, here)
+        for key in ints:
+            if type(_require(rec, key, here)) is not int:
+                raise TrajectorySchemaError(f"{here}: {key} must be an integer")
+        if type(rec.get("obs_ref")) not in (str, type(None)):
+            raise TrajectorySchemaError(f"{here}: obs_ref must be a string")
+        for key in states:
+            state, label = (rec, here) if key is None else (_require(rec, key, here), f"{here}.{key}")
+            if isinstance(state, dict) and other in state:
+                raise TrajectorySchemaError(f"{label}: {_STATE_KINDS[not joint]} state in a file of "
+                                            f"{_STATE_KINDS[joint]} states")
+            dim = _check_state(state, label, joint, dim)
+    raise AssertionError(f"{where(0)}: the record checks failed on records with no bad field")
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -223,23 +256,9 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
     }
 
 
-def _raise_frame_fault(raw_frames: list, where: str, joint: bool):
-    """Raise the error of the first bad field of the frames, in file order."""
-    dim = None
-    for i, rec in enumerate(raw_frames):
-        here = f"{where}.frames[{i}]"
-        _object(rec, here)
-        _check_int(rec, "t", here)
-        _check_obs_ref(rec, here)
-        dim = _check_state(rec, here, joint, dim)
-    raise AssertionError(f"{where}: the frame checks failed on frames with no bad field")
-
-
 def trajectory_from_dict(doc: dict, where: str = "trajectory") -> Trajectory:
-    """Gather the frame fields into columns, check their JSON types and
-    finiteness and joint width column by column, then hand the columns to
-    Trajectory.from_columns, which checks the time axis. Only a failed check
-    scans the frames, to name the first bad field."""
+    """Gather and check the frames as columns with _record_table, then hand
+    them to Trajectory.from_columns, which checks the time axis."""
     _object(doc, where, TRAJECTORY_SCHEMA)
     name = _require(doc, "name", where)
     if not isinstance(name, str):
@@ -253,15 +272,8 @@ def trajectory_from_dict(doc: dict, where: str = "trajectory") -> Trajectory:
     if not isinstance(raw_frames, list) or not raw_frames:
         raise TrajectorySchemaError(f"{where}: frames must be a nonempty list")
 
-    joint = kind is StateKind.JOINT
-    try:
-        times = [rec["t"] for rec in raw_frames]
-        obs_refs = [rec.get("obs_ref") for rec in raw_frames]
-    except (KeyError, TypeError, AttributeError):
-        times = obs_refs = None
-    columns = None if times is None else _record_columns(raw_frames, joint)
-    if columns is None or not set(map(type, times)) <= {int} or not set(map(type, obs_refs)) <= {str, type(None)}:
-        _raise_frame_fault(raw_frames, where, joint)
+    (times,), obs_refs, columns = _record_table(raw_frames, lambda k: f"{where}.frames[{k}]", ("t",), (None,),
+                                                kind is StateKind.JOINT)
     try:
         return Trajectory.from_columns(name, kind, frequency, times, obs_refs, **columns)
     except (OverflowError, ValueError) as exc:  # OverflowError: t beyond 64 bits
@@ -345,7 +357,10 @@ def load_metric_config(path) -> MetricConfig:
 
 def _stamp(fields: dict, metric: MetricConfig | None, created_at) -> dict:
     """A file's provenance: fields, then the metric (DEFAULT_METRIC when
-    None), the tool version and created_at when given."""
+    None), the tool version and created_at when given. A source_name in
+    fields must be a string, as _provenance reads it back."""
+    if not isinstance(fields.get("source_name", ""), str):
+        raise ValueError(f"provenance source_name must be a string, got {type(fields['source_name']).__name__}")
     prov = {**fields, "metric": metric_to_dict(metric or DEFAULT_METRIC), "tool_version": __version__}
     if created_at is not None:
         prov["created_at"] = str(created_at)
@@ -355,11 +370,11 @@ def _stamp(fields: dict, metric: MetricConfig | None, created_at) -> dict:
 def save_waypoints(path, wp: WaypointSet, provenance: dict) -> None:
     """Write an awe-wp-v1 document.
 
-    provenance must carry "source_name" and may carry "metric" (a
+    provenance must carry a string "source_name" and may carry "metric" (a
     MetricConfig, DEFAULT_METRIC when absent) and "created_at"; the tool
     version is stamped automatically.
     """
-    prov = _stamp({"source_name": str(provenance["source_name"])}, provenance.get("metric"),
+    prov = _stamp({"source_name": provenance["source_name"]}, provenance.get("metric"),
                   provenance.get("created_at"))
     doc = {
         "schema_version": WAYPOINTS_SCHEMA,
@@ -443,33 +458,10 @@ def save_relabeled(path, ds: RelabeledDataset, metric: MetricConfig | None = Non
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-_RELABEL_INTS = ("t", "target_index", "waypoints_remaining")
-_STATE_KINDS = {True: "joint", False: "end-effector"}
-
-
-def _raise_line_fault(records: list, lines: list[str], joint: bool):
-    """Raise the error of the first bad field of the relabeled records, in
-    file order; lines[k] names record k. Every state must be of the first
-    state's kind, and joint states of its dimension."""
-    dim = None
-    for rec, here in zip(records, lines):
-        _object(rec, here)
-        for key in _RELABEL_INTS:
-            _check_int(rec, key, here)
-        _check_obs_ref(rec, here)
-        for key in ("state", "target_waypoint"):
-            state, label = _require(rec, key, here), f"{here}.{key}"
-            if isinstance(state, dict) and ("joints" in state) != joint:
-                raise TrajectorySchemaError(f"{label}: {_STATE_KINDS[not joint]} state in a file of "
-                                            f"{_STATE_KINDS[joint]} states")
-            dim = _check_state(state, label, joint, dim)
-    raise AssertionError(f"{lines[0]}: the record checks failed on records with no bad field")
-
-
 def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
-    """Read an awe-relabel-v1 file into columns. The fields of all records
-    are gathered and checked column by column, as trajectory_from_dict does;
-    only a failed check scans the records, to name the line at fault."""
+    """Read an awe-relabel-v1 file into columns, gathered and checked by
+    _record_table as trajectory_from_dict's frames are. The first state's
+    kind is the file's."""
     where = str(path)
     records, lines = [], []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
@@ -487,19 +479,8 @@ def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
 
     first_state = first.get("state")
     joint = isinstance(first_state, dict) and "joints" in first_state
-    try:
-        ints = [[rec[key] for rec in records] for key in _RELABEL_INTS]
-        obs_refs = [rec.get("obs_ref") for rec in records]
-        states = [rec["state"] for rec in records] + [rec["target_waypoint"] for rec in records]
-    except (KeyError, TypeError, AttributeError):
-        states = None
-    columns = None
-    if (states is not None and set(map(type, chain.from_iterable(ints))) <= {int}
-            and set(map(type, obs_refs)) <= {str, type(None)} and set(map(type, states)) <= {dict}
-            and {"joints" in state for state in states} == {joint}):
-        columns = _record_columns(states, joint)
-    if columns is None:
-        _raise_line_fault(records, lines, joint)
+    ints, obs_refs, columns = _record_table(records, lines.__getitem__, ("t", "target_index", "waypoints_remaining"),
+                                            ("state", "target_waypoint"), joint)
 
     n = len(records)
     try:

@@ -23,6 +23,7 @@ from waypoint_extraction.state_space import (
 from waypoint_extraction.synthetic import make_random_walk_trajectory, make_segmented_ee_trajectory
 from waypoint_extraction.trajfile import (
     PLOT_HEADER,
+    TrajectoryFileError,
     TrajectoryParseError,
     TrajectorySchemaError,
     TrajectoryValidationError,
@@ -588,6 +589,89 @@ def test_provenance_source_name_must_be_a_string(tmp_path, source_name):
     path.write_text(json.dumps(record) + "\n")
     with pytest.raises(TrajectorySchemaError, match=r"line 1: " + message):
         load_relabeled(path)
+
+
+@pytest.mark.parametrize("source_name", [None, 5, ["x"]])
+def test_save_waypoints_refuses_a_non_string_source_name(tmp_path, source_name):
+    # once written as the text "None", "5" or "['x']" and read back as a name
+    path = tmp_path / "wp.json"
+    with pytest.raises(ValueError, match=r"provenance source_name must be a string"):
+        save_waypoints(path, WaypointSet((0, 3, 9)), {"source_name": source_name})
+    assert not path.exists()
+
+
+JOINT_STATE = {"joints": [0.0, 1.0, 2.0]}
+
+
+@pytest.mark.parametrize("fmt, kind, state, message", [
+    # a trajectory frame is its own state
+    ("trajectory", "ee", dict(EE_STATE, joints=[0.0, 1.0]), r"\.frames\[3\]: joint state in a file of end-effector states$"),
+    ("trajectory", "ee", {"joints": [0.0, 1.0]}, r"\.frames\[3\]: joint state in a file of end-effector states$"),
+    ("trajectory", "joint", dict(JOINT_STATE, pos=[0.0, 0.0, 0.0]),
+     r"\.frames\[3\]: end-effector state in a file of joint states$"),
+    # a relabel record's states; the first state's kind is the file's
+    ("relabel", "joint", dict(JOINT_STATE, pos=[0.0, 0.0, 0.0]),
+     r"line 2\.state: end-effector state in a file of joint states$"),
+    ("relabel", "ee", dict(EE_STATE, joints=[0.0]), r"line 2\.state: joint state in a file of end-effector states$"),
+    ("relabel", "joint", {}, r"line 2\.state: missing field 'joints'$"),
+], ids=["ee-frame-both", "ee-frame-joints-only", "joint-frame-both", "relabel-joint-both", "relabel-ee-both",
+        "relabel-joint-neither"])
+def test_a_state_with_the_other_kinds_field_is_a_schema_error(tmp_path, fmt, kind, state, message):
+    with pytest.raises(TrajectorySchemaError, match=message):
+        if fmt == "relabel":
+            first = EE_STATE if kind == "ee" else JOINT_STATE
+            load_relabeled(_relabel_lines(tmp_path, [_row(0, first, first), _row(1, state, first)]))
+        else:
+            doc = _demo_doc(kind)
+            doc["frames"][3] = {"t": 3, **state}
+            load_trajectory(write(tmp_path, doc))
+
+
+# Every value a leaf mutation writes; DELETE removes the key or list entry.
+MUTANTS = [DELETE, None, True, "x", [], {}, [1.0], 0, -1, 1.5, 1e308, 10**400, float("nan"), float("inf"), 2**63,
+           JOINT_STATE, EE_STATE]
+
+
+def _paths(node, path=()):
+    """Every path below a JSON value, each parent before its children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _file_text(doc) -> str:
+    """A trajectory document's file text, or a relabel file's for a list of records."""
+    return "".join(json.dumps(r) + "\n" for r in doc) if isinstance(doc, list) else json.dumps(doc)
+
+
+@pytest.mark.parametrize("fmt", ["trajectory", "relabel"])
+@pytest.mark.parametrize("kind", ["ee", "joint"])
+def test_leaf_mutations_load_or_raise_a_located_file_error(tmp_path, fmt, kind):
+    # a fixed enumeration: every path of the file, each set to every value of MUTANTS
+    if fmt == "trajectory":
+        base, loader = _demo_doc(kind), load_trajectory
+    else:
+        relabeled = tmp_path / "source.jsonl"
+        traj = load_trajectory(write(tmp_path, _demo_doc(kind)))
+        save_relabeled(relabeled, relabel_trajectory(traj, WaypointSet((0, 2, 5))))
+        base, loader = [json.loads(line) for line in relabeled.read_text().splitlines()], load_relabeled
+    text = json.dumps(base)
+    path = tmp_path / f"mutant-{fmt}-{kind}"
+    escaped = []
+    for where in _paths(base):
+        for value in MUTANTS:
+            doc = json.loads(text)
+            _set(doc, where, value)
+            path.write_text(_file_text(doc))
+            try:
+                loader(path)
+            except TrajectoryFileError as exc:
+                if str(path) not in str(exc):
+                    escaped.append((where, value, f"unlocated: {exc}"))
+            except Exception as exc:  # anything else escaping is the fault this test looks for
+                escaped.append((where, value, f"{type(exc).__name__}: {exc}"))
+    assert not escaped, escaped[:5]
 
 
 # ---------------------------------------------------------------------------
