@@ -49,7 +49,6 @@ from .trajfile import (
     load_metric_config,
     load_trajectory,
     load_waypoints,
-    metric_from_dict,
     save_relabeled,
     save_waypoints,
 )
@@ -281,17 +280,12 @@ def _cmd_replay_check(args, parser) -> int:
     wp, provenance = load_waypoints(args.waypoints)
     wp.validate_for(traj)
     # follow and score under the metric the waypoints were extracted with
-    metric = provenance.get("metric")
-    if metric is None:
-        metric = DEFAULT_METRIC
-    else:
-        metric = metric_from_dict(metric, where=f"{args.waypoints}.provenance.metric")
     follower = default_follower_config(
         traj,
         wp.eta_used,
         control_multiplier=args.control_multiplier,
         blocking=args.blocking,
-        metric=metric,
+        metric=provenance.get("metric") or DEFAULT_METRIC,
     )
     overrides = {}
     if args.max_step is not None:

@@ -10,13 +10,13 @@ after the last waypoint.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .solver import WaypointSet
-from .state_space import _STATE_COLUMNS, State, Trajectory, _gripper_dims, _obs_refs, _state_arrays, _state_views
+from .state_space import (_STATE_COLUMNS, State, Trajectory, _finite_scalar, _gripper_dims, _int_array, _obs_refs,
+                          _state_arrays, _state_views)
 
 __all__ = [
     "RelabeledFrame",
@@ -64,7 +64,7 @@ class RelabeledDataset:
     """
 
     source_name: str
-    eta: float
+    eta: float | None
     t: np.ndarray
     obs_ref: tuple[str | None, ...]
     states: dict[str, np.ndarray]
@@ -76,13 +76,12 @@ class RelabeledDataset:
     def __post_init__(self):
         if not isinstance(self.source_name, str):
             raise ValueError(f"source_name must be a string, got {self.source_name!r}")
+        if self.eta is not None:
+            object.__setattr__(self, "eta", _finite_scalar(self.eta, "eta", positive=True))
+        object.__setattr__(self, "t", _int_array(self.t, None, "t"))
         rows = len(self.t)
-        for name in ("t", "target_index", "waypoints_remaining"):
-            column = np.array(getattr(self, name), dtype=np.int64)
-            if column.shape != (rows,):
-                raise ValueError(f"{name} must have shape ({rows},), got {column.shape}")
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+        for name in ("target_index", "waypoints_remaining"):
+            object.__setattr__(self, name, _int_array(getattr(self, name), rows, name))
         object.__setattr__(self, "obs_ref", _obs_refs(self.obs_ref, rows, "rows"))
         for name in ("states", "targets"):
             try:
@@ -126,9 +125,8 @@ def relabel_trajectory(traj: Trajectory, wp: WaypointSet) -> RelabeledDataset:
     after = np.searchsorted(indices, np.arange(len(traj) - 1), side="right")
     target = indices[after]
     columns = traj.state_columns
-    eta = wp.eta_used if wp.eta_used is not None else math.nan
     return RelabeledDataset(
-        traj.name, eta, traj.t[:-1], traj.obs_ref[:-1],
+        traj.name, wp.eta_used, traj.t[:-1], traj.obs_ref[:-1],
         states={name: column[:-1] for name, column in columns.items()},
         targets={name: column[target] for name, column in columns.items()},
         target_index=traj.t[target], waypoints_remaining=len(indices) - after, gripper_dims=traj.gripper_dims,

@@ -157,7 +157,7 @@ def default_follower_config(
     if median_step == 0.0 and steps.any():
         median_step = float(np.median(steps[steps > 0.0]))
     max_step = max(1.5 * median_step, 1e-9)
-    tolerance = 0.25 * eta if eta is not None else 0.25 * max_step
+    tolerance = 0.25 * (max_step if eta is None else _finite_scalar(eta, "eta", positive=True))
     tick_limit = 20 * len(traj) * control_multiplier + 1000
     return FollowerConfig(
         max_step=max_step,

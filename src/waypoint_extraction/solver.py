@@ -82,7 +82,7 @@ class WaypointSet:
         object.__setattr__(self, "indices", indices)
         for name in ("eta_used", "achieved_segment_loss", "achieved_global_loss"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, _finite_scalar(getattr(self, name), name))
+                object.__setattr__(self, name, _finite_scalar(getattr(self, name), name, positive=name == "eta_used"))
         if self.eta_used is not None and self.achieved_segment_loss is not None:
             if self.achieved_segment_loss > self.eta_used:
                 raise ValueError("achieved segment loss exceeds the budget it was solved under")

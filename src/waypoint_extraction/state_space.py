@@ -63,6 +63,25 @@ def _finite_array(values, shape: tuple[int | None, ...], name: str) -> np.ndarra
     return arr
 
 
+def _int_array(values, rows: int | None, name: str) -> np.ndarray:
+    """values as a read-only int64 array of shape (rows,), None matching any
+    length. Each value must be an integer as _count reads one: a fractional,
+    NaN, infinite or non-numeric value is refused, not truncated or parsed,
+    and so is one beyond 64 bits."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "bi":  # floats, strings or integers beyond int64: read each value as given
+        arr = np.asarray(values, dtype=object)
+    if arr.ndim != 1 or rows not in (None, len(arr)):
+        raise ValueError(f"{name} must have shape ({rows},), got {arr.shape}")
+    if arr.dtype == object:
+        for k, v in enumerate(arr.tolist()):  # nan and inf fail v % 1 == 0
+            if not (isinstance(v, (int, float)) and v % 1 == 0 and -2**63 <= v < 2**63):
+                raise ValueError(f"{name}[{k}] must be an integer within 64 bits, got {v!r}")
+    arr = arr.astype(np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
 def _finite_scalar(value, name: str, positive: bool = False) -> float:
     """value as a float that is finite and >= 0, or > 0 when positive."""
     try:
@@ -424,15 +443,14 @@ class Trajectory:
         derived from axis_angle bit for bit as EEState.from_axis_angle
         derives it. obs_ref defaults to None."""
         freq = _finite_scalar(frequency_hz, "frequency_hz", positive=True)
+        t = _int_array(t, None, "t")
         if len(t) < 2:
             raise ValueError("trajectory needs at least 2 frames")
-        t = np.array(t, dtype=np.int64)
         if t[0] != 0:
             raise ValueError(f"frames[0]: time index must start at 0, got {t[0]}")
         bad = np.flatnonzero(np.diff(t) <= 0) + 1
         if bad.size:
             raise ValueError(f"frames[{bad[0]}]: t={t[bad[0]]} not greater than previous t={t[bad[0] - 1]}")
-        t.setflags(write=False)
         fields = dict(name=name, state_space=StateKind(state_space), frequency_hz=freq, t=t,
                       obs_ref=_obs_refs((None,) * len(t) if obs_ref is None else obs_ref, len(t), "frames"))
         if fields["state_space"] is StateKind.EE:

@@ -20,6 +20,7 @@ domain invariants (non-finite numbers, non-monotone time indices, ...).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from itertools import chain
@@ -30,7 +31,8 @@ import numpy as np
 from . import __version__
 from .relabel import RelabeledDataset, _first_bad_row
 from .solver import WaypointSet
-from .state_space import DEFAULT_METRIC, MetricConfig, StateKind, Trajectory, _stored_rotations
+from .state_space import (DEFAULT_METRIC, MetricConfig, StateKind, Trajectory, _finite_scalar, _int_array,
+                          _stored_rotations)
 
 __all__ = [
     "TRAJECTORY_SCHEMA",
@@ -85,16 +87,34 @@ def _object(value, where: str, schema: str | None = None) -> dict:
     return value
 
 
+@contextlib.contextmanager
+def _located(where: str):
+    """Raise a ValueError of the block, a broken domain rule, as a
+    TrajectoryValidationError at where."""
+    try:
+        yield
+    except ValueError as exc:
+        raise TrajectoryValidationError(f"{where}: {exc}") from exc
+
+
 def _provenance(doc: dict, where: str, schema: str | None = None) -> dict:
     """doc's provenance, a JSON object with schema_version schema when one
     is given. Absent or null reads as {}, which only passes without a
-    schema. A source_name, when present, must be a string."""
+    schema. A source_name, tool_version or created_at, when present, must
+    be a string. A metric or eta, when present and not null, is returned as
+    a MetricConfig or as a budget, which ErrorBudget's rule holds positive."""
     prov = {} if doc.get("provenance") is None else doc["provenance"]
     if not isinstance(prov, dict):
         raise TrajectorySchemaError(f"{where}: provenance must be a JSON object")
     _object(prov, where, schema)
-    if not isinstance(prov.get("source_name", ""), str):
-        raise TrajectorySchemaError(f"{where}: provenance source_name must be a string")
+    for key in ("source_name", "tool_version", "created_at"):
+        if not isinstance(prov.get(key, ""), str):
+            raise TrajectorySchemaError(f"{where}: provenance {key} must be a string")
+    if prov.get("metric") is not None:
+        prov["metric"] = metric_from_dict(prov["metric"], f"{where}.provenance.metric")
+    if prov.get("eta") is not None:
+        with _located(f"{where}.provenance.eta"):
+            prov["eta"] = _finite_scalar(_number(prov["eta"], f"{where}.provenance.eta"), "eta", positive=True)
     return prov
 
 
@@ -274,10 +294,8 @@ def trajectory_from_dict(doc: dict, where: str = "trajectory") -> Trajectory:
 
     (times,), obs_refs, columns = _record_table(raw_frames, lambda k: f"{where}.frames[{k}]", ("t",), (None,),
                                                 kind is StateKind.JOINT)
-    try:
+    with _located(where):
         return Trajectory.from_columns(name, kind, frequency, times, obs_refs, **columns)
-    except (OverflowError, ValueError) as exc:  # OverflowError: t beyond 64 bits
-        raise TrajectoryValidationError(f"{where}: {exc}") from exc
 
 
 def _read_text(path) -> str:
@@ -340,10 +358,8 @@ def metric_from_dict(doc: dict, where: str = "metric") -> MetricConfig:
         if not isinstance(mask, list):
             raise TrajectorySchemaError(f"{where}.joint_mask: expected a list of numbers or null")
         kwargs["joint_mask"] = tuple(_number(v, f"{where}.joint_mask[{k}]") for k, v in enumerate(mask))
-    try:
+    with _located(where):
         return MetricConfig(**kwargs)
-    except ValueError as exc:
-        raise TrajectoryValidationError(f"{where}: {exc}") from exc
 
 
 def load_metric_config(path) -> MetricConfig:
@@ -396,19 +412,11 @@ def load_waypoints(path) -> tuple[WaypointSet, dict]:
     for k, v in enumerate(raw):
         if isinstance(v, bool) or not isinstance(v, int):
             raise TrajectorySchemaError(f"{where}.indices[{k}]: expected an integer")
-    optional = {}
-    for key in ("eta", "achieved_segment_loss", "achieved_global_loss"):
-        value = doc.get(key)
-        optional[key] = None if value is None else _number(value, f"{where}.{key}")
-    try:
-        wp = WaypointSet(
-            tuple(raw),
-            eta_used=optional["eta"],
-            achieved_segment_loss=optional["achieved_segment_loss"],
-            achieved_global_loss=optional["achieved_global_loss"],
-        )
-    except ValueError as exc:
-        raise TrajectoryValidationError(f"{where}: {exc}") from exc
+    # eta_used, achieved_segment_loss and achieved_global_loss, in WaypointSet's field order
+    optional = [None if doc.get(key) is None else _number(doc[key], f"{where}.{key}")
+                for key in ("eta", "achieved_segment_loss", "achieved_global_loss")]
+    with _located(where):
+        wp = WaypointSet(tuple(raw), *optional)
     return wp, _provenance(doc, where)
 
 
@@ -444,8 +452,7 @@ def save_relabeled(path, ds: RelabeledDataset, metric: MetricConfig | None = Non
     Provenance (schema version, source, eta, metric, tool version) is
     embedded in the first record so the line count equals the row count.
     """
-    prov = _stamp({"schema_version": RELABEL_SCHEMA, "source_name": ds.source_name,
-                   "eta": None if math.isnan(ds.eta) else ds.eta}, metric, created_at)
+    prov = _stamp({"schema_version": RELABEL_SCHEMA, "source_name": ds.source_name, "eta": ds.eta}, metric, created_at)
     obs_refs = ["" if ref is None else f'"obs_ref": {json.dumps(ref)}, ' for ref in ds.obs_ref]
     lines = [
         f'{{"t": {t}, {obs}"state": {state}, "target_waypoint": {target}, "target_index": {index}, '
@@ -479,14 +486,12 @@ def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
 
     first_state = first.get("state")
     joint = isinstance(first_state, dict) and "joints" in first_state
-    ints, obs_refs, columns = _record_table(records, lines.__getitem__, ("t", "target_index", "waypoints_remaining"),
-                                            ("state", "target_waypoint"), joint)
+    int_keys = ("t", "target_index", "waypoints_remaining")
+    ints, obs_refs, columns = _record_table(records, lines.__getitem__, int_keys, ("state", "target_waypoint"), joint)
 
     n = len(records)
-    try:
-        t, target_index, remaining = (np.array(column, dtype=np.int64) for column in ints)
-    except OverflowError as exc:  # an integer beyond 64 bits
-        raise TrajectoryValidationError(f"{where}: {exc}") from exc
+    with _located(where):
+        t, target_index, remaining = (_int_array(column, n, key) for column, key in zip(ints, int_keys))
     bad = _first_bad_row(t, target_index, remaining)
     if bad is not None:
         raise TrajectoryValidationError(f"{lines[bad[0]]}: {bad[1]}")
@@ -496,10 +501,8 @@ def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
                 columns["axis_angle"], lambda i: f"{lines[i % n]}.{'state' if i < n else 'target_waypoint'}.axis_angle")
         except ValueError as exc:
             raise TrajectoryValidationError(str(exc)) from exc
-    eta = prov.get("eta")
-    eta = math.nan if eta is None else _number(eta, f"{lines[0]}.provenance.eta")
     dataset = RelabeledDataset(
-        prov.get("source_name", ""), eta, t, obs_refs,
+        prov.get("source_name", ""), prov.get("eta"), t, obs_refs,
         states={name: column[:n] for name, column in columns.items()},
         targets={name: column[n:] for name, column in columns.items()},
         target_index=target_index, waypoints_remaining=remaining,

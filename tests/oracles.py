@@ -284,7 +284,7 @@ def oracle_save_relabeled(path, ds, metric=None, created_at=None) -> None:
     prov = {
         "schema_version": RELABEL_SCHEMA,
         "source_name": ds.source_name,
-        "eta": None if math.isnan(ds.eta) else ds.eta,
+        "eta": ds.eta,
         "metric": metric_to_dict(metric if metric is not None else MetricConfig()),
         "tool_version": __version__,
     }

@@ -458,6 +458,18 @@ def test_replay_check_rejects_malformed_recorded_metric(tmp_path, demo_file, cap
     assert f"{wp_file}.provenance.metric" in capsys.readouterr().err
 
 
+def test_replay_check_reads_a_bad_recorded_metric_before_the_indices(tmp_path, demo_file, capsys):
+    # the metric is read with the file, so it fails before the indices are matched to the trajectory
+    wp_file = tmp_path / "wp.json"
+    main(["extract", "--input", str(demo_file), "--eta", "0.01", "--output", str(wp_file), "--no-timestamp"])
+    doc = json.loads(wp_file.read_text())
+    doc["provenance"]["metric"], doc["indices"] = "x", [0, 10**6]
+    wp_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay-check", "--input", str(demo_file), "--waypoints", str(wp_file)]) == EXIT_SCHEMA
+    assert f"{wp_file}.provenance.metric: expected a JSON object" in capsys.readouterr().err
+
+
 def test_replay_check_rejects_recorded_metric_without_weight(tmp_path, demo_file, capsys):
     # extract refuses this metric, so it can only come from an edited file
     wp_file = tmp_path / "wp.json"

@@ -66,10 +66,10 @@ def test_relabel_carries_obs_refs_and_eta(rng):
     assert [row.obs_ref for row in ds.frames] == [f"cam0/{t:04d}.png" for t in range(5)]
 
 
-def test_relabel_heuristic_set_has_nan_eta(rng):
+def test_relabel_heuristic_set_has_no_eta(rng):
     traj = make_random_walk_trajectory(rng, 8)
     ds = relabel_trajectory(traj, WaypointSet((0, 4, 7)))
-    assert math.isnan(ds.eta)
+    assert ds.eta is None
 
 
 def test_relabel_gappy_time_axis_uses_frame_times(rng):
@@ -144,6 +144,12 @@ _MISFIT_DATASETS = {
                                   r"^target_index must have shape \(3,\), got \(1,\)"),
     "2 waypoints_remaining for 3 rows": (_EE, lambda ds: dict(waypoints_remaining=ds.waypoints_remaining[:2]),
                                          r"^waypoints_remaining must have shape \(3,\), got \(2,\)"),
+    "scalar t": (_EE, lambda ds: dict(t=5), r"^t must have shape \(None,\), got \(\)$"),  # once a TypeError
+    # once truncated to 3 and 1
+    "target_index 3.7": (_EE, lambda ds: dict(target_index=[2, 2, 3.7]),
+                         r"^target_index\[2\] must be an integer within 64 bits, got 3\.7$"),
+    "waypoints_remaining 1.9": (_EE, lambda ds: dict(waypoints_remaining=[1.9, 1, 1]),
+                                r"^waypoints_remaining\[0\] must be an integer within 64 bits, got 1\.9$"),
 }
 
 
@@ -152,6 +158,28 @@ def test_relabeled_dataset_rejects_columns_that_do_not_fit(case):
     ds, change, message = _MISFIT_DATASETS[case]
     with pytest.raises(ValueError, match=message):
         RelabeledDataset(**{**_fields(ds), **change(ds)})
+
+
+def test_relabeled_dataset_keeps_integral_float_columns_as_ints():
+    ds = RelabeledDataset(**{**_fields(_EE), "t": [0.0, 1.0, 2.0], "target_index": [2.0, 2.0, 3.0]})
+    assert ds.t.dtype == ds.target_index.dtype == np.int64
+    assert (ds.t.tolist(), ds.target_index.tolist()) == ([0, 1, 2], [2, 2, 3])
+
+
+@pytest.mark.parametrize("eta", [math.inf, math.nan, -1.0, 0.0, pytest.param(10**400, id="10**400")])
+def test_relabeled_dataset_refuses_a_budget_errorbudget_refuses(eta):
+    # inf was written and then refused by the loader; -1.0 and 0.0 round-tripped
+    with pytest.raises(ValueError, match=r"^eta must be a positive finite scalar$"):
+        RelabeledDataset(**{**_fields(_EE), "eta": eta})
+
+
+def test_relabeled_dataset_budget_round_trips_as_a_float(tmp_path):
+    # True was written as true and then refused by the loader
+    ds = RelabeledDataset(**{**_fields(_EE), "eta": True})
+    assert ds.eta == 1.0 and type(ds.eta) is float
+    save_relabeled(tmp_path / "ds.jsonl", ds)
+    assert load_relabeled(tmp_path / "ds.jsonl")[0].eta == 1.0
+    assert RelabeledDataset(**{**_fields(_EE), "eta": None}).eta is None
 
 
 def test_relabeled_dataset_names_ragged_joint_rows():

@@ -399,6 +399,9 @@ _BAD_SCALARS = {
     "reach_tolerance -1": (lambda: FollowerConfig(max_step=0.1, reach_tolerance=-1.0),
                            "reach_tolerance must be finite and >= 0"),
     "eta 0": (lambda: ErrorBudget(0), "eta must be a positive finite scalar"),
+    # a budget is read by ErrorBudget's rule wherever it is held
+    "eta_used 0": (lambda: WaypointSet((0, 1), eta_used=0.0), "eta_used must be a positive finite scalar"),
+    "follower eta -1": (lambda: default_follower_config(_walk(), -1.0), "eta must be a positive finite scalar"),
     "sweep eta nan": (lambda: sweep_eta(_walk(), [0.1, math.nan]), "every eta must be a positive finite scalar"),
     "achieved loss -1": (lambda: WaypointSet((0, 1), achieved_global_loss=-1),
                          "achieved_global_loss must be finite and >= 0"),
@@ -425,8 +428,8 @@ def test_whole_counts_are_kept_as_ints():
     assert heuristic_fixed_interval(_walk(), 2.0).indices == (0, 2, 4, 5)
 
 
-def _joint_columns(**kwargs):
-    return Trajectory.from_columns("x", "joint", 50.0, range(len(kwargs["joints"])), **kwargs)
+def _joint_columns(t=None, **kwargs):
+    return Trajectory.from_columns("x", "joint", 50.0, range(len(kwargs["joints"])) if t is None else t, **kwargs)
 
 
 # (call, message): inputs that once reached a hand-written copy of a shared
@@ -444,6 +447,12 @@ _FOLDED_CHECKS = {
     "gripper dim 4 in a 4-joint state": (lambda: JointState(np.zeros(4), (4,)),
                                          r"gripper_dims \(4,\) must index the 4 joint dims"),
     "position_weight 10**400": (lambda: MetricConfig(position_weight=10**400), "position_weight must be finite and >= 0"),
+    "t 1.5": (lambda: _joint_columns(joints=np.zeros((3, 2)), t=[0, 1.5, 2.7]),
+              r"t\[1\] must be an integer within 64 bits, got 1\.5"),
+    "t as text": (lambda: _joint_columns(joints=np.zeros((3, 2)), t=[0, "1", "2"]),
+                  r"t\[1\] must be an integer within 64 bits, got '1'"),
+    "t 2**70": (lambda: _joint_columns(joints=np.zeros((3, 2)), t=[0, 1, 2**70]),
+                r"t\[2\] must be an integer within 64 bits, got 1180591620717411303424"),
     "1-D joints": (lambda: Trajectory.from_columns("x", "joint", 50.0, range(5), joints=np.zeros(5)),
                    r"joints must have shape \(5, None\) \(None: any length\), got \(5,\)"),
     "ragged joints": (lambda: _joint_columns(joints=[[0.0, 1.0], [1.0]]),
@@ -459,6 +468,12 @@ def test_folded_checks_refuse_with_a_named_value_error(case):
     call, message = _FOLDED_CHECKS[case]
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def test_integral_time_indices_are_kept_as_ints():
+    for t in ([0.0, 1.0, 5.0], np.array([0, 1, 5], dtype=np.uint8), [False, True, 5]):
+        traj = _joint_columns(joints=np.zeros((3, 2)), t=t)
+        assert traj.t.dtype == np.int64 and traj.t.tolist() == [0, 1, 5]
 
 
 def test_counts_are_not_bounded_by_the_float_range():

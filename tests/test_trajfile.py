@@ -376,7 +376,7 @@ def test_waypoints_round_trip(tmp_path, rng):
     assert loaded.eta_used == wp.eta_used
     assert loaded.achieved_segment_loss == wp.achieved_segment_loss
     assert prov["source_name"] == traj.name
-    assert prov["metric"]["position_weight"] == 1.0
+    assert prov["metric"] == MetricConfig()
     assert prov["created_at"] == "2024-01-01T00:00:00+00:00"
     assert "tool_version" in prov
 
@@ -422,7 +422,7 @@ def _relabel_demos(rng) -> dict:
     for traj, eta in ((ee, 0.01), (joint, 0.05), (gapped, 0.3)):
         wp, _ = extract_waypoints_dp(traj, ErrorBudget(eta))
         out[traj.name] = (traj, relabel_trajectory(traj, wp))
-    out["heuristic"] = (walk, relabel_trajectory(walk, WaypointSet((0, 13, 39))))  # eta is NaN
+    out["heuristic"] = (walk, relabel_trajectory(walk, WaypointSet((0, 13, 39))))  # eta is None
     return out
 
 
@@ -518,7 +518,9 @@ def test_relabeled_loader_validates_rows(tmp_path):
 
 
 @pytest.mark.parametrize("eta, error", [("0.1", TrajectorySchemaError), ([0.1], TrajectorySchemaError),
-                                        (float("inf"), TrajectoryValidationError)])
+                                        (float("inf"), TrajectoryValidationError),
+                                        # a budget, positive as ErrorBudget's
+                                        (-2.0, TrajectoryValidationError), (0, TrajectoryValidationError)])
 def test_relabeled_provenance_eta_must_be_a_number(tmp_path, eta, error):
     path = _relabel_lines(tmp_path, [_row(0, EE_STATE, EE_STATE)])
     record = json.loads(path.read_text())
@@ -589,6 +591,44 @@ def test_provenance_source_name_must_be_a_string(tmp_path, source_name):
     path.write_text(json.dumps(record) + "\n")
     with pytest.raises(TrajectorySchemaError, match=r"line 1: " + message):
         load_relabeled(path)
+
+
+# (field, value, error, message after the file's location) of provenance
+# fields both formats once loaded and handed on unchecked
+_BAD_PROVENANCE = [
+    ("metric", "x", TrajectorySchemaError, r"\.provenance\.metric: expected a JSON object$"),
+    ("metric", {"position_weight": -1.0}, TrajectoryValidationError,
+     r"\.provenance\.metric: position_weight must be finite and >= 0$"),
+    ("tool_version", [1], TrajectorySchemaError, r": provenance tool_version must be a string$"),
+    ("created_at", 5, TrajectorySchemaError, r": provenance created_at must be a string$"),
+]
+
+
+@pytest.mark.parametrize("key, value, error, message", _BAD_PROVENANCE,
+                         ids=[f"{key} {value!r}" for key, value, *_ in _BAD_PROVENANCE])
+def test_provenance_fields_are_checked_in_both_formats(tmp_path, key, value, error, message):
+    with pytest.raises(error, match=r"wp\.json" + message):
+        load_waypoints(_waypoints_doc(tmp_path, provenance={"source_name": "h", key: value}))
+    path = _relabel_lines(tmp_path, [_row(0, EE_STATE, EE_STATE)])
+    record = json.loads(path.read_text())
+    record["provenance"][key] = value
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(error, match=r"r\.jsonl: line 1" + message):
+        load_relabeled(path)
+
+
+def test_provenance_metric_loads_as_the_metric_saved(tmp_path):
+    metric = MetricConfig(position_weight=2.0, orientation_weight=0.0, joint_mask=(1.0, 0.5))
+    save_waypoints(tmp_path / "wp.json", WaypointSet((0, 3, 9)), {"source_name": "h", "metric": metric})
+    assert load_waypoints(tmp_path / "wp.json")[1]["metric"] == metric
+    save_relabeled(tmp_path / "r.jsonl", relabel_trajectory(make_random_walk_trajectory(np.random.default_rng(0), 6),
+                                                            WaypointSet((0, 5))), metric=metric)
+    assert load_relabeled(tmp_path / "r.jsonl")[1]["metric"] == metric
+
+
+def test_waypoints_budget_must_be_positive(tmp_path):
+    with pytest.raises(TrajectoryValidationError, match=r"wp\.json: eta_used must be a positive finite scalar$"):
+        load_waypoints(_waypoints_doc(tmp_path, eta=0))
 
 
 @pytest.mark.parametrize("source_name", [None, 5, ["x"]])
