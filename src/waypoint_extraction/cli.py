@@ -11,10 +11,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 failed check, 2 usage, 3 missing file or I/O
 failure, 4 parse error, 5 schema error, 6 validation error, 7 domain error
-(bad budget, malformed waypoint set, oversized oracle input, ...). relabel,
-stats and compare report each failed file and go on; they exit with the code
-of the first failed file. A metric that cannot score a file's states stops
-them as an error of the run.
+(bad budget, malformed waypoint set, oversized oracle input, ...). Flags and
+the budget are read before any input, so a bad budget exits 7 even when the
+input is missing. relabel, stats and compare report each failed file and go
+on; they exit with the code of the first failed file. A metric that cannot
+score a file's states stops them as an error of the run.
 """
 
 from __future__ import annotations
@@ -79,18 +80,15 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _resolve_eta(args, parser: argparse.ArgumentParser) -> float:
-    if args.eta is not None and args.task is not None:
-        parser.error("--eta and --task are mutually exclusive")
-    if args.eta is None and args.task is None:
-        parser.error("one of --eta or --task is required")
-    return float(args.eta) if args.eta is not None else resolve_task_eta(args.task)
-
-
 def _metric(args) -> MetricConfig:
-    if getattr(args, "metric_config", None):
-        return load_metric_config(args.metric_config)
-    return MetricConfig()
+    return load_metric_config(args.metric_config) if args.metric_config else MetricConfig()
+
+
+def _budget(args) -> ErrorBudget:
+    """The run's one budget, from --eta or --task and --metric-config. Every
+    command that takes one budget builds it first, so a bad budget fails
+    ahead of a missing input."""
+    return ErrorBudget(resolve_task_eta(args.task) if args.eta is None else args.eta, _metric(args))
 
 
 def _exit_code(exc: Exception) -> int:
@@ -109,15 +107,17 @@ def _input_files(path_str: str) -> list[Path]:
     return files
 
 
-def _each_input(files: list[Path], metric: MetricConfig, work) -> int:
-    """Call work(path, trajectory) on each file in order. A file whose load
-    or work raises a TrajectoryFileError or ValueError is reported after the
-    batch as FAILED <name>: <message> on stderr and does not stop the rest.
-    A metric that cannot score a file's states is a fault of the run, not of
-    the file: its ValueError ends the batch, once, after the FAILED lines so
-    far, and the files already done keep their outputs. Returns the exit
-    code of the first failed file, or EXIT_OK."""
-    failures = []
+def _each_input(files: list[Path], metric: MetricConfig, work) -> tuple[list, int]:
+    """Call work(path, trajectory) on each file in order. work returns its
+    stdout lines, its stderr lines and one value; a file's lines are printed
+    before the next file starts. A file whose load or work raises a
+    TrajectoryFileError or ValueError is reported after the batch as FAILED
+    <name>: <message> on stderr and does not stop the rest. A metric that
+    cannot score a file's states is a fault of the run, not of the file: its
+    ValueError ends the batch, once, after the FAILED lines so far, and the
+    files already done keep their outputs. Returns the values of the files
+    done, in order, and the exit code of the first failed file, or EXIT_OK."""
+    values, failures = [], []
     try:
         for f in files:
             try:
@@ -125,15 +125,21 @@ def _each_input(files: list[Path], metric: MetricConfig, work) -> int:
             except (TrajectoryFileError, ValueError) as exc:
                 failures.append((f"FAILED {f.name}: {exc}", _exit_code(exc)))
                 continue
-            _check_metric(traj, metric)
+            _check_metric(traj.joints, metric)
             try:
-                work(f, traj)
+                out, err, value = work(f, traj)
             except (TrajectoryFileError, ValueError) as exc:
                 failures.append((f"FAILED {f.name}: {exc}", _exit_code(exc)))
+                continue
+            for line in out:
+                print(line)
+            for line in err:
+                print(line, file=sys.stderr)
+            values.append(value)
     finally:
         for line, _ in failures:
             print(line, file=sys.stderr)
-    return failures[0][1] if failures else EXIT_OK
+    return values, failures[0][1] if failures else EXIT_OK
 
 
 def _multiplier(text: str) -> int:
@@ -153,75 +159,63 @@ def _ratio_str(count: int, length: int) -> str:
 
 
 def _cmd_extract(args, parser) -> int:
-    eta = _resolve_eta(args, parser)
-    metric = _metric(args)
+    budget = _budget(args)
     traj = load_trajectory(args.input)
-    wp, stats = extract_waypoints_dp(traj, ErrorBudget(eta, metric))
-    provenance = {"source_name": traj.name, "metric": metric}
+    wp, stats = extract_waypoints_dp(traj, budget)
+    provenance = {"source_name": traj.name, "metric": budget.metric}
     if not args.no_timestamp:
         provenance["created_at"] = _timestamp()
     save_waypoints(args.output, wp, provenance)
     print(
         f"{traj.name}: T={len(traj)} waypoints={len(wp)} ratio={_ratio_str(len(wp), len(traj))} "
-        f"eta={eta!r} segment_loss={wp.achieved_segment_loss:.6g} "
+        f"eta={budget.eta!r} segment_loss={wp.achieved_segment_loss:.6g} "
         f"global_loss={wp.achieved_global_loss:.6g} wall_time={stats.wall_time:.3f}"
     )
     return EXIT_OK
 
 
 def _cmd_relabel(args, parser) -> int:
-    metric = _metric(args)
-    budget = ErrorBudget(float(args.eta), metric)
+    budget = _budget(args)
     out_dir = Path(args.output)
     created_at = None if args.no_timestamp else _timestamp()
-    done = rows = 0
 
     def work(f, traj):
-        nonlocal done, rows
         wp, _ = extract_waypoints_dp(traj, budget)
         ds = relabel_trajectory(traj, wp)
         out = out_dir / (f.stem + ".relabeled.jsonl")
         out_dir.mkdir(parents=True, exist_ok=True)  # here, so a missing or empty input writes nothing
-        save_relabeled(out, ds, metric=metric, created_at=created_at)
-        done, rows = done + 1, rows + len(ds)
-        print(f"{f.name}: {len(ds)} rows, {len(wp)} waypoints -> {out}")
+        save_relabeled(out, ds, metric=budget.metric, created_at=created_at)
+        return [f"{f.name}: {len(ds)} rows, {len(wp)} waypoints -> {out}"], [], len(ds)
 
     files = _input_files(args.input)
-    code = _each_input(files, metric, work)
-    print(f"relabeled {done}/{len(files)} trajectories, {rows} rows total")
+    rows, code = _each_input(files, budget.metric, work)
+    print(f"relabeled {len(rows)}/{len(files)} trajectories, {sum(rows)} rows total")
     return code
 
 
 def _cmd_stats(args, parser) -> int:
     if not 0.0 < args.ratio_low <= args.ratio_high < math.inf:
         parser.error(f"need 0 < --ratio-low <= --ratio-high, both finite; got {args.ratio_low!r}, {args.ratio_high!r}")
-    eta = _resolve_eta(args, parser)
-    metric = _metric(args)
-    budget = ErrorBudget(eta, metric)
-    warned = False
+    budget = _budget(args)
 
     def work(f, traj):
-        nonlocal warned
         wp, stats = extract_waypoints_dp(traj, budget)
-        ratio = len(wp) / len(traj)
-        chords = SegmentScorer(traj, metric).chord_losses(wp.indices[:-1], wp.indices[1:])
+        ratio = _ratio_str(len(wp), len(traj))
+        chords = SegmentScorer(traj, budget.metric).chord_losses(wp.indices[:-1], wp.indices[1:])
         losses = " ".join(f"{l:.6g}" for l in chords.tolist())
-        print(
-            f"{traj.name}: T={len(traj)} waypoints={len(wp)} ratio={_ratio_str(len(wp), len(traj))} "
+        out = [
+            f"{traj.name}: T={len(traj)} waypoints={len(wp)} ratio={ratio} "
             f"segment_loss={wp.achieved_segment_loss:.6g} global_loss={wp.achieved_global_loss:.6g} "
-            f"evaluations={stats.segment_loss_evaluations} wall_time={stats.wall_time:.3f}"
-        )
-        print(f"{traj.name}: per-segment losses: {losses}")
-        if not (args.ratio_low <= ratio <= args.ratio_high):
-            warned = True
-            print(
-                f"WARNING {traj.name}: ratio {_ratio_str(len(wp), len(traj))} outside "
-                f"[1:{1 / args.ratio_low:.0f}, 1:{1 / args.ratio_high:.0f}]; consider adjusting eta",
-                file=sys.stderr,
-            )
+            f"evaluations={stats.segment_loss_evaluations} wall_time={stats.wall_time:.3f}",
+            f"{traj.name}: per-segment losses: {losses}",
+        ]
+        if args.ratio_low <= len(wp) / len(traj) <= args.ratio_high:
+            return out, [], True
+        band = f"[1:{1 / args.ratio_low:.0f}, 1:{1 / args.ratio_high:.0f}]"
+        return out, [f"WARNING {traj.name}: ratio {ratio} outside {band}; consider adjusting eta"], False
 
-    code = _each_input(_input_files(args.input), metric, work)
-    return code or (EXIT_CHECK_FAILED if warned and args.strict_ratio else EXIT_OK)
+    in_band, code = _each_input(_input_files(args.input), budget.metric, work)
+    return code or (EXIT_CHECK_FAILED if args.strict_ratio and not all(in_band) else EXIT_OK)
 
 
 def compare_selectors(traj, awe: WaypointSet, methods, metric: MetricConfig = DEFAULT_METRIC,
@@ -239,39 +233,32 @@ def compare_selectors(traj, awe: WaypointSet, methods, metric: MetricConfig = DE
 
 
 def _cmd_compare(args, parser) -> int:
-    eta = _resolve_eta(args, parser)
-    metric = _metric(args)
-    budget = ErrorBudget(eta, metric)
+    budget = _budget(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     known = {"awe", METHOD_ZERO_VELOCITY, METHOD_FIXED_INTERVAL}
     if not methods or not known.issuperset(methods) or len(set(methods)) < len(methods):
         parser.error(f"--methods must name one or more of {sorted(known)}, each once; got {args.methods!r}")
     files = _input_files(args.input)
     print(f"{'trajectory':<24} {'method':<10} {'count':>5} {'segment':>12} {'global':>12} {'replay_dev':>12}")
-    wins = {m: {"global": 0, "replay": 0, "n": 0} for m in methods if m != "awe"}
 
     def work(f, traj):
         awe_wp, _ = extract_waypoints_dp(traj, budget)
-        rows = compare_selectors(traj, awe_wp, methods, metric, args.control_multiplier)
-        for method in methods:
-            wp, deviation = rows[method]
-            print(
-                f"{traj.name:<24} {method:<10} {len(wp):>5} {wp.achieved_segment_loss:>12.6f} "
-                f"{wp.achieved_global_loss:>12.6f} {deviation:>12.6f}"
-            )
-        for method, tally in wins.items():
-            wp, deviation = rows[method]
-            tally["n"] += 1
-            tally["global"] += awe_wp.achieved_global_loss <= wp.achieved_global_loss
-            tally["replay"] += rows["awe"][1] <= deviation
+        rows = compare_selectors(traj, awe_wp, methods, budget.metric, args.control_multiplier)
+        lines = [
+            f"{traj.name:<24} {method:<10} {len(wp):>5} {wp.achieved_segment_loss:>12.6f} "
+            f"{wp.achieved_global_loss:>12.6f} {deviation:>12.6f}"
+            for method, (wp, deviation) in zip(methods, map(rows.get, methods))
+        ]
+        # per method: does awe do at least as well on global loss and on replay deviation
+        wins = {method: (awe_wp.achieved_global_loss <= wp.achieved_global_loss, rows["awe"][1] <= deviation)
+                for method, (wp, deviation) in rows.items()}
+        return lines, [], wins
 
-    code = _each_input(files, metric, work)
-    for method, tally in wins.items():
-        if tally["n"]:
-            print(
-                f"awe <= {method}: global loss {tally['global']}/{tally['n']}, "
-                f"replay deviation {tally['replay']}/{tally['n']}"
-            )
+    done, code = _each_input(files, budget.metric, work)
+    for method in methods:
+        if method != "awe" and done:
+            print(f"awe <= {method}: global loss {sum(w[method][0] for w in done)}/{len(done)}, "
+                  f"replay deviation {sum(w[method][1] for w in done)}/{len(done)}")
     return code
 
 
@@ -323,8 +310,8 @@ def _cmd_sweep(args, parser) -> int:
 
 
 def _cmd_oracle(args, parser) -> int:
+    budget = _budget(args)
     traj = load_trajectory(args.input)
-    budget = ErrorBudget(float(args.eta), _metric(args))
     brute = extract_waypoints_bruteforce(traj, budget)
     wp, _ = extract_waypoints_dp(traj, budget)
     verdict = "MATCH" if len(wp) == len(brute) else "MISMATCH"
@@ -347,65 +334,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_eta_task(p):
-        p.add_argument("--eta", type=float, default=None, help="error budget")
-        p.add_argument("--task", default=None, help="resolve eta from the task defaults table")
+    def flag(*names, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser declaring one flag shared by several commands."""
+        shared = argparse.ArgumentParser(add_help=False)
+        shared.add_argument(*names, **kwargs)
+        return shared
 
-    p = sub.add_parser("extract", help="select waypoints for one trajectory file")
-    p.add_argument("--input", required=True)
-    add_eta_task(p)
+    trajectory = flag("--input", required=True,
+                      help="trajectory file; relabel, stats and compare also take a directory of them")
+    metric = flag("--metric-config", default=None, help="JSON file of metric weights")
+    stamp = flag("--no-timestamp", action="store_true", help="omit created_at for byte-stable output")
+    multiplier = flag("--control-multiplier", type=_multiplier, default=10)
+    eta = flag("--eta", type=float, required=True, help="error budget")
+    eta_or_task = argparse.ArgumentParser(add_help=False)
+    budget = eta_or_task.add_mutually_exclusive_group(required=True)
+    budget.add_argument("--eta", type=float, help="error budget")
+    budget.add_argument("--task", help="resolve eta from the task defaults table")
+
+    def command(name, func, summary, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[trajectory, *parents])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("extract", _cmd_extract, "select waypoints for one trajectory file", eta_or_task, metric, stamp)
     p.add_argument("--output", required=True)
-    p.add_argument("--metric-config", default=None, help="JSON file of metric weights")
-    p.add_argument("--no-timestamp", action="store_true", help="omit created_at for byte-stable output")
-    p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("relabel", help="batch-extract a directory and write relabeled datasets")
-    p.add_argument("--input", required=True, help="directory of trajectory files")
-    p.add_argument("--eta", type=float, required=True)
+    p = command("relabel", _cmd_relabel, "batch-extract a directory and write relabeled datasets", eta, metric, stamp)
     p.add_argument("--output", required=True, help="output directory")
-    p.add_argument("--metric-config", default=None)
-    p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(func=_cmd_relabel)
 
-    p = sub.add_parser("stats", help="extraction statistics for a file or directory")
-    p.add_argument("--input", required=True)
-    add_eta_task(p)
-    p.add_argument("--metric-config", default=None)
+    p = command("stats", _cmd_stats, "extraction statistics for a file or directory", eta_or_task, metric)
     p.add_argument("--ratio-low", type=float, default=RATIO_LOW, help="lower waypoint:length ratio bound")
     p.add_argument("--ratio-high", type=float, default=RATIO_HIGH, help="upper waypoint:length ratio bound")
     p.add_argument("--strict-ratio", action="store_true", help="nonzero exit when a ratio falls outside the band")
-    p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("compare", help="selector comparison at matched waypoint counts")
-    p.add_argument("--input", required=True)
-    add_eta_task(p)
+    p = command("compare", _cmd_compare, "selector comparison at matched waypoint counts", eta_or_task, metric,
+                multiplier)
     p.add_argument("--methods", default="awe,zero-vel,fixed")
-    p.add_argument("--metric-config", default=None)
-    p.add_argument("--control-multiplier", type=_multiplier, default=10)
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("replay-check", help="kinematic replay of a saved waypoint set")
-    p.add_argument("--input", required=True)
+    p = command("replay-check", _cmd_replay_check, "kinematic replay of a saved waypoint set", multiplier)
     p.add_argument("--waypoints", required=True)
-    p.add_argument("--control-multiplier", type=_multiplier, default=10)
     p.add_argument("--max-step", type=float, default=None)
     p.add_argument("--reach-tolerance", type=float, default=None)
     p.add_argument("--blocking", action="store_true", help="advance only on reach, never on budget expiry")
-    p.set_defaults(func=_cmd_replay_check)
 
-    p = sub.add_parser("sweep", help="extractions across several budgets")
-    p.add_argument("--input", required=True)
+    p = command("sweep", _cmd_sweep, "extractions across several budgets", metric)
     p.add_argument("--etas", required=True, help="comma-separated budgets")
     p.add_argument("--plot-out", default=None, help="write long-format CSV plot data here")
-    p.add_argument("--metric-config", default=None)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("oracle", help="brute-force cross-check of the solver (short files)")
-    p.add_argument("--input", required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--metric-config", default=None)
-    p.set_defaults(func=_cmd_oracle)
-
+    command("oracle", _cmd_oracle, "brute-force cross-check of the solver (short files)", eta, metric)
     return parser
 
 

@@ -231,12 +231,14 @@ _CHUNK_ROWS = 2048
 _PAIR_BLOCK = 2**14
 
 
-def _check_metric(columns, cfg: MetricConfig) -> None:
-    """Fail fast when cfg cannot score these columns: a joint_mask that does
-    not match the joint dimension, or an end-effector metric that weighs
-    nothing (a joint_mask alone passes MetricConfig)."""
-    if columns.joints is not None:
-        cfg.joint_weights(columns.joints.shape[1])
+def _check_metric(joints, cfg: MetricConfig) -> None:
+    """Fail fast when cfg cannot score states whose joints column is joints
+    (None for end effectors): a joint_mask that does not match the joint
+    dimension, or an end-effector metric that weighs nothing (a joint_mask
+    alone passes MetricConfig). The one owner of this rule, for solves,
+    replays and relabel files alike."""
+    if joints is not None:
+        cfg.joint_weights(joints.shape[1])
     elif cfg.position_weight == cfg.orientation_weight == 0.0 and not (cfg.include_gripper and cfg.gripper_weight):
         raise ValueError("metric has no nonzero end-effector weight: position, orientation and "
                          "included gripper weights are all 0")
@@ -334,7 +336,7 @@ class SegmentScorer:
         self.cfg = cfg
         self.traj = traj
         self.witness_rejects = 0
-        _check_metric(traj, cfg)
+        _check_metric(traj.joints, cfg)
 
     def __len__(self) -> int:
         return len(self.traj)
@@ -413,5 +415,5 @@ def min_distances_to_polyline(columns, anchors: Trajectory, cfg: MetricConfig = 
     through the frames of anchors."""
     arrays = _state_arrays(columns, len(next(iter(columns.values()), ())))
     _check_same_kind(arrays, anchors.state_columns)
-    _check_metric(anchors, cfg)
+    _check_metric(anchors.joints, cfg)
     return _nearest_chord(SimpleNamespace(**{"joints": None, **arrays}), anchors, range(len(anchors)), cfg)

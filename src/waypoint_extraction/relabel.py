@@ -16,7 +16,7 @@ import numpy as np
 
 from .solver import WaypointSet
 from .state_space import (_STATE_COLUMNS, State, Trajectory, _finite_scalar, _gripper_dims, _int_array, _obs_refs,
-                          _state_arrays, _state_views)
+                          _state_arrays, _state_views, _time_fault)
 
 __all__ = [
     "RelabeledFrame",
@@ -39,12 +39,15 @@ class RelabeledFrame:
 
 
 def _first_bad_row(t, target_index, waypoints_remaining) -> tuple[int, str] | None:
-    """(row, problem) for the first row whose target does not lie strictly
-    after it or that counts no waypoint left; None when every row is sound."""
+    """(row, problem) for the first row that breaks the time rule of
+    trajectories (_time_fault), or else for the first row whose target does
+    not lie strictly after it or that counts no waypoint left; None when
+    every row is sound."""
+    fault = _time_fault(t)
     late, none_left = target_index <= t, waypoints_remaining < 1
     bad = np.flatnonzero(late | none_left)
-    if not bad.size:
-        return None
+    if fault is not None or not bad.size:
+        return fault
     k = int(bad[0])
     return k, ("target_index must lie strictly after the frame" if late[k] else "waypoints_remaining must be >= 1")
 
@@ -57,7 +60,8 @@ class RelabeledDataset:
     Row k is frame k (time index t[k], obs_ref[k], row k of the state
     columns states) paired with its next waypoint (time index
     target_index[k], row k of targets), and counts the waypoints after the
-    frame (waypoints_remaining[k]). states and targets are keyed as
+    frame (waypoints_remaining[k]). t follows a trajectory's time rule: it
+    starts at 0 and increases strictly. states and targets are keyed as
     Trajectory.state_columns: pos, quat, grip and axis_angle, or joints with
     gripper_dims flagging gripper dims. frames gives one RelabeledFrame view
     per row, built on first use and then kept.

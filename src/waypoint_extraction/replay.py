@@ -149,7 +149,7 @@ def default_follower_config(
     """Follower settings scaled to the demo's own pacing: a step budget of
     1.5x the median frame-to-frame distance (over the moving frames when
     most pause) and a reach tolerance tied to the budget when one is given."""
-    _check_metric(traj, metric)
+    _check_metric(traj.joints, metric)
     columns = traj.state_columns
     steps = _distance_rows({name: column[:-1] for name, column in columns.items()},
                            {name: column[1:] for name, column in columns.items()}, metric)

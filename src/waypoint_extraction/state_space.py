@@ -82,6 +82,19 @@ def _int_array(values, rows: int | None, name: str) -> np.ndarray:
     return arr
 
 
+def _time_fault(t: np.ndarray) -> tuple[int, str] | None:
+    """(row, problem) for the first row of the time indices t that breaks
+    their rule, shared by trajectories and relabeled rows: t starts at 0 and
+    increases strictly. None when t keeps it."""
+    if len(t) and t[0] != 0:
+        return 0, f"time index must start at 0, got {t[0]}"
+    bad = np.flatnonzero(np.diff(t) <= 0) + 1
+    if not bad.size:
+        return None
+    k = int(bad[0])
+    return k, f"t={t[k]} not greater than previous t={t[k - 1]}"
+
+
 def _finite_scalar(value, name: str, positive: bool = False) -> float:
     """value as a float that is finite and >= 0, or > 0 when positive."""
     try:
@@ -446,11 +459,9 @@ class Trajectory:
         t = _int_array(t, None, "t")
         if len(t) < 2:
             raise ValueError("trajectory needs at least 2 frames")
-        if t[0] != 0:
-            raise ValueError(f"frames[0]: time index must start at 0, got {t[0]}")
-        bad = np.flatnonzero(np.diff(t) <= 0) + 1
-        if bad.size:
-            raise ValueError(f"frames[{bad[0]}]: t={t[bad[0]]} not greater than previous t={t[bad[0] - 1]}")
+        fault = _time_fault(t)
+        if fault is not None:
+            raise ValueError(f"frames[{fault[0]}]: {fault[1]}")
         fields = dict(name=name, state_space=StateKind(state_space), frequency_hz=freq, t=t,
                       obs_ref=_obs_refs((None,) * len(t) if obs_ref is None else obs_ref, len(t), "frames"))
         if fields["state_space"] is StateKind.EE:

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .reconstruction import _check_metric
 from .relabel import RelabeledDataset, _first_bad_row
 from .solver import WaypointSet
 from .state_space import (DEFAULT_METRIC, MetricConfig, StateKind, Trajectory, _finite_scalar, _int_array,
@@ -450,8 +451,11 @@ def save_relabeled(path, ds: RelabeledDataset, metric: MetricConfig | None = Non
     each the text json.dumps gives the record, built from the columns.
 
     Provenance (schema version, source, eta, metric, tool version) is
-    embedded in the first record so the line count equals the row count.
+    embedded in the first record so the line count equals the row count. A
+    metric that cannot score the rows' states raises ValueError before
+    anything is written.
     """
+    _check_metric(ds.states.get("joints"), metric or DEFAULT_METRIC)
     prov = _stamp({"schema_version": RELABEL_SCHEMA, "source_name": ds.source_name, "eta": ds.eta}, metric, created_at)
     obs_refs = ["" if ref is None else f'"obs_ref": {json.dumps(ref)}, ' for ref in ds.obs_ref]
     lines = [
@@ -468,7 +472,8 @@ def save_relabeled(path, ds: RelabeledDataset, metric: MetricConfig | None = Non
 def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
     """Read an awe-relabel-v1 file into columns, gathered and checked by
     _record_table as trajectory_from_dict's frames are. The first state's
-    kind is the file's."""
+    kind is the file's, and the provenance metric must be able to score the
+    states."""
     where = str(path)
     records, lines = [], []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
@@ -488,6 +493,9 @@ def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
     joint = isinstance(first_state, dict) and "joints" in first_state
     int_keys = ("t", "target_index", "waypoints_remaining")
     ints, obs_refs, columns = _record_table(records, lines.__getitem__, int_keys, ("state", "target_waypoint"), joint)
+    if prov.get("metric") is not None:
+        with _located(f"{lines[0]}.provenance.metric"):
+            _check_metric(columns.get("joints"), prov["metric"])
 
     n = len(records)
     with _located(where):

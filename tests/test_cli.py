@@ -315,12 +315,49 @@ def test_stats_prints_and_warns(tmp_path, demo_file, capsys):
     assert code == EXIT_CHECK_FAILED
 
 
+def test_stats_prints_each_file_in_order_then_the_failed_files(tmp_path, rng, capsys):
+    # a: out of the band (a 2-frame demo keeps both frames), b: not a trajectory, c: inside the band
+    (tmp_path / "in").mkdir()
+    save_trajectory(tmp_path / "in" / "a.json", make_random_walk_trajectory(rng, 2, name="a"))
+    (tmp_path / "in" / "b.json").write_text(json.dumps({"schema_version": "other"}))
+    save_trajectory(tmp_path / "in" / "c.json", make_segmented_ee_trajectory(rng, n_segments=4, name="c"))
+    argv = ["stats", "--input", str(tmp_path / "in"), "--eta", "0.01", "--ratio-low", "0.01", "--ratio-high", "0.5"]
+    code = main(argv + ["--strict-ratio"])
+    captured = capsys.readouterr()
+    assert code == EXIT_SCHEMA  # a failed file's code wins over the strict-ratio verdict
+    out = captured.out.splitlines()
+    assert [line.split(": ")[0] for line in out] == ["a", "a", "c", "c"]
+    assert "per-segment losses" in out[1] and "per-segment losses" in out[3]
+    err = captured.err.splitlines()
+    assert err[0] == "WARNING a: ratio 1:1.0 outside [1:100, 1:2]; consider adjusting eta"
+    assert len(err) == 2 and err[1].startswith("FAILED b.json: ")
+
+
 def test_compare_table(demo_file, capsys):
     code = main(["compare", "--input", str(demo_file), "--eta", "0.01", "--methods", "awe,zero-vel,fixed"])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "awe" in out and "zero-vel" in out and "fixed" in out
     assert "awe <= zero-vel" in out
+
+
+@pytest.mark.parametrize("command", ["extract", "relabel", "stats", "compare", "oracle"])
+def test_a_bad_budget_fails_before_a_missing_input(tmp_path, capsys, command):
+    # extract and oracle once read the input first and exited 3
+    argv = [command, "--input", str(tmp_path / "nowhere"), "--eta", "-1"]
+    argv += ["--output", str(tmp_path / "out")] if command in ("extract", "relabel") else []
+    assert main(argv) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", "error: eta must be a positive finite scalar\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["relabel", "oracle"])
+def test_relabel_and_oracle_take_no_task(tmp_path, demo_file, capsys, command):
+    argv = [command, "--input", str(demo_file), "--task", "lift"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--output", str(tmp_path / "out")] if command == "relabel" else []))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_compare_rejects_unknown_method(demo_file):

@@ -160,6 +160,16 @@ def test_relabeled_dataset_rejects_columns_that_do_not_fit(case):
         RelabeledDataset(**{**_fields(ds), **change(ds)})
 
 
+@pytest.mark.parametrize("t, message", [
+    ([1, 2, 3], r"^row 0: time index must start at 0, got 1$"),
+    ([0, 2, 1], r"^row 2: t=1 not greater than previous t=2$"),  # once accepted
+    ([0, 0, 1], r"^row 1: t=0 not greater than previous t=0$"),  # once accepted
+], ids=["starts at 1", "out of order", "repeated"])
+def test_relabeled_dataset_rows_follow_the_trajectory_time_rule(t, message):
+    with pytest.raises(ValueError, match=message):
+        RelabeledDataset(**{**_fields(_EE), "t": t, "target_index": [4, 4, 4]})
+
+
 def test_relabeled_dataset_keeps_integral_float_columns_as_ints():
     ds = RelabeledDataset(**{**_fields(_EE), "t": [0.0, 1.0, 2.0], "target_index": [2.0, 2.0, 3.0]})
     assert ds.t.dtype == ds.target_index.dtype == np.int64

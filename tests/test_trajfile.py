@@ -517,6 +517,63 @@ def test_relabeled_loader_validates_rows(tmp_path):
         load_relabeled(_relabel_lines(tmp_path, overflow))
 
 
+def test_relabeled_loader_refuses_rows_out_of_time_order(tmp_path):
+    # both files once loaded, as t = [0, 1, 3, 2, 4] and [0, 0, 2, 3]
+    traj = ee_trajectory([(t, 0, 0) for t in range(6)])
+    save_relabeled(tmp_path / "ds.jsonl", relabel_trajectory(traj, WaypointSet((0, 5))))
+    lines = (tmp_path / "ds.jsonl").read_text().splitlines()
+    swapped = tmp_path / "swapped.jsonl"
+    swapped.write_text("\n".join(lines[:2] + [lines[3], lines[2]] + lines[4:]) + "\n")
+    with pytest.raises(TrajectoryValidationError, match=r"swapped\.jsonl: line 4: t=2 not greater than previous t=3$"):
+        load_relabeled(swapped)
+    repeated = [_row(0, EE_STATE, EE_STATE, index=2), _row(0, EE_STATE, EE_STATE, index=2), _row(2, EE_STATE, EE_STATE),
+                _row(3, EE_STATE, EE_STATE)]
+    with pytest.raises(TrajectoryValidationError, match=r"r\.jsonl: line 2: t=0 not greater than previous t=0$"):
+        load_relabeled(_relabel_lines(tmp_path, repeated))
+
+
+# metrics the states of a dataset cannot be scored in: end-effector rows
+# with no end-effector weight, and 5-joint rows with a 2-weight mask
+_UNSCORABLE = {
+    "no end-effector weight": (lambda: ee_trajectory([(t, 0, 0) for t in range(4)]),
+                               MetricConfig(position_weight=0, orientation_weight=0, joint_mask=(1.0,)),
+                               "metric has no nonzero end-effector weight"),
+    "mask of the wrong width": (lambda: joint_trajectory(np.arange(20.0).reshape(4, 5)),
+                                MetricConfig(joint_mask=(1.0, 2.0)), "joint_mask has 2 weights but states have 5 dims"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNSCORABLE))
+def test_relabel_writer_refuses_a_metric_that_cannot_score_the_states(tmp_path, case):
+    make, metric, message = _UNSCORABLE[case]
+    ds = relabel_trajectory(make(), WaypointSet((0, 3)))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        save_relabeled(tmp_path / "ds.jsonl", ds, metric=metric)
+    assert not (tmp_path / "ds.jsonl").exists()
+
+
+@pytest.mark.parametrize("case", list(_UNSCORABLE))
+def test_relabel_loader_refuses_a_metric_that_cannot_score_the_states(tmp_path, case):
+    # an edited file: the writer refuses these metrics
+    make, metric, message = _UNSCORABLE[case]
+    path = tmp_path / "ds.jsonl"
+    save_relabeled(path, relabel_trajectory(make(), WaypointSet((0, 3))))
+    first, *rest = path.read_text().splitlines()
+    record = json.loads(first)
+    record["provenance"]["metric"] = metric_to_dict(metric)
+    path.write_text("\n".join([json.dumps(record), *rest]) + "\n")
+    with pytest.raises(TrajectoryValidationError, match=rf"ds\.jsonl: line 1\.provenance\.metric: {message}"):
+        load_relabeled(path)
+
+
+def test_relabel_file_keeps_a_joint_mask_on_end_effector_states(tmp_path):
+    # by design: an end-effector metric with a position term ignores joint_mask
+    metric = MetricConfig(joint_mask=(1.0, 2.0))
+    ds = relabel_trajectory(ee_trajectory([(t, 0, 0) for t in range(4)]), WaypointSet((0, 3)))
+    save_relabeled(tmp_path / "ds.jsonl", ds, metric=metric)
+    assert load_relabeled(tmp_path / "ds.jsonl")[1]["metric"] == metric
+
+
 @pytest.mark.parametrize("eta, error", [("0.1", TrajectorySchemaError), ([0.1], TrajectorySchemaError),
                                         (float("inf"), TrajectoryValidationError),
                                         # a budget, positive as ErrorBudget's
