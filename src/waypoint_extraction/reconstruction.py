@@ -177,18 +177,21 @@ def _reach_horizon(coords: np.ndarray, eta: float) -> np.ndarray:
 
     Rounding, with u = 2**-53, d = coords.shape[1], M = max |Y_k| and
     tau = 512 (d + 16) u, is covered by one margin, the one in
-    r = (eta + tau M)(1 + tau)**2. The computed loss is within a few
-    d u (dist + M) <= a few 3 d u M of the real distance, and Y itself
-    within u M of the weights times the stored values, so every frame of a
-    chord that fits lies within eta + tau M / 2 of it in exact arithmetic.
-    The (1 + tau) factors cover the rounding of |Y_k - Y_i| and of the
-    quotient, and the other tau M / 2 of r widens every computed half-angle
-    over the exact one by at least (tau M / 2) / |Y_k - Y_i| >= tau / 4
-    (asin has slope >= 1, and |Y_k - Y_i| <= 2 M). That is orders of
-    magnitude more than the few ulps of the unit axes, of the atan2 angle
-    between them and of arcsin. So a fitting chord's direction lies in
-    every computed cone, and when the scan reads two computed cones as
-    disjoint, the exact cones they stand for are disjoint too.
+    r = (eta + tau M)(1 + tau)**2. Its bounds are relative errors, which
+    hold because nothing overflows: coords lie in state_space's numeric
+    range (see _RANGE, which proves it for this scan and the kernel). The
+    computed loss is within a few d u (dist + M) <= a few 3 d u M of the
+    real distance, and Y itself within u M of the weights times the stored
+    values, so every frame of a chord that fits lies within eta + tau M / 2
+    of it in exact arithmetic. The (1 + tau) factors cover the rounding of
+    |Y_k - Y_i| and of the quotient, and the other tau M / 2 of r widens
+    every computed half-angle over the exact one by at least
+    (tau M / 2) / |Y_k - Y_i| >= tau / 4 (asin has slope >= 1, and
+    |Y_k - Y_i| <= 2 M). That is orders of magnitude more than the few ulps
+    of the unit axes, of the atan2 angle between them and of arcsin. So a
+    fitting chord's direction lies in every computed cone, and when the scan
+    reads two computed cones as disjoint, the exact cones they stand for are
+    disjoint too.
     """
     T, dim = coords.shape
     horizon = np.full(T, T - 1)
@@ -276,12 +279,14 @@ def _nearest_chord(points, anchors, chain, cfg: MetricConfig) -> np.ndarray:
     inputs alone, so every scored row equals the unpruned one.
 
     Rounding, with u = 2**-53, d = Y.shape[1] and M = max |Y_k| over points
-    and anchors: every distance above is at most 2 M. The kernel's
-    reference point is within 4 u (|a| + |b|) of a point of the chord, and
-    the offset, its norm (a sum of d squares) and the weight product add a
-    relative error of at most (d + 4) u, so the computed distance is at
-    least the real one minus (2 d + 23) u M. Y, the midpoint, the
-    half-length and LB carry at most (3 d + 20) u M together.
+    and anchors: every distance above is at most 2 M. The bounds below are
+    relative errors, which hold because nothing overflows: Y lies in
+    state_space's numeric range (see _RANGE, which proves it for this pass
+    and the kernel). The kernel's reference point is within 4 u (|a| + |b|)
+    of a point of the chord, and the offset, its norm (a sum of d squares)
+    and the weight product add a relative error of at most (d + 4) u, so the
+    computed distance is at least the real one minus (2 d + 23) u M. Y, the
+    midpoint, the half-length and LB carry at most (3 d + 20) u M together.
     margin = tau M + 2**-500 with tau = 512 (d + 16) u covers both sums
     with room to spare; 2**-500 covers squares that underflow, whose
     absolute error in a norm stays below sqrt(d) 2**-537. Without a position

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import WaypointSet
-from .state_space import (_STATE_COLUMNS, State, Trajectory, _finite_scalar, _gripper_dims, _int_array, _obs_refs,
+from .state_space import (_COLUMNS, State, Trajectory, _finite_scalar, _gripper_dims, _int_array, _obs_refs,
                           _state_arrays, _state_views, _time_fault)
 
 __all__ = [
@@ -62,9 +62,10 @@ class RelabeledDataset:
     target_index[k], row k of targets), and counts the waypoints after the
     frame (waypoints_remaining[k]). t follows a trajectory's time rule: it
     starts at 0 and increases strictly. states and targets are keyed as
-    Trajectory.state_columns: pos, quat, grip and axis_angle, or joints with
-    gripper_dims flagging gripper dims. frames gives one RelabeledFrame view
-    per row, built on first use and then kept.
+    Trajectory.state_columns: pos, quat, grip and axis_angle (a quat of
+    None is derived from axis_angle), or joints with gripper_dims flagging
+    gripper dims; every value is within the numeric range (_RANGE). frames
+    gives one RelabeledFrame view per row, built on first use and then kept.
     """
 
     source_name: str
@@ -93,7 +94,7 @@ class RelabeledDataset:
             except ValueError as exc:
                 raise ValueError(f"{name}: {exc}") from None
         states, targets = ({k: v.shape[1:] for k, v in getattr(self, name).items()} for name in ("states", "targets"))
-        if states != targets or set(states) not in map(set, _STATE_COLUMNS.values()):
+        if states != targets or set(states) not in map(set, _COLUMNS.values()):
             raise ValueError(f"states and targets must hold the same columns, pos, quat, grip and axis_angle or "
                              f"joints of one width; got {states} and {targets}")
         width = self.states["joints"].shape[1] if "joints" in self.states else 0

@@ -48,17 +48,47 @@ class StateKind(str, enum.Enum):
     JOINT = "joint"
 
 
+# The numeric range. Every state coordinate (_finite_array) and every
+# MetricConfig weight and joint_mask entry is at most _RANGE = 2**250 in
+# magnitude, so every weighted coordinate is at most 2**500. Then, for a
+# joint width d below 2**21, no intermediate of _distance_rows,
+# _interpolate_rows or reconstruction's _row_distances, _reach_horizon and
+# _nearest_chord overflows (eps = 2**-50 covers each step's rounding):
+# - a point of a chord (a + u (b - a), u in [0, 1]) or a midpoint stays
+#   within the range of its ends times (1 + eps). So a weighted difference,
+#   w (x - y) or Y - Y' with both sides such points, is at most
+#   2**501 (1 + eps), and its square at most 2**1002 (1 + eps).
+# - The worst intermediate is a sum of d such squares, a norm before its
+#   root: at most d 2**1002 (1 + eps) (1 + d 2**-53) < 2**1023 (1 + 2**-30),
+#   below 2**1024, the overflow threshold. Every norm, distance, half-length
+#   and rounding margin is the root of one such sum times a constant within
+#   the range (a weight, 4 asin, d + 16), or a sum of three of those.
+# - _row_distances projects unweighted rows: each term of its two dot
+#   products is at most 2**502 (1 + eps). Its denominator, when not 0, is at
+#   least half its largest term s**2 >= 2**-1075, so |s| >= 2**-538, and the
+#   quotient is at most d 2**251 (1 + eps) |s| / (s**2 / 2) plus 4 d for
+#   terms that underflow: below d 2**791 before the clip to [0, 1].
+# - Quaternions are unit rows, and a rotation vector's angle is at most
+#   sqrt(3) 2**250, so the exponential map and slerp stay finite.
+# The budget eta is not in the range: it enters only comparisons and
+# _reach_horizon's Python-float radius, which rounds to inf quietly.
+_RANGE = 2.0**250
+
+
 def _finite_array(values, shape: tuple[int | None, ...], name: str) -> np.ndarray:
-    """values as a nonempty, finite, read-only float array of the given shape;
-    None in shape matches any length."""
+    """values as a nonempty, read-only float array of the given shape, each
+    value finite and within _RANGE; None in shape matches any length."""
     try:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):  # ragged rows, a non-number, an integer beyond floats
         raise ValueError(f"{name} must be finite numbers of shape {shape} (None: any length)") from None
     if arr.ndim != len(shape) or arr.size == 0 or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
         raise ValueError(f"{name} must have shape {shape} (None: any length), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+    inside = np.abs(arr) <= _RANGE  # False for NaN and infinities too
+    if not inside.all():
+        at = tuple(np.argwhere(~inside)[0].tolist())
+        where = f" at {name}{list(at)}" if at else ""
+        raise ValueError(f"{name} must be finite and at most 2**250 in magnitude, got {arr[at].item()!r}{where}")
     arr.setflags(write=False)
     return arr
 
@@ -136,21 +166,31 @@ def _obs_refs(values, rows: int, unit: str) -> tuple[str | None, ...]:
     return refs
 
 
-# Row shape of each state column; None matches any width, the same for every row.
-_ROW_SHAPES = {"pos": (3,), "quat": (4,), "grip": (), "axis_angle": (3,), "joints": (None,)}
-_STATE_NAMES = ({"pos", "quat", "grip"}, {"pos", "quat", "grip", "axis_angle"}, {"joints"})
+# Each state kind's columns, in Trajectory.state_columns order, and their
+# row shapes; None matches any width, the same for every row.
+_COLUMNS = {StateKind.EE: {"pos": (3,), "quat": (4,), "grip": (), "axis_angle": (3,)},
+            StateKind.JOINT: {"joints": (None,)}}
 
 
 def _state_arrays(columns: dict, rows: int, gripper_dims=None) -> dict[str, np.ndarray]:
-    """State columns of one kind as finite read-only float arrays of rows
-    rows each: pos, quat and grip with axis_angle optional, or joints alone,
-    keyed as Trajectory.state_columns; gripper_dims, when given, must index
-    joint columns. The one check of the state-column format."""
+    """State columns of one kind as read-only float arrays of rows rows
+    each, every value within _RANGE: pos, quat and grip with axis_angle
+    optional, or joints alone, keyed as Trajectory.state_columns. A quat of
+    None is derived from axis_angle (_stored_rotations). gripper_dims, when
+    given, must index joint columns. The one check of the state-column
+    format."""
     if rows < 1:
         raise ValueError("no states: state columns need at least one row")
-    if set(columns) not in _STATE_NAMES:
-        raise ValueError(f"state columns must be pos, quat, grip and optional axis_angle, or joints: {sorted(columns)}")
-    arrays = {name: _finite_array(values, (rows, *_ROW_SHAPES[name]), name) for name, values in columns.items()}
+    shapes = _COLUMNS[StateKind.JOINT if "joints" in columns else StateKind.EE]
+    derive = "quat" in columns and columns["quat"] is None
+    if set(columns) not in (set(shapes), set(shapes) - {"axis_angle"}) or derive and "axis_angle" not in columns:
+        raise ValueError("state columns must be pos, quat, grip and optional axis_angle (required when quat is None), "
+                         f"or joints: {sorted(columns)}")
+    arrays = {name: _finite_array(values, (rows, *shapes[name]), name)
+              for name, values in columns.items() if name != "quat" or not derive}
+    if derive:
+        arrays["quat"] = _stored_rotations(arrays["axis_angle"])
+        arrays["quat"].setflags(write=False)
     _gripper_dims(gripper_dims, arrays["joints"].shape[1] if "joints" in arrays else 0)
     return arrays
 
@@ -189,10 +229,9 @@ def _canonical_rows(quats: np.ndarray) -> np.ndarray:
 
 
 def _exp_rows(vectors: np.ndarray) -> np.ndarray:
-    """axis_angle_to_quaternion of each row of a finite (n, 3) array, bit
-    for bit; a row whose angle (norm) overflows comes back NaN, quietly."""
+    """axis_angle_to_quaternion of each row of an (n, 3) array within
+    _RANGE, bit for bit."""
     angle = _rownorm(vectors)
-    angle[angle == math.inf] = math.nan
     # np.sinc(x) = sin(pi x)/(pi x), so this is sin(angle/2)/angle
     scale = 0.5 * np.sinc(angle / (2.0 * math.pi))
     quats = np.empty((len(angle), 4))
@@ -201,16 +240,11 @@ def _exp_rows(vectors: np.ndarray) -> np.ndarray:
     return _canonical_rows(quats)
 
 
-def _stored_rotations(axis_angle: np.ndarray, where) -> np.ndarray:
-    """Orientation rows of finite stored rotation vectors, derived as
+def _stored_rotations(axis_angle: np.ndarray) -> np.ndarray:
+    """Orientation rows of stored rotation vectors within _RANGE, derived as
     EEState.from_axis_angle derives them: the exponential map, then the
-    state's own canonicalization. Raises ValueError naming where(i) for the
-    first row i whose angle overflows."""
-    quats = _canonical_rows(_exp_rows(axis_angle))
-    bad = np.flatnonzero(np.isnan(quats[:, 0]))
-    if bad.size:
-        raise ValueError(f"{where(int(bad[0]))}: rotation angle overflows (norm is not finite)")
-    return quats
+    state's own canonicalization."""
+    return _canonical_rows(_exp_rows(axis_angle))
 
 
 def canonicalize_quaternion(q) -> np.ndarray:
@@ -230,10 +264,7 @@ def axis_angle_to_quaternion(v) -> np.ndarray:
     The zero vector maps to the identity rotation. Uses a series-safe
     evaluation of sin(theta/2)/theta so tiny rotations lose no precision.
     """
-    out = _exp_rows(_finite_array(v, (3,), "axis-angle vector")[None])[0]
-    if math.isnan(out[0]):
-        raise ValueError("axis-angle vector norm overflows")
-    return out
+    return _exp_rows(_finite_array(v, (3,), "axis-angle vector")[None])[0]
 
 
 def quaternion_to_axis_angle(q) -> np.ndarray:
@@ -389,9 +420,6 @@ def _view(cls, **fields):
     return obj
 
 
-_STATE_COLUMNS = {StateKind.EE: ("pos", "quat", "grip", "axis_angle"), StateKind.JOINT: ("joints",)}
-
-
 def _state_views(columns: dict, gripper_dims=None) -> list:
     """One EEState or JointState view per row of state columns keyed as
     Trajectory.state_columns; the views carry the rows unchanged."""
@@ -465,10 +493,8 @@ class Trajectory:
         fields = dict(name=name, state_space=StateKind(state_space), frequency_hz=freq, t=t,
                       obs_ref=_obs_refs((None,) * len(t) if obs_ref is None else obs_ref, len(t), "frames"))
         if fields["state_space"] is StateKind.EE:
-            if quat is None:
-                quat = _stored_rotations(_finite_array(axis_angle, (len(t), 3), "axis_angle"),
-                                         "frames[{}].axis_angle".format)
-            columns = dict(pos=pos, quat=quat, grip=grip, axis_angle=axis_angle)
+            # checked in this order, so a bad axis_angle is named first
+            columns = dict(axis_angle=axis_angle, pos=pos, quat=quat, grip=grip)
         else:
             columns = {"joints": joints}
         fields.update(_state_arrays(columns, len(t), gripper_dims))
@@ -492,7 +518,7 @@ class Trajectory:
     def state_columns(self) -> dict[str, np.ndarray]:
         """The state columns of this trajectory's kind by name: pos, quat,
         grip and axis_angle, or joints."""
-        return {name: getattr(self, name) for name in _STATE_COLUMNS[self.state_space]}
+        return {name: getattr(self, name) for name in _COLUMNS[self.state_space]}
 
     @functools.cached_property
     def frames(self) -> tuple[Frame, ...]:
@@ -509,6 +535,15 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
+def _weight(value, name: str) -> float:
+    """value as a metric weight: a float that is finite, >= 0 and within
+    _RANGE."""
+    v = _finite_scalar(value, name)
+    if v > _RANGE:
+        raise ValueError(f"{name} must be finite, >= 0 and at most 2**250, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class MetricConfig:
     """Weights for the proprioceptive distance.
@@ -518,7 +553,7 @@ class MetricConfig:
     joins with gripper_weight when include_gripper is set. Joint distance is
     an L2 norm with optional per-dimension weights (joint_mask, multiplied
     into each coordinate difference); by default every dimension counts
-    equally, gripper dims included.
+    equally, gripper dims included. Every weight is at most 2**250 (_RANGE).
     """
 
     position_weight: float = 1.0
@@ -529,12 +564,12 @@ class MetricConfig:
 
     def __post_init__(self):
         for name in ("position_weight", "orientation_weight", "gripper_weight"):
-            object.__setattr__(self, name, _finite_scalar(getattr(self, name), name))
+            object.__setattr__(self, name, _weight(getattr(self, name), name))
         effective = self.position_weight + self.orientation_weight
         if self.include_gripper:
             effective += self.gripper_weight
         if self.joint_mask is not None:
-            mask = tuple(_finite_scalar(w, "joint_mask weights") for w in self.joint_mask)
+            mask = tuple(_weight(w, "joint_mask weights") for w in self.joint_mask)
             if not any(w > 0.0 for w in mask):
                 raise ValueError("joint_mask needs at least one nonzero weight")
             object.__setattr__(self, "joint_mask", mask)

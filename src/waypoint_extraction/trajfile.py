@@ -32,8 +32,7 @@ from . import __version__
 from .reconstruction import _check_metric
 from .relabel import RelabeledDataset, _first_bad_row
 from .solver import WaypointSet
-from .state_space import (DEFAULT_METRIC, MetricConfig, StateKind, Trajectory, _finite_scalar, _int_array,
-                          _stored_rotations)
+from .state_space import DEFAULT_METRIC, MetricConfig, StateKind, Trajectory, _finite_scalar, _int_array
 
 __all__ = [
     "TRAJECTORY_SCHEMA",
@@ -471,9 +470,10 @@ def save_relabeled(path, ds: RelabeledDataset, metric: MetricConfig | None = Non
 
 def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
     """Read an awe-relabel-v1 file into columns, gathered and checked by
-    _record_table as trajectory_from_dict's frames are. The first state's
-    kind is the file's, and the provenance metric must be able to score the
-    states."""
+    _record_table as trajectory_from_dict's frames are, then checked as
+    RelabeledDataset checks rows, its errors located at the file. The first
+    state's kind is the file's, and the provenance metric must be able to
+    score the states."""
     where = str(path)
     records, lines = [], []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
@@ -498,23 +498,16 @@ def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
             _check_metric(columns.get("joints"), prov["metric"])
 
     n = len(records)
+    states, targets = ({name: column[rows] for name, column in columns.items()} for rows in (slice(n), slice(n, None)))
+    if not joint:
+        states["quat"] = targets["quat"] = None  # derived from axis_angle
     with _located(where):
         t, target_index, remaining = (_int_array(column, n, key) for column, key in zip(ints, int_keys))
-    bad = _first_bad_row(t, target_index, remaining)
-    if bad is not None:
-        raise TrajectoryValidationError(f"{lines[bad[0]]}: {bad[1]}")
-    if not joint:
-        try:
-            columns["quat"] = _stored_rotations(
-                columns["axis_angle"], lambda i: f"{lines[i % n]}.{'state' if i < n else 'target_waypoint'}.axis_angle")
-        except ValueError as exc:
-            raise TrajectoryValidationError(str(exc)) from exc
-    dataset = RelabeledDataset(
-        prov.get("source_name", ""), prov.get("eta"), t, obs_refs,
-        states={name: column[:n] for name, column in columns.items()},
-        targets={name: column[n:] for name, column in columns.items()},
-        target_index=target_index, waypoints_remaining=remaining,
-    )
+        bad = _first_bad_row(t, target_index, remaining)
+        if bad is not None:
+            raise TrajectoryValidationError(f"{lines[bad[0]]}: {bad[1]}")
+        dataset = RelabeledDataset(prov.get("source_name", ""), prov.get("eta"), t, obs_refs, states=states,
+                                   targets=targets, target_index=target_index, waypoints_remaining=remaining)
     return dataset, prov
 
 

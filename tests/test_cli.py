@@ -1,10 +1,15 @@
+import io
 import json
 import re
 import shutil
+import sys
 import warnings
 
+import numpy as np
 import pytest
 
+from test_trajfile import MUTANTS, _paths, _set
+from waypoint_extraction import cli
 from waypoint_extraction.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DOMAIN,
@@ -125,7 +130,7 @@ def test_overflowing_rotation_vector_exits_validation_quietly(tmp_path, capsys, 
         warnings.simplefilter("error")
         code = main(argv)
     err = capsys.readouterr().err
-    assert "frames[3].axis_angle: rotation angle overflows" in err
+    assert "ovf.json: axis_angle must be finite and at most 2**250 in magnitude, got 1e+308 at axis_angle[3, 0]" in err
     assert "Warning" not in err
     # a file fails with its class's code, alone or in a batch
     assert code == EXIT_VALIDATION
@@ -161,6 +166,29 @@ def test_batch_reports_a_bad_file_and_goes_on(tmp_path, rng, capsys, command):
         assert mixed_out[-1] == out[-1].replace("2/2", "2/3")
         out, mixed_out = out[:-1], mixed_out[:-1]
     assert mixed_out == out
+
+
+def test_batch_reports_a_file_whose_work_fails_after_the_batch(tmp_path, rng, monkeypatch):
+    (tmp_path / "in").mkdir()
+    for name in ("a", "b", "c"):
+        save_trajectory(tmp_path / "in" / f"{name}.json", make_random_walk_trajectory(rng, 12, name=name))
+    relabel = cli.relabel_trajectory
+
+    def relabel_all_but_b(traj, wp):
+        if traj.name == "b":
+            raise ValueError("b cannot be relabeled")
+        return relabel(traj, wp)
+
+    monkeypatch.setattr(cli, "relabel_trajectory", relabel_all_but_b)
+    both = io.StringIO()  # stdout and stderr as one stream, to see their order
+    monkeypatch.setattr(sys, "stdout", both)
+    monkeypatch.setattr(sys, "stderr", both)
+    assert main(_batch_argv("relabel", tmp_path / "in", tmp_path / "out")) == EXIT_DOMAIN
+    lines = both.getvalue().splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["a.json", "c.json"]
+    assert lines[2] == "FAILED b.json: b cannot be relabeled"
+    assert lines[3].startswith("relabeled 2/3 trajectories") and len(lines) == 4
+    assert sorted(f.name for f in (tmp_path / "out").iterdir()) == ["a.relabeled.jsonl", "c.relabeled.jsonl"]
 
 
 @pytest.mark.parametrize("command", ["relabel", "stats", "compare"])
@@ -415,6 +443,31 @@ def test_replay_check_failure_is_nonzero(tmp_path, demo_file, capsys):
     assert code == EXIT_CHECK_FAILED
 
 
+@pytest.mark.parametrize("indices, message", [
+    ([], ": indices must be a nonempty list"), ("0, 1", ": indices must be a nonempty list"),
+    ([0, 1.0], ".indices[1]: expected an integer"), ([True, 5], ".indices[0]: expected an integer"),
+])
+def test_replay_check_refuses_malformed_indices(tmp_path, demo_file, capsys, indices, message):
+    wp_file = tmp_path / "wp.json"
+    main(["extract", "--input", str(demo_file), "--eta", "0.01", "--output", str(wp_file), "--no-timestamp"])
+    doc = json.loads(wp_file.read_text())
+    doc["indices"] = indices
+    wp_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay-check", "--input", str(demo_file), "--waypoints", str(wp_file)]) == EXIT_SCHEMA
+    assert capsys.readouterr() == ("", f"error: {wp_file}{message}\n")
+
+
+def test_replay_check_with_a_tolerance_that_covers_every_waypoint_takes_no_tick(tmp_path, demo_file, capsys):
+    wp_file = tmp_path / "wp.json"
+    main(["extract", "--input", str(demo_file), "--eta", "0.01", "--output", str(wp_file), "--no-timestamp"])
+    count = len(json.loads(wp_file.read_text())["indices"])
+    capsys.readouterr()
+    code = main(["replay-check", "--input", str(demo_file), "--waypoints", str(wp_file), "--reach-tolerance", "1e9"])
+    assert code == EXIT_OK
+    assert f"waypoints_reached={count}/{count} reached_final=True ticks=0 " in capsys.readouterr().out
+
+
 def test_sweep_with_plot(tmp_path, demo_file, capsys):
     plot = tmp_path / "plot.csv"
     code = main(["sweep", "--input", str(demo_file), "--etas", "0.05,0.01,0.005", "--plot-out", str(plot)])
@@ -570,3 +623,94 @@ def test_non_utf8_input_exits_parse(tmp_path, rng, capsys):
     assert main(_batch_argv("relabel", tmp_path / "in", tmp_path / "out")) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.err.startswith("FAILED b.json: ") and "relabeled 1/2 trajectories" in captured.out
+
+
+# ---------------------------------------------------------------------------
+# the numeric range: coordinates and metric weights within 2**250
+# ---------------------------------------------------------------------------
+
+
+def _segmented_17(path):
+    """A 17-frame segmented end-effector demo saved at path."""
+    traj = make_segmented_ee_trajectory(np.random.default_rng(0), n_segments=2, frames_per_segment=8, name="d")
+    assert len(traj) == 17
+    save_trajectory(path, traj)
+    return path
+
+
+def _quiet_main(argv):
+    """main(argv) with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+@pytest.mark.parametrize("field", ["position_weight", "orientation_weight"])
+def test_a_weight_past_the_range_exits_validation_naming_the_field(tmp_path, capsys, field):
+    # once: 1e308 as position_weight kept all 17 frames with global loss above
+    # segment loss, and as orientation_weight failed on achieved_global_loss (exit 7)
+    demo = _segmented_17(tmp_path / "d.json")
+    metric = tmp_path / "metric.json"
+    metric.write_text(json.dumps({field: 1e308}))
+    code = _quiet_main(["stats", "--input", str(demo), "--eta", "0.05", "--metric-config", str(metric)])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.out == ""
+    assert captured.err == f"error: {metric}: {field} must be finite, >= 0 and at most 2**250, got 1e+308\n"
+
+
+def test_a_coordinate_past_the_range_exits_validation_naming_the_row(tmp_path, capsys):
+    # once: overflow warnings, then exit 7 on achieved_global_loss
+    demo = _segmented_17(tmp_path / "d.json")
+    doc = json.loads(demo.read_text())
+    doc["frames"][3]["pos"][0] = 1e200
+    demo.write_text(json.dumps(doc))
+    code = _quiet_main(["extract", "--input", str(demo), "--eta", "0.05", "--output", str(tmp_path / "wp.json")])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"error: {demo}: pos must be finite and at most 2**250 in magnitude, "
+                                       "got 1e+200 at pos[3, 0]\n")
+    assert not (tmp_path / "wp.json").exists()
+
+
+def _stats_losses(out: str) -> tuple[float, float]:
+    """(segment_loss, global_loss) of the one file a stats run printed."""
+    match = re.search(r"segment_loss=(\S+) global_loss=(\S+)", out)
+    return float(match[1]), float(match[2])
+
+
+@pytest.mark.parametrize("kind", ["ee", "joint"])
+def test_metric_config_mutations_exit_by_the_table(tmp_path, capsys, kind):
+    # a fixed enumeration: every field of the metric config, each set to every value of MUTANTS
+    rng = np.random.default_rng(1)
+    if kind == "ee":
+        traj = make_segmented_ee_trajectory(rng, n_segments=2, frames_per_segment=8, name="d")
+        base = {"position_weight": 1.0, "orientation_weight": 1.0, "include_gripper": True, "gripper_weight": 1.0,
+                "joint_mask": None}
+    else:
+        traj = make_random_walk_trajectory(rng, 14, StateKind.JOINT, name="d", joint_dim=3)
+        base = {"position_weight": 1.0, "orientation_weight": 1.0, "include_gripper": False, "gripper_weight": 1.0,
+                "joint_mask": [1.0, 0.5, 0.0]}
+    demo, metric, eta = tmp_path / "d.json", tmp_path / "metric.json", 0.05
+    save_trajectory(demo, traj)
+    table = {EXIT_OK, EXIT_PARSE, EXIT_SCHEMA, EXIT_VALIDATION, EXIT_DOMAIN}
+    faults, exits = [], set()
+    for where in _paths(base):
+        for value in MUTANTS:
+            doc = json.loads(json.dumps(base))
+            _set(doc, where, value)
+            metric.write_text(json.dumps(doc))
+            try:
+                code = _quiet_main(["stats", "--input", str(demo), "--eta", str(eta), "--metric-config", str(metric)])
+            except Exception as exc:  # anything escaping main is a fault this test looks for
+                faults.append((where, value, f"{type(exc).__name__}: {exc}"))
+                continue
+            out, err = capsys.readouterr()
+            exits.add(code)
+            if code not in table:
+                faults.append((where, value, f"exit {code}"))
+            elif code in (EXIT_PARSE, EXIT_SCHEMA, EXIT_VALIDATION) and str(metric) not in err:
+                faults.append((where, value, f"unlocated: {err}"))
+            elif code == EXIT_OK and not _stats_losses(out)[1] <= _stats_losses(out)[0] <= eta:
+                faults.append((where, value, f"losses out of order: {out}"))
+    assert not faults, faults[:5]
+    assert {EXIT_OK, EXIT_SCHEMA, EXIT_VALIDATION} <= exits

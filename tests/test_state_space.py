@@ -1,18 +1,20 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.transform import Rotation
+from scipy.spatial.transform import Rotation, Slerp
 
 from conftest import ee_state
 from oracles import _rotation, oracle_axis_angle_to_quaternion, oracle_canonicalize_quaternion, oracle_state_distance
 from waypoint_extraction.baselines import HeuristicConfig, calibrate_to_count, heuristic_fixed_interval
 from waypoint_extraction.reconstruction import _row_distances, min_distances_to_polyline
-from waypoint_extraction.replay import FollowerConfig, default_follower_config
-from waypoint_extraction.solver import ErrorBudget, WaypointSet, annotate_losses, sweep_eta
+from waypoint_extraction.replay import FollowerConfig, default_follower_config, replay_waypoints
+from waypoint_extraction import state_space
+from waypoint_extraction.solver import ErrorBudget, WaypointSet, annotate_losses, extract_waypoints_dp, sweep_eta
 from waypoint_extraction.state_space import (
     EEState,
     Frame,
@@ -23,6 +25,7 @@ from waypoint_extraction.state_space import (
     axis_angle_to_quaternion,
     canonicalize_quaternion,
     interpolate,
+    quaternion_slerp,
     quaternion_to_axis_angle,
     state_distance,
 )
@@ -106,6 +109,33 @@ def test_vectorized_exp_map_is_the_scalar_map_bit_for_bit(rng):
     assert np.array([canonicalize_quaternion(q) for q in once[sample]]).tobytes() == twice[sample].tobytes()
 
 
+def _scipy_slerp(qa, qb, u: float) -> Rotation:
+    """scipy's slerp of two (w, x, y, z) quaternions at u."""
+    return Slerp([0.0, 1.0], Rotation.from_quat(np.stack([qa, qb])[:, [1, 2, 3, 0]]))([u])[0]
+
+
+def test_quaternion_slerp_takes_the_shorter_arc_as_scipy_does(rng):
+    for _ in range(40):
+        qa, qb = (canonicalize_quaternion(rng.normal(size=4)) for _ in range(2))
+        if np.dot(qa, qb) >= 0.0:
+            qb = -qb  # the same rotation; the longer arc runs from qa to qb
+        u = float(rng.uniform())
+        ours = quaternion_slerp(qa, qb, u)
+        assert ours[0] >= 0.0
+        assert (Rotation.from_quat(ours[[1, 2, 3, 0]]).inv() * _scipy_slerp(qa, qb, u)).magnitude() < 1e-9
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_quaternion_slerp_of_nearly_parallel_ends_lerps_as_scipy_slerps(sign):
+    qa = axis_angle_to_quaternion([0.1, 0.2, 0.3])
+    qb = sign * axis_angle_to_quaternion([0.1, 0.2, 0.3 + 1e-7])
+    assert 1.0 - abs(np.dot(qa, qb)) < 1e-12  # the lerp branch
+    for u in (0.0, 0.25, 0.5, 1.0):
+        ours = quaternion_slerp(qa, qb, u)
+        assert ours[0] >= 0.0 and abs(np.linalg.norm(ours) - 1.0) < 1e-15
+        assert (Rotation.from_quat(ours[[1, 2, 3, 0]]).inv() * _scipy_slerp(qa, qb, u)).magnitude() < 1e-12
+
+
 def test_canonicalize_is_the_scalar_form_bit_for_bit(rng):
     quats = rng.normal(size=(2000, 4)) * rng.choice([1e-6, 1.0, 1e6], size=(2000, 1))
     quats[:5, 0] = [0.0, -0.0, 5e-324, -5e-324, -1e-300]
@@ -121,15 +151,55 @@ def test_canonicalize_is_the_scalar_form_bit_for_bit(rng):
 
 
 def test_overflowing_rotation_vector_is_rejected_quietly():
+    out_of_range = r"must be finite and at most 2\*\*250 in magnitude, got "
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflows"):
+        with pytest.raises(ValueError, match=r"^axis-angle vector " + out_of_range + r"1e\+308 at axis-angle vector\[0\]$"):
             axis_angle_to_quaternion([1e308, 1e308, 0.0])
-        with pytest.raises(ValueError, match=r"frames\[1\]\.axis_angle: rotation angle overflows"):
+        with pytest.raises(ValueError, match=r"^axis_angle " + out_of_range + r"1e\+308 at axis_angle\[1, 0\]$"):
             Trajectory.from_columns("o", StateKind.EE, 50.0, [0, 1, 2], pos=np.zeros((3, 3)), grip=np.zeros(3),
                                     axis_angle=[[0.0, 0.0, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 0.0]])
-    # an angle whose square stays finite still maps
-    assert np.all(np.isfinite(axis_angle_to_quaternion([1e150, 0.0, 0.0])))
+        # an angle whose square stays finite, but past the range
+        with pytest.raises(ValueError, match=r"^axis-angle vector " + out_of_range + r"1e\+150 at axis-angle vector\[0\]$"):
+            axis_angle_to_quaternion([1e150, 0.0, 0.0])
+    # an angle within the range still maps
+    assert np.all(np.isfinite(axis_angle_to_quaternion([1e70, 0.0, 0.0])))
+
+
+def test_the_range_bound_is_inclusive():
+    edge, past = 2.0**250, float(np.nextafter(2.0**250, math.inf))
+    assert Trajectory.from_columns("r", StateKind.JOINT, 50.0, [0, 1], joints=[[edge], [-edge]]).joints[1, 0] == -edge
+    with pytest.raises(ValueError, match=r"^joints must be finite and at most 2\*\*250 in magnitude, got .* at joints\[1, 0\]$"):
+        Trajectory.from_columns("r", StateKind.JOINT, 50.0, [0, 1], joints=[[edge], [-past]])
+    assert MetricConfig(position_weight=edge, joint_mask=(edge,)).position_weight == edge
+    for cfg in (dict(position_weight=past), dict(gripper_weight=past), dict(joint_mask=(1.0, past))):
+        with pytest.raises(ValueError, match=r"must be finite, >= 0 and at most 2\*\*250, got "):
+            MetricConfig(**cfg)
+
+
+def test_the_ends_of_the_range_solve_and_replay_quietly():
+    # coordinates and weights at the bound, spans near underflow, budgets up to the largest float
+    big, rng = state_space._RANGE, np.random.default_rng(0)
+    joints = rng.choice([-big, big, 0.0, 1e-160, 5e-324], size=(14, 8))
+    joints[3] = joints[2] + 1e-162
+    ends = rng.choice([-big, big, 0.0, 1e-160], size=(14, 7))
+    cases = [
+        (Trajectory.from_columns("j", StateKind.JOINT, 50.0, range(14), joints=joints),
+         [MetricConfig(joint_mask=(big,) * 8), MetricConfig(joint_mask=(big, 0.0) * 4)]),
+        (Trajectory.from_columns("e", StateKind.EE, 50.0, range(14), pos=ends[:, :3], axis_angle=ends[:, 3:6],
+                                 grip=ends[:, 6]),
+         [MetricConfig(position_weight=big, orientation_weight=big, include_gripper=True, gripper_weight=big),
+          MetricConfig(position_weight=0.0, orientation_weight=big)]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for traj, metrics in cases:
+            for cfg in metrics:
+                for eta in (1e-300, 1.0, 2.0**600, sys.float_info.max):
+                    wp, _ = extract_waypoints_dp(traj, ErrorBudget(eta, cfg))
+                    assert wp.achieved_global_loss <= wp.achieved_segment_loss <= eta
+                    report = replay_waypoints(traj, wp, default_follower_config(traj, eta, metric=cfg))
+                    assert math.isfinite(report.max_tracking_deviation)
 
 
 def test_quaternion_whose_norm_overflows_is_rejected_quietly():

@@ -513,8 +513,33 @@ def test_relabeled_loader_validates_rows(tmp_path):
     with pytest.raises(TrajectoryValidationError, match="line 1: waypoints_remaining must be >= 1"):
         load_relabeled(_relabel_lines(tmp_path, spent))
     overflow = [_row(0, EE_STATE, dict(EE_STATE, axis_angle=[1e308, 1e308, 0.0]))]
-    with pytest.raises(TrajectoryValidationError, match=r"line 1\.target_waypoint\.axis_angle: rotation angle overflows"):
+    with pytest.raises(TrajectoryValidationError, match=r"r\.jsonl: targets: axis_angle must be finite and at most "
+                                                        r"2\*\*250 in magnitude, got 1e\+308 at axis_angle\[0, 0\]$"):
         load_relabeled(_relabel_lines(tmp_path, overflow))
+
+
+def test_relabeled_loader_skips_blank_lines_and_names_lines_as_numbered(tmp_path):
+    from waypoint_extraction.cli import EXIT_PARSE, _exit_code
+
+    lines = _relabel_lines(tmp_path, [_row(0, EE_STATE, EE_STATE), _row(1, EE_STATE, EE_STATE)]).read_text().splitlines()
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text(f"\n{lines[0]}\n  \n{lines[1]}\n\n")
+    ds, _ = load_relabeled(spaced)
+    assert ds.t.tolist() == [0, 1]
+    late = json.dumps(_row(1, EE_STATE, EE_STATE, index=1))
+    spaced.write_text(f"\n{lines[0]}\n  \n{late}\n")
+    with pytest.raises(TrajectoryValidationError, match=r"spaced\.jsonl: line 4: target_index must lie strictly after"):
+        load_relabeled(spaced)
+    # a line that is not JSON is a parse error (exit 4) naming the line
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text(f"{lines[0]}\n\n{{\"t\": 1,\n")
+    with pytest.raises(TrajectoryParseError, match=r"broken\.jsonl: line 3: ") as exc:
+        load_relabeled(broken)
+    assert _exit_code(exc.value) == EXIT_PARSE
+    for text in ("", "\n  \n"):
+        spaced.write_text(text)
+        with pytest.raises(TrajectorySchemaError, match=r"spaced\.jsonl: no records$"):
+            load_relabeled(spaced)
 
 
 def test_relabeled_loader_refuses_rows_out_of_time_order(tmp_path):
