@@ -21,8 +21,10 @@ score a file's states stops them as an error of the run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -107,39 +109,187 @@ def _input_files(path_str: str) -> list[Path]:
     return files
 
 
-def _each_input(files: list[Path], metric: MetricConfig, work) -> tuple[list, int]:
-    """Call work(path, trajectory) on each file in order. work returns its
-    stdout lines, its stderr lines and one value; a file's lines are printed
-    before the next file starts. A file whose load or work raises a
+def _worker_cpus(files: int) -> list[int]:
+    """The CPUs of a batch's forked workers: those this process may run on
+    after the first, at most files - 1 of them, and none without the fork
+    start method. multiprocessing is imported only when there are some."""
+    cpus = sorted(os.sched_getaffinity(0))[1:files] if hasattr(os, "sched_getaffinity") else []
+    if cpus:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return []
+    return cpus
+
+
+def _outcome(f: Path, metric: MetricConfig, work) -> tuple[bool, tuple]:
+    """One file's outcome: (True, (stdout lines, stderr lines, value)) when
+    its work is done, (False, (FAILED line, exit code)) when its load or work
+    raises a TrajectoryFileError or ValueError. A metric that cannot score
+    its states raises, as does anything else."""
+    try:
+        traj = load_trajectory(f)
+    except (TrajectoryFileError, ValueError) as exc:
+        return False, (f"FAILED {f.name}: {exc}", _exit_code(exc))
+    _check_metric(traj.joints, metric)
+    try:
+        return True, work(f, traj)
+    except (TrajectoryFileError, ValueError) as exc:
+        return False, (f"FAILED {f.name}: {exc}", _exit_code(exc))
+
+
+def _each_input(files: list[Path], metric: MetricConfig, work, commit=None) -> tuple[list, int]:
+    """Call work(path, trajectory) on each file. work returns its stdout
+    lines, its stderr lines and one value; commit(path, value), when given,
+    runs in this process before the lines print and returns the value kept
+    (relabel writes its dataset there). A file's lines print in file order,
+    once every earlier file is done. A file whose load or work raises a
     TrajectoryFileError or ValueError is reported after the batch as FAILED
     <name>: <message> on stderr and does not stop the rest. A metric that
     cannot score a file's states is a fault of the run, not of the file: its
     ValueError ends the batch, once, after the FAILED lines so far, and the
-    files already done keep their outputs. Returns the values of the files
-    done, in order, and the exit code of the first failed file, or EXIT_OK."""
+    files before it keep their outputs. Returns the values of the files
+    done, in order, and the exit code of the first failed file, or EXIT_OK.
+
+    With two or more files and two or more usable cores, forked workers
+    compute files alongside this process (_parallel_outcomes), so only what
+    work returns reaches this process; commit always runs here. What prints,
+    what is written and the exit code are the same as one file at a time."""
     values, failures = [], []
+    cpus = _worker_cpus(len(files))
+    outcomes = _parallel_outcomes(files, metric, work, cpus) if cpus else (_outcome(f, metric, work) for f in files)
     try:
-        for f in files:
-            try:
-                traj = load_trajectory(f)
-            except (TrajectoryFileError, ValueError) as exc:
-                failures.append((f"FAILED {f.name}: {exc}", _exit_code(exc)))
+        for f, (ok, result) in zip(files, outcomes):
+            if not ok:
+                failures.append(result)
                 continue
-            _check_metric(traj.joints, metric)
-            try:
-                out, err, value = work(f, traj)
-            except (TrajectoryFileError, ValueError) as exc:
-                failures.append((f"FAILED {f.name}: {exc}", _exit_code(exc)))
-                continue
+            out, err, value = result
+            values.append(value if commit is None else commit(f, value))
             for line in out:
                 print(line)
             for line in err:
                 print(line, file=sys.stderr)
-            values.append(value)
     finally:
+        outcomes.close()
         for line, _ in failures:
             print(line, file=sys.stderr)
     return values, failures[0][1] if failures else EXIT_OK
+
+
+# A worker's pipe holds this much before its send blocks. A relabel dataset
+# of the benchmark's corpus pickles to 50 to 100 KB, and with a default
+# 64 KB pipe a worker spent a fifth of its time waiting for this process to
+# finish its own file and read.
+_PIPE_BYTES = 1 << 20
+
+
+def _parallel_outcomes(files: list[Path], metric: MetricConfig, work, cpus: list[int]):
+    """Yield _outcome of each file in file order, computed by this process
+    and by one process forked from it per CPU of cpus, which runs there
+    alone.
+
+    This process claims file 0 before it forks, then every process claims
+    the next unclaimed file from one shared counter. A worker only computes:
+    it sends (index, outcome) for each file it claims over its own pipe,
+    then None. At the first file whose outcome raises, it stops without
+    sending that file, as it does when it dies; this process then runs the
+    files a worker claimed and never sent itself, once every worker has
+    ended, so their errors are raised here and the output is unchanged.
+    Between its own files this process collects what the workers sent, and
+    blocks on them when it has no file left to claim. Every worker is
+    terminated and joined on every way out.
+
+    A worker is pinned to its CPU because on a 2-CPU virtual machine, Linux
+    was seen leaving a forked worker on its parent's CPU for a second and
+    more while the other CPU idled."""
+    import fcntl
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    claimed, lock = ctx.RawValue("q", 1), ctx.Lock()
+
+    def claim() -> int | None:
+        with lock:
+            k, claimed.value = claimed.value, claimed.value + 1
+        return k if k < len(files) else None
+
+    def compute(k: int) -> None:
+        try:
+            done[k] = _outcome(files[k], metric, work)
+        except Exception as exc:  # raised when its turn comes
+            done[k] = exc
+
+    done, procs = {}, {}
+    try:
+        for cpu in cpus:
+            reader, writer = ctx.Pipe(duplex=False)
+            with contextlib.suppress(AttributeError, OSError):  # Linux only, within its pipe-max-size
+                fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            proc = ctx.Process(target=_work_files, args=(files, metric, work, claim, writer, cpu), daemon=True)
+            proc.start()
+            writer.close()
+            procs[reader] = proc
+        mine, turn = 0, 0
+        while turn < len(files):
+            if mine is not None:
+                compute(mine)
+                mine = None if isinstance(done[mine], Exception) else claim()
+            if procs:  # block only when nothing is left to do here
+                for reader in wait(list(procs), timeout=None if mine is None and turn not in done else 0):
+                    _collect(reader, procs, done)
+            if mine is None and not procs:
+                for k in range(turn, min(claimed.value, len(files))):
+                    if k not in done:
+                        compute(k)
+            while turn in done:
+                outcome = done.pop(turn)
+                turn += 1
+                if isinstance(outcome, Exception):
+                    raise outcome
+                yield outcome
+    finally:
+        for proc in procs.values():
+            proc.terminate()
+            proc.join()
+
+
+def _collect(reader, procs: dict, done: dict) -> None:
+    """Move every outcome waiting on a worker's pipe into done; the worker
+    leaves procs, terminated and joined, at its None or when its pipe ends.
+    poll is also true at the end of the pipe, so it is not asked again after
+    the None."""
+    try:
+        while reader.poll():
+            message = reader.recv()
+            if message is None:
+                break
+            done[message[0]] = message[1]
+        else:
+            return  # the pipe is empty and the worker goes on
+    except EOFError:  # the worker ended before its None
+        pass
+    proc = procs.pop(reader)
+    proc.terminate()
+    proc.join()
+
+
+def _work_files(files: list[Path], metric: MetricConfig, work, claim, writer, cpu: int) -> None:
+    """A forked worker of _parallel_outcomes: send (index, outcome) of each
+    file it claims, then None. It stops at the first outcome that raises or
+    cannot be sent, and leaves that file to the main process. An interrupt
+    from the terminal is the main process's to handle."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with contextlib.suppress(OSError):  # a CPU gone since the batch began
+        os.sched_setaffinity(0, {cpu})
+    try:
+        while (k := claim()) is not None:
+            writer.send((k, _outcome(files[k], metric, work)))
+        writer.send(None)
+    except Exception:
+        pass
 
 
 def _multiplier(text: str) -> int:
@@ -174,6 +324,10 @@ def _cmd_extract(args, parser) -> int:
     return EXIT_OK
 
 
+def _relabeled_path(out_dir: Path, f: Path) -> Path:
+    return out_dir / (f.stem + ".relabeled.jsonl")
+
+
 def _cmd_relabel(args, parser) -> int:
     budget = _budget(args)
     out_dir = Path(args.output)
@@ -182,13 +336,15 @@ def _cmd_relabel(args, parser) -> int:
     def work(f, traj):
         wp, _ = extract_waypoints_dp(traj, budget)
         ds = relabel_trajectory(traj, wp)
-        out = out_dir / (f.stem + ".relabeled.jsonl")
+        return [f"{f.name}: {len(ds)} rows, {len(wp)} waypoints -> {_relabeled_path(out_dir, f)}"], [], ds
+
+    def commit(f, ds):
         out_dir.mkdir(parents=True, exist_ok=True)  # here, so a missing or empty input writes nothing
-        save_relabeled(out, ds, metric=budget.metric, created_at=created_at)
-        return [f"{f.name}: {len(ds)} rows, {len(wp)} waypoints -> {out}"], [], len(ds)
+        save_relabeled(_relabeled_path(out_dir, f), ds, metric=budget.metric, created_at=created_at)
+        return len(ds)
 
     files = _input_files(args.input)
-    rows, code = _each_input(files, budget.metric, work)
+    rows, code = _each_input(files, budget.metric, work, commit)
     print(f"relabeled {len(rows)}/{len(files)} trajectories, {sum(rows)} rows total")
     return code
 

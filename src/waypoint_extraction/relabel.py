@@ -91,8 +91,9 @@ class RelabeledDataset:
         for name in ("states", "targets"):
             try:
                 object.__setattr__(self, name, _state_arrays(getattr(self, name), rows, self.gripper_dims))
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
+            except ValueError as exc:  # a _RangeError keeps the value's index
+                exc.args = (f"{name}: {exc}", *exc.args[1:])
+                raise
         states, targets = ({k: v.shape[1:] for k, v in getattr(self, name).items()} for name in ("states", "targets"))
         if states != targets or set(states) not in map(set, _COLUMNS.values()):
             raise ValueError(f"states and targets must hold the same columns, pos, quat, grip and axis_angle or "
@@ -102,6 +103,12 @@ class RelabeledDataset:
         bad = _first_bad_row(self.t, self.target_index, self.waypoints_remaining)
         if bad is not None:
             raise ValueError(f"row {bad[0]}: {bad[1]}")
+
+    def __reduce__(self):
+        """Unpickle through the constructor, so the columns come back
+        read-only (NumPy unpickles arrays writeable) and checked."""
+        return type(self), (self.source_name, self.eta, self.t, self.obs_ref, self.states, self.targets,
+                            self.target_index, self.waypoints_remaining, self.gripper_dims)
 
     def __len__(self) -> int:
         return len(self.t)

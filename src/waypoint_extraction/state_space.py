@@ -75,6 +75,14 @@ class StateKind(str, enum.Enum):
 _RANGE = 2.0**250
 
 
+class _RangeError(ValueError):
+    """A value that is not finite or is past _RANGE: args are the message
+    and the value's index in its array."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 def _finite_array(values, shape: tuple[int | None, ...], name: str) -> np.ndarray:
     """values as a nonempty, read-only float array of the given shape, each
     value finite and within _RANGE; None in shape matches any length."""
@@ -88,7 +96,7 @@ def _finite_array(values, shape: tuple[int | None, ...], name: str) -> np.ndarra
     if not inside.all():
         at = tuple(np.argwhere(~inside)[0].tolist())
         where = f" at {name}{list(at)}" if at else ""
-        raise ValueError(f"{name} must be finite and at most 2**250 in magnitude, got {arr[at].item()!r}{where}")
+        raise _RangeError(f"{name} must be finite and at most 2**250 in magnitude, got {arr[at].item()!r}{where}", at)
     arr.setflags(write=False)
     return arr
 

@@ -32,7 +32,7 @@ from . import __version__
 from .reconstruction import _check_metric
 from .relabel import RelabeledDataset, _first_bad_row
 from .solver import WaypointSet
-from .state_space import DEFAULT_METRIC, MetricConfig, StateKind, Trajectory, _finite_scalar, _int_array
+from .state_space import DEFAULT_METRIC, MetricConfig, StateKind, Trajectory, _finite_scalar, _int_array, _RangeError
 
 __all__ = [
     "TRAJECTORY_SCHEMA",
@@ -506,8 +506,11 @@ def load_relabeled(path) -> tuple[RelabeledDataset, dict]:
         bad = _first_bad_row(t, target_index, remaining)
         if bad is not None:
             raise TrajectoryValidationError(f"{lines[bad[0]]}: {bad[1]}")
-        dataset = RelabeledDataset(prov.get("source_name", ""), prov.get("eta"), t, obs_refs, states=states,
-                                   targets=targets, target_index=target_index, waypoints_remaining=remaining)
+        try:
+            dataset = RelabeledDataset(prov.get("source_name", ""), prov.get("eta"), t, obs_refs, states=states,
+                                       targets=targets, target_index=target_index, waypoints_remaining=remaining)
+        except _RangeError as exc:  # at the row's line
+            raise TrajectoryValidationError(f"{lines[exc.args[1][0]]}: {exc}") from exc
     return dataset, prov
 
 

@@ -1,5 +1,7 @@
 import io
 import json
+import multiprocessing
+import os
 import re
 import shutil
 import sys
@@ -714,3 +716,108 @@ def test_metric_config_mutations_exit_by_the_table(tmp_path, capsys, kind):
                 faults.append((where, value, f"losses out of order: {out}"))
     assert not faults, faults[:5]
     assert {EXIT_OK, EXIT_SCHEMA, EXIT_VALIDATION} <= exits
+
+
+# ---------------------------------------------------------------------------
+# batches on every usable core: the same output as one file at a time
+# ---------------------------------------------------------------------------
+
+
+def _on_cores(monkeypatch, capsys, cores, argv, out_dir):
+    """(exit code, stdout, stderr, written files) of main(argv) with cores
+    usable CPUs, wall_time= values dropped; no process is left running."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    shutil.rmtree(out_dir, ignore_errors=True)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert multiprocessing.active_children() == []
+    written = {f.name: f.read_bytes() for f in out_dir.iterdir()} if out_dir.exists() else {}
+    return code, re.sub(r"wall_time=\S+", "", captured.out), re.sub(r"wall_time=\S+", "", captured.err), written
+
+
+def _six_demos(tmp_path, rng) -> tuple:
+    """argv(command) at eta 0.01 over a directory of six files, c not a trajectory."""
+    demos = tmp_path / "in"
+    demos.mkdir()
+    for name in "abdef":  # a longer first file, which this process solves while a worker starts
+        traj = make_segmented_ee_trajectory(rng, n_segments=6 if name == "a" else 3, name=name)
+        save_trajectory(demos / f"{name}.json", traj)
+    (demos / "c.json").write_text(json.dumps({"schema_version": "other"}))
+
+    def argv(command):
+        args = [command, "--input", str(demos), "--eta", "0.01"]
+        return args + ["--output", str(tmp_path / "out"), "--no-timestamp"] if command == "relabel" else args
+    return argv
+
+
+@pytest.mark.parametrize("command", ["relabel", "stats", "compare"])
+def test_batch_on_two_cores_matches_one_core(tmp_path, rng, monkeypatch, capsys, command):
+    argv = _six_demos(tmp_path, rng)(command)
+    solve = cli.extract_waypoints_dp
+
+    def solve_all_but_d(traj, budget):
+        if traj.name == "d":
+            raise ValueError("d cannot be solved")
+        return solve(traj, budget)
+
+    monkeypatch.setattr(cli, "extract_waypoints_dp", solve_all_but_d)
+    serial = _on_cores(monkeypatch, capsys, 1, argv, tmp_path / "out")
+    code, out, err, written = serial
+    assert code == EXIT_SCHEMA
+    assert err.endswith("FAILED d.json: d cannot be solved\n") and "FAILED c.json: " in err
+    assert len(written) == (4 if command == "relabel" else 0)
+    assert _on_cores(monkeypatch, capsys, 2, argv, tmp_path / "out") == serial
+
+
+@pytest.mark.parametrize("command", ["relabel", "stats", "compare"])
+def test_batch_on_two_cores_stops_at_an_unusable_metric_as_on_one(tmp_path, rng, monkeypatch, capsys, command):
+    # the mask fits the 1-D joint demos; it weighs nothing on the end-effector demo d
+    metric = tmp_path / "metric.json"
+    metric.write_text(json.dumps({"position_weight": 0, "orientation_weight": 0, "joint_mask": [1]}))
+    demos = tmp_path / "in"
+    demos.mkdir()
+    for name in "abef":
+        traj = make_random_walk_trajectory(rng, 40, StateKind.JOINT, name=name, joint_dim=1)
+        save_trajectory(demos / f"{name}.json", traj)
+    (demos / "c.json").write_text(json.dumps({"schema_version": "other"}))
+    save_trajectory(demos / "d.json", make_random_walk_trajectory(rng, 40, name="d"))
+    argv = _batch_argv(command, demos, tmp_path / "out") + ["--metric-config", str(metric)]
+    serial = _on_cores(monkeypatch, capsys, 1, argv, tmp_path / "out")
+    code, out, err, written = serial
+    assert code == EXIT_DOMAIN
+    assert err.startswith("FAILED c.json: ") and err.endswith("error: metric has no nonzero end-effector weight: "
+                                                              "position, orientation and included gripper weights "
+                                                              "are all 0\n")
+    assert sorted(written) == (["a.relabeled.jsonl", "b.relabeled.jsonl"] if command == "relabel" else [])
+    assert _on_cores(monkeypatch, capsys, 2, argv, tmp_path / "out") == serial
+
+
+@pytest.mark.parametrize("command", ["relabel", "stats", "compare"])
+def test_a_worker_that_dies_leaves_the_output_unchanged(tmp_path, rng, monkeypatch, capsys, command):
+    argv = _six_demos(tmp_path, rng)(command)
+    serial = _on_cores(monkeypatch, capsys, 1, argv, tmp_path / "out")
+    parent, solve, died = os.getpid(), cli.extract_waypoints_dp, tmp_path / "died"
+
+    def die_in_a_worker(traj, budget):
+        if os.getpid() != parent:  # file 0 is this process's, so a worker sees a later file first
+            died.write_text(traj.name)
+            os._exit(1)
+        return solve(traj, budget)
+
+    monkeypatch.setattr(cli, "extract_waypoints_dp", die_in_a_worker)
+    assert _on_cores(monkeypatch, capsys, 2, argv, tmp_path / "out") == serial
+    assert died.read_text() in "bdef"
+
+
+@pytest.mark.parametrize("command", ["relabel", "stats", "compare"])
+def test_a_one_file_batch_starts_no_process(tmp_path, rng, monkeypatch, capsys, command):
+    demos = tmp_path / "in"
+    demos.mkdir()
+    save_trajectory(demos / "a.json", make_random_walk_trajectory(rng, 14, name="a"))
+
+    def no_fork():
+        raise AssertionError("a one-file batch forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out, err, _ = _on_cores(monkeypatch, capsys, 2, _batch_argv(command, demos, tmp_path / "out"), tmp_path / "out")
+    assert code == EXIT_OK and out and "FAILED" not in err

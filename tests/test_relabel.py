@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from oracles import oracle_next_waypoint
 from waypoint_extraction.cli import EXIT_OK, main
 from waypoint_extraction.relabel import RelabeledDataset, relabel_trajectory
 from waypoint_extraction.solver import ErrorBudget, WaypointSet, extract_waypoints_dp
+from waypoint_extraction.state_space import StateKind
 from waypoint_extraction.synthetic import make_random_walk_trajectory
 from waypoint_extraction.trajfile import load_relabeled, save_relabeled, save_trajectory
 
@@ -228,3 +230,23 @@ def test_relabeled_dataset_refuses_a_source_name_a_file_cannot_hold(source_name)
     # save_relabeled would write it, and load_relabeled refuse the file
     with pytest.raises(ValueError, match=f"^source_name must be a string, got {source_name}$"):
         RelabeledDataset(**{**_fields(_EE), "source_name": source_name})
+
+
+@pytest.mark.parametrize("kind", [StateKind.EE, StateKind.JOINT])
+def test_pickled_relabeled_dataset_keeps_read_only_columns(rng, kind):
+    traj = make_random_walk_trajectory(rng, 20, kind, joint_dim=3)
+    ds = relabel_trajectory(traj, WaypointSet((0, 6, 13, 19), 0.1))
+    ds.frames  # cached views must not travel with the pickle
+    clone = pickle.loads(pickle.dumps(ds))
+    assert (clone.source_name, clone.eta, clone.obs_ref, clone.gripper_dims) == (
+        ds.source_name, ds.eta, ds.obs_ref, ds.gripper_dims)
+    columns = {"t": ds.t, "target_index": ds.target_index, "waypoints_remaining": ds.waypoints_remaining,
+               **{f"states.{k}": v for k, v in ds.states.items()}, **{f"targets.{k}": v for k, v in ds.targets.items()}}
+    copies = {"t": clone.t, "target_index": clone.target_index, "waypoints_remaining": clone.waypoints_remaining,
+              **{f"states.{k}": v for k, v in clone.states.items()},
+              **{f"targets.{k}": v for k, v in clone.targets.items()}}
+    assert copies.keys() == columns.keys()
+    for name, column in copies.items():
+        assert not column.flags.writeable, name
+        assert column.dtype == columns[name].dtype and column.tobytes() == columns[name].tobytes(), name
+    assert "frames" not in vars(clone)

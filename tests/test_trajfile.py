@@ -513,7 +513,7 @@ def test_relabeled_loader_validates_rows(tmp_path):
     with pytest.raises(TrajectoryValidationError, match="line 1: waypoints_remaining must be >= 1"):
         load_relabeled(_relabel_lines(tmp_path, spent))
     overflow = [_row(0, EE_STATE, dict(EE_STATE, axis_angle=[1e308, 1e308, 0.0]))]
-    with pytest.raises(TrajectoryValidationError, match=r"r\.jsonl: targets: axis_angle must be finite and at most "
+    with pytest.raises(TrajectoryValidationError, match=r"r\.jsonl: line 1: targets: axis_angle must be finite and at most "
                                                         r"2\*\*250 in magnitude, got 1e\+308 at axis_angle\[0, 0\]$"):
         load_relabeled(_relabel_lines(tmp_path, overflow))
 
@@ -540,6 +540,19 @@ def test_relabeled_loader_skips_blank_lines_and_names_lines_as_numbered(tmp_path
         spaced.write_text(text)
         with pytest.raises(TrajectorySchemaError, match=r"spaced\.jsonl: no records$"):
             load_relabeled(spaced)
+
+
+def test_relabeled_loader_names_the_line_of_a_value_past_the_range(tmp_path):
+    from waypoint_extraction.cli import EXIT_VALIDATION, _exit_code
+
+    rows = [_row(0, EE_STATE, EE_STATE), _row(1, EE_STATE, dict(EE_STATE, pos=[1e300, 0.0, 0.0]))]
+    lines = _relabel_lines(tmp_path, rows).read_text().splitlines()
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text(f"\n\n{lines[0]}\n{lines[1]}\n")
+    with pytest.raises(TrajectoryValidationError, match=r"blank\.jsonl: line 4: targets: pos must be finite and at "
+                                                        r"most 2\*\*250 in magnitude, got 1e\+300 at pos\[1, 0\]$") as exc:
+        load_relabeled(blank)
+    assert _exit_code(exc.value) == EXIT_VALIDATION
 
 
 def test_relabeled_loader_refuses_rows_out_of_time_order(tmp_path):
