@@ -421,14 +421,19 @@ def _cmd_compare(args, parser) -> int:
 def _cmd_replay_check(args, parser) -> int:
     traj = load_trajectory(args.input)
     wp, provenance = load_waypoints(args.waypoints)
-    wp.validate_for(traj)
     # follow and score under the metric the waypoints were extracted with
+    metric = provenance.get("metric") or DEFAULT_METRIC
+    try:
+        wp.validate_for(traj)
+        _check_metric(traj.joints, metric)
+    except ValueError as exc:  # a domain error still, located as file errors are
+        raise ValueError(f"{args.waypoints}: {exc}") from None
     follower = default_follower_config(
         traj,
         wp.eta_used,
         control_multiplier=args.control_multiplier,
         blocking=args.blocking,
-        metric=provenance.get("metric") or DEFAULT_METRIC,
+        metric=metric,
     )
     overrides = {}
     if args.max_step is not None:

@@ -257,26 +257,53 @@ def _position_coords(columns, cfg: MetricConfig) -> np.ndarray:
     return (columns.joints * weights)[:, weights > 0.0]
 
 
-def _nearest_chord(points, anchors, chain, cfg: MetricConfig) -> np.ndarray:
-    """Distance of each point to the nearest chord (chain[k], chain[k+1])
-    of anchors: the minimum of _row_distances over all chords,
-    the same floating-point value, without scoring far chords.
+def _midpoint_squares(cols: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to each chord midpoint, (points,
+    chords); cols and mid hold one coordinate per row, so the sum runs over
+    d contiguous 2-D arrays."""
+    square = np.zeros((cols.shape[1], mid.shape[1]))
+    gap = np.empty_like(square)
+    for coord, centre in zip(cols, mid):
+        np.subtract(coord[:, None], centre, out=gap)
+        square += np.square(gap, out=gap)
+    return square
 
-    Bound: with Y the weighted coordinates (_position_coords), the kernel's
-    distance from point p to chord c = (a, b) is at least the distance from
-    Y_p to the segment [Y_a, Y_b]: the end-effector orientation and gripper
-    terms are >= 0 (adding a non-negative float never lowers a sum), and in
-    joint space the weighted distance at the unweighted projection is >= its
-    minimum over the segment. The segment lies in the ball of radius
-    half_c = |Y_b - Y_a| / 2 around its midpoint mid_c, so
-    LB_c = |Y_p - mid_c| - half_c is a lower bound. Points go in blocks of
-    about _PAIR_BLOCK (point, chord) pairs. Per point, the chord with the
-    nearest midpoint is scored exactly, giving an upper bound U of the
-    minimum (any chord would do; the one of smallest LB is often a long one
-    passing by), and of the other chords only those with LB_c - margin <= U
-    are scored. A skipped chord's computed distance is above U, so the
-    minimum is unchanged; and a row of _row_distances depends on its own
-    inputs alone, so every scored row equals the unpruned one.
+
+def _nearest_chord(points, anchors, chain, cfg: MetricConfig, guess=None, *, each: bool = False):
+    """The largest, over the points, of the distance to the nearest chord
+    (chain[k], chain[k+1]) of anchors, or with each=True every point's
+    distance: the maximum, or the minima, of _row_distances over all chords,
+    the same floating-point values, without scoring far chords or points
+    that cannot raise the maximum.
+
+    First bound: each point p is scored against one chord, guess[p] (an
+    index into the chords), in one kernel call. A row against any chord is
+    at least the minimum, so this U_p is an upper bound whatever the guess;
+    a near chord only makes the pass faster. Without a guess, p's chord is
+    the one with the nearest midpoint.
+
+    Points that cannot raise the maximum: points go in descending U, stable
+    order, first a block of 8 and then blocks of _PAIR_BLOCK // chords
+    points. G is the largest exact minimum of the blocks before. A point
+    with U_p <= G is dropped, since its minimum is <= U_p <= G, and so are
+    all after it; every other point is refined to its exact minimum. The
+    maximum of the refined minima is the maximum over all points, as the
+    same float, since a maximum of floats is exact. With each=True points go
+    in order and none is dropped.
+
+    Refinement, the ball bound: with Y the weighted coordinates
+    (_position_coords), the kernel's distance from point p to chord
+    c = (a, b) is at least the distance from Y_p to the segment [Y_a, Y_b]:
+    the end-effector orientation and gripper terms are >= 0 (adding a
+    non-negative float never lowers a sum), and in joint space the weighted
+    distance at the unweighted projection is >= its minimum over the
+    segment. The segment lies in the ball of radius half_c = |Y_b - Y_a| / 2
+    around its midpoint mid_c, so LB_c = |Y_p - mid_c| - half_c is a lower
+    bound. Of the chords other than guess[p], only those with
+    LB_c - margin <= U_p are scored. A skipped chord's computed distance is
+    above U_p, so the minimum is unchanged; and a row of _row_distances
+    depends on its own inputs alone, so every scored row equals the
+    unpruned one.
 
     Rounding, with u = 2**-53, d = Y.shape[1] and M = max |Y_k| over points
     and anchors: every distance above is at most 2 M. The bounds below are
@@ -290,7 +317,9 @@ def _nearest_chord(points, anchors, chain, cfg: MetricConfig) -> np.ndarray:
     margin = tau M + 2**-500 with tau = 512 (d + 16) u covers both sums
     with room to spare; 2**-500 covers squares that underflow, whose
     absolute error in a norm stays below sqrt(d) 2**-537. Without a position
-    term (zero position weight) every LB is 0 and nothing is skipped.
+    term (zero position weight) every LB is 0 and no chord is skipped.
+
+    No block holds more than _PAIR_BLOCK (point, chord) pairs.
     """
     chain = np.asarray(chain, dtype=np.intp)
     if chain.size < 2:
@@ -302,29 +331,39 @@ def _nearest_chord(points, anchors, chain, cfg: MetricConfig) -> np.ndarray:
     ys, yd = ya.take(src, axis=0), ya.take(dst, axis=0)
     span = yd - ys
     half = 0.5 * np.sqrt(_rowdot(span, span))
-    # one coordinate per row, so each block sums d contiguous 2-D arrays
     mid = (0.5 * (ys + yd)).T.copy()
     yp_cols = yp.T.copy()
     size = max(np.sqrt(_rowdot(yp, yp)).max(initial=0.0), np.sqrt(_rowdot(ya, ya)).max(initial=0.0))
     margin = (yp.shape[1] + 16) * 2.0**-44 * size + 2.0**-500
-    out = np.empty(count)
     step = max(1, _PAIR_BLOCK // src.size)
-    for lo in range(0, count, step):
-        t = np.arange(lo, min(lo + step, count))
-        square = np.zeros((t.size, src.size))
-        gap = np.empty_like(square)
-        for coord, centre in zip(yp_cols[:, lo : lo + step], mid):
-            np.subtract(coord[:, None], centre, out=gap)
-            square += np.square(gap, out=gap)
-        guess = np.argmin(square, axis=1)
+    if guess is None:
+        guess = np.empty(count, dtype=np.intp)
+        for lo in range(0, count, step):
+            guess[lo : lo + step] = np.argmin(_midpoint_squares(yp_cols[:, lo : lo + step], mid), axis=1)
+    guess = np.asarray(guess, dtype=np.intp)
+    if guess.shape != (count,) or np.any((guess < 0) | (guess >= src.size)):
+        raise ValueError(f"guess must hold one chord index in [0, {src.size}) per point")
+    upper = _row_distances(points, anchors, np.arange(count), src[guess], dst[guess], cfg)
+    order = np.arange(count) if each else np.argsort(-upper, kind="stable")
+    worst = -np.inf
+    lo = 0
+    while lo < count:
+        t = order[lo : lo + (step if each or lo else min(8, step))]
+        lo += t.size
+        if not each:
+            t = t[upper[t] > worst]
+            if not t.size:
+                break
+        square = _midpoint_squares(yp_cols[:, t], mid)
         lb = np.sqrt(square, out=square) - half
-        upper = _row_distances(points, anchors, t, src[guess], dst[guess], cfg)
-        keep = lb - margin <= upper[:, None]
-        keep[np.arange(t.size), guess] = False
+        best = upper[t]
+        keep = lb - margin <= best[:, None]
+        keep[np.arange(t.size), guess[t]] = False
         rows, cols = np.nonzero(keep)
-        np.minimum.at(upper, rows, _row_distances(points, anchors, t[rows], src[cols], dst[cols], cfg))
-        out[lo : lo + step] = upper
-    return out
+        np.minimum.at(best, rows, _row_distances(points, anchors, t[rows], src[cols], dst[cols], cfg))
+        upper[t] = best
+        worst = max(worst, float(best.max()))
+    return upper if each else worst
 
 
 class SegmentScorer:
@@ -410,15 +449,28 @@ class SegmentScorer:
         return _reach_horizon(_position_coords(self.traj, self.cfg), eta)
 
     def global_loss(self, indices: Sequence[int]) -> float:
-        """Reconstruction loss of the polyline through two or more increasing frame indices."""
-        return float(_nearest_chord(self.traj, self.traj, indices, self.cfg).max())
+        """Reconstruction loss of the polyline through two or more increasing
+        frame indices. Each frame's first bound is its row against its own
+        chord, the one whose ends enclose it (the first or last chord for a
+        frame outside them), which reads 0 at the chord's ends."""
+        chain = np.asarray(indices, dtype=np.intp)
+        own = np.searchsorted(chain, np.arange(len(self)), side="right") - 1
+        return _nearest_chord(self.traj, self.traj, chain, self.cfg, np.clip(own, 0, max(chain.size - 2, 0)))
+
+
+def _polyline_points(columns, anchors: Trajectory, cfg: MetricConfig) -> SimpleNamespace:
+    """State columns, keyed as Trajectory.state_columns (pos, quat and grip,
+    or joints), checked against anchors and cfg, as points _nearest_chord
+    reads."""
+    arrays = _state_arrays(columns, len(next(iter(columns.values()), ())))
+    _check_same_kind(arrays, anchors.state_columns)
+    _check_metric(anchors.joints, cfg)
+    return SimpleNamespace(**{"joints": None, **arrays})
 
 
 def min_distances_to_polyline(columns, anchors: Trajectory, cfg: MetricConfig = DEFAULT_METRIC) -> np.ndarray:
     """Per-row distance of state columns, keyed as Trajectory.state_columns
     (pos, quat and grip, or joints), to the nearest chord of the polyline
     through the frames of anchors."""
-    arrays = _state_arrays(columns, len(next(iter(columns.values()), ())))
-    _check_same_kind(arrays, anchors.state_columns)
-    _check_metric(anchors.joints, cfg)
-    return _nearest_chord(SimpleNamespace(**{"joints": None, **arrays}), anchors, range(len(anchors)), cfg)
+    points = _polyline_points(columns, anchors, cfg)
+    return _nearest_chord(points, anchors, range(len(anchors)), cfg, each=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .solver import WaypointSet
 from .state_space import (_COLUMNS, State, Trajectory, _finite_scalar, _gripper_dims, _int_array, _obs_refs,
-                          _state_arrays, _state_views, _time_fault)
+                          _quoted, _state_arrays, _state_views, _time_fault)
 
 __all__ = [
     "RelabeledFrame",
@@ -80,7 +80,7 @@ class RelabeledDataset:
 
     def __post_init__(self):
         if not isinstance(self.source_name, str):
-            raise ValueError(f"source_name must be a string, got {self.source_name!r}")
+            raise ValueError(f"source_name must be a string, got {_quoted(self.source_name)}")
         if self.eta is not None:
             object.__setattr__(self, "eta", _finite_scalar(self.eta, "eta", positive=True))
         object.__setattr__(self, "t", _int_array(self.t, None, "t"))

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .reconstruction import _check_metric, _ranks, min_distances_to_polyline
+from .reconstruction import _check_metric, _nearest_chord, _polyline_points, _ranks
+from .reconstruction import min_distances_to_polyline  # noqa: F401  wpxbench hooks replay.min_distances_to_polyline
 from .solver import WaypointSet
 from .state_space import (
     DEFAULT_METRIC,
@@ -96,8 +97,8 @@ def replay_waypoints(traj: Trajectory, wp: WaypointSet, cfg: FollowerConfig) -> 
     d0 = _distance_rows({name: column[list(prevs)] for name, column in columns.items()},
                         {name: column[list(wp.indices)] for name, column in columns.items()}, cfg.metric)
     current = traj.frames[0].state
-    # (start, target, ticks, d0) per segment; path row 0 is frame 0, one tick to itself at u = 1
-    segments = [(current, 0, 1, cfg.max_step)]
+    # (start, source, target, ticks, d0) per segment; path row 0 is frame 0, one tick to itself at u = 1
+    segments = [(current, 0, 0, 1, cfg.max_step)]
     ticks = 0
     reached_flags = []
     for prev_idx, idx, dist in zip(prevs, wp.indices, d0.tolist()):
@@ -119,24 +120,32 @@ def replay_waypoints(traj: Trajectory, wp: WaypointSet, cfg: FollowerConfig) -> 
         reached_flags.append(n <= limit)
         n = min(n, limit)
         if n:
-            segments.append((current, idx, n, dist))
+            segments.append((current, prev_idx, idx, n, dist))
             ticks += n
             u = min(1.0, n * cfg.max_step / dist)
             current = target if u == 1.0 else interpolate(current, target, u)
-    starts, targets, counts, spans = zip(*segments)
+    starts, sources, targets, counts, spans = zip(*segments)
     seg = np.repeat(np.arange(len(counts)), counts)
     u = np.minimum(1.0, (_ranks(np.array(counts)) + 1) * cfg.max_step / np.array(spans)[seg])
+    source, target = np.array(sources)[seg], np.array(targets)[seg]
     a = {name: rows[seg] for name, rows in _state_columns(starts).items()}
-    path = _interpolate_rows(a, {name: columns[name][np.array(targets)[seg]] for name in a}, u)
-    deviation = max_deviation_from_polyline(path, traj, cfg.metric)
+    path = _interpolate_rows(a, {name: columns[name][target] for name in a}, u)
+    # each row's own chord (k, k+1): the demo frame its segment has reached at u
+    own = np.clip(np.floor(source + u * (target - source)), 0, len(traj) - 2).astype(np.intp)
+    deviation = max_deviation_from_polyline(path, traj, cfg.metric, guess=own)
     return ReplayReport(reached_final=reached_flags[-1], per_waypoint_reached=tuple(reached_flags),
                         max_tracking_deviation=deviation, executed_path=path, ticks_used=ticks)
 
 
-def max_deviation_from_polyline(columns, anchors: Trajectory, cfg: MetricConfig = DEFAULT_METRIC) -> float:
+def max_deviation_from_polyline(columns, anchors: Trajectory, cfg: MetricConfig = DEFAULT_METRIC, *,
+                                guess=None) -> float:
     """Worst distance from any row of the state columns to the polyline
-    through the frames of anchors; see min_distances_to_polyline."""
-    return float(min_distances_to_polyline(columns, anchors, cfg).max())
+    through the frames of anchors: the largest value of
+    min_distances_to_polyline, from a pass that finds the nearest chord only
+    for rows that could raise it (reconstruction._nearest_chord). guess,
+    when given, names one chord (k, k+1) of anchors per row; any chords give
+    the same result, near ones sooner."""
+    return _nearest_chord(_polyline_points(columns, anchors, cfg), anchors, range(len(anchors)), cfg, guess)
 
 
 def default_follower_config(

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .reconstruction import _CHUNK_ROWS, SegmentScorer, _ranks
-from .state_space import DEFAULT_METRIC, MetricConfig, Trajectory, _count, _finite_scalar
+from .state_space import DEFAULT_METRIC, MetricConfig, Trajectory, _count, _finite_scalar, _quoted
 
 __all__ = [
     "ErrorBudget",
@@ -93,7 +93,7 @@ class WaypointSet:
     def validate_for(self, traj: Trajectory) -> None:
         if self.indices[-1] != len(traj) - 1:
             raise ValueError(
-                f"waypoint set ends at {self.indices[-1]} but trajectory has {len(traj)} frames"
+                f"waypoint set ends at {_quoted(self.indices[-1])} but trajectory has {len(traj)} frames"
             )
 
 

@@ -114,7 +114,7 @@ def _int_array(values, rows: int | None, name: str) -> np.ndarray:
     if arr.dtype == object:
         for k, v in enumerate(arr.tolist()):  # nan and inf fail v % 1 == 0
             if not (isinstance(v, (int, float)) and v % 1 == 0 and -2**63 <= v < 2**63):
-                raise ValueError(f"{name}[{k}] must be an integer within 64 bits, got {v!r}")
+                raise ValueError(f"{name}[{k}] must be an integer within 64 bits, got {_quoted(v)}")
     arr = arr.astype(np.int64)
     arr.setflags(write=False)
     return arr
@@ -144,11 +144,19 @@ def _finite_scalar(value, name: str, positive: bool = False) -> float:
     return v
 
 
+def _quoted(value) -> str:
+    """repr(value) for an error message, cut to its first 24 characters when
+    longer than 32, so that a value read from a file (a 10**400, a long
+    string) cannot flood the message."""
+    text = repr(value)
+    return text if len(text) <= 32 else f"{text[:24]}... ({len(text)} characters)"
+
+
 def _count(value, name: str, least: int = 1) -> int:
     """value as an integer >= least, however large; a fractional, NaN or
     infinite value is refused, not truncated."""
     if not (value >= least and value % 1 == 0):  # nan fails the comparison, and inf % 1 is nan
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {least}, got {_quoted(value)}")
     return int(value)
 
 
@@ -170,7 +178,7 @@ def _obs_refs(values, rows: int, unit: str) -> tuple[str | None, ...]:
         raise ValueError(f"obs_ref has {len(refs)} entries for {rows} {unit}")
     for k, ref in enumerate(refs):
         if ref is not None and not isinstance(ref, str):
-            raise ValueError(f"obs_ref[{k}] must be a string or None, got {ref!r}")
+            raise ValueError(f"obs_ref[{k}] must be a string or None, got {_quoted(ref)}")
     return refs
 
 

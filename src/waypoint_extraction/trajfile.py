@@ -32,7 +32,8 @@ from . import __version__
 from .reconstruction import _check_metric
 from .relabel import RelabeledDataset, _first_bad_row
 from .solver import WaypointSet
-from .state_space import DEFAULT_METRIC, MetricConfig, StateKind, Trajectory, _finite_scalar, _int_array, _RangeError
+from .state_space import (DEFAULT_METRIC, MetricConfig, StateKind, Trajectory, _finite_scalar, _int_array, _quoted,
+                          _RangeError)
 
 __all__ = [
     "TRAJECTORY_SCHEMA",
@@ -83,7 +84,7 @@ def _object(value, where: str, schema: str | None = None) -> dict:
         raise TrajectorySchemaError(f"{where}: expected a JSON object")
     version = schema and _require(value, "schema_version", where)
     if version != schema:
-        raise TrajectorySchemaError(f"{where}: schema_version {version!r} is not {schema!r}")
+        raise TrajectorySchemaError(f"{where}: schema_version {_quoted(version)} is not {schema!r}")
     return value
 
 
@@ -136,7 +137,7 @@ def _check_number(value, where: str) -> None:
     except OverflowError:  # an integer beyond the float range
         finite = False
     if not finite:
-        raise TrajectoryValidationError(f"{where}: value must be finite, got {value!r}")
+        raise TrajectoryValidationError(f"{where}: value must be finite, got {_quoted(value)}")
 
 
 def _number(value, where: str) -> float:
@@ -285,7 +286,7 @@ def trajectory_from_dict(doc: dict, where: str = "trajectory") -> Trajectory:
         raise TrajectorySchemaError(f"{where}: name must be a string")
     space = _require(doc, "state_space", where)
     if space not in (StateKind.EE.value, StateKind.JOINT.value):
-        raise TrajectorySchemaError(f"{where}: state_space must be 'ee' or 'joint', got {space!r}")
+        raise TrajectorySchemaError(f"{where}: state_space must be 'ee' or 'joint', got {_quoted(space)}")
     kind = StateKind(space)
     frequency = _number(_require(doc, "frequency_hz", where), f"{where}.frequency_hz")
     raw_frames = _require(doc, "frames", where)

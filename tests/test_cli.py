@@ -6,10 +6,12 @@ import re
 import shutil
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from oracles import oracle_nearest_chord
 from test_trajfile import MUTANTS, _paths, _set
 from waypoint_extraction import cli
 from waypoint_extraction.cli import (
@@ -460,6 +462,22 @@ def test_replay_check_refuses_malformed_indices(tmp_path, demo_file, capsys, ind
     assert capsys.readouterr() == ("", f"error: {wp_file}{message}\n")
 
 
+def test_replay_check_names_the_waypoint_file_that_does_not_fit(tmp_path, demo_file, capsys):
+    # once: "error: waypoint set ends at 12 but trajectory has ..." without the
+    # file, and a last index of 10**400 printed all 401 digits
+    wp_file = tmp_path / "wp.json"
+    main(["extract", "--input", str(demo_file), "--eta", "0.01", "--output", str(wp_file), "--no-timestamp"])
+    doc = json.loads(wp_file.read_text())
+    frames = len(load_trajectory(demo_file))
+    for last, shown in [(12, "12"), (10**400, "100000000000000000000000... (401 characters)")]:
+        doc["indices"] = [0, 5, last]
+        wp_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay-check", "--input", str(demo_file), "--waypoints", str(wp_file)]) == EXIT_DOMAIN
+        assert capsys.readouterr() == (
+            "", f"error: {wp_file}: waypoint set ends at {shown} but trajectory has {frames} frames\n")
+
+
 def test_replay_check_with_a_tolerance_that_covers_every_waypoint_takes_no_tick(tmp_path, demo_file, capsys):
     wp_file = tmp_path / "wp.json"
     main(["extract", "--input", str(demo_file), "--eta", "0.01", "--output", str(wp_file), "--no-timestamp"])
@@ -716,6 +734,59 @@ def test_metric_config_mutations_exit_by_the_table(tmp_path, capsys, kind):
                 faults.append((where, value, f"losses out of order: {out}"))
     assert not faults, faults[:5]
     assert {EXIT_OK, EXIT_SCHEMA, EXIT_VALIDATION} <= exits
+
+
+@pytest.mark.parametrize("kind", ["ee", "joint"])
+def test_waypoint_file_mutations_exit_by_the_table(tmp_path, capsys, monkeypatch, kind):
+    # a fixed enumeration: every path of an extracted waypoint file, each set
+    # to every value of MUTANTS, through replay-check
+    rng = np.random.default_rng(1)
+    demo, wp_file, metric = tmp_path / "d.json", tmp_path / "d.wp.json", tmp_path / "metric.json"
+    argv = ["extract", "--input", str(demo), "--eta", "0.05", "--output", str(wp_file), "--no-timestamp"]
+    if kind == "ee":
+        traj = make_segmented_ee_trajectory(rng, n_segments=2, frames_per_segment=8, name="d")
+    else:
+        traj = make_random_walk_trajectory(rng, 14, StateKind.JOINT, name="d", joint_dim=3)
+        metric.write_text(json.dumps({"joint_mask": [1.0, 0.5, 0.0]}))
+        argv += ["--metric-config", str(metric)]
+    save_trajectory(demo, traj)
+    assert main(argv) == EXIT_OK
+    base = json.loads(wp_file.read_text())
+    replays = []
+
+    def recording(traj, wp, cfg):
+        replays.append((replay_waypoints(traj, wp, cfg), cfg.metric))
+        return replays[-1][0]
+
+    monkeypatch.setattr(cli, "replay_waypoints", recording)
+    table = {EXIT_OK, EXIT_CHECK_FAILED, EXIT_SCHEMA, EXIT_VALIDATION, EXIT_DOMAIN}
+    faults, exits = [], set()
+    for where in _paths(base):
+        for value in MUTANTS:
+            doc = json.loads(json.dumps(base))
+            _set(doc, where, value)
+            wp_file.write_text(json.dumps(doc))
+            replays.clear()
+            try:
+                code = _quiet_main(["replay-check", "--input", str(demo), "--waypoints", str(wp_file)])
+            except Exception as exc:  # anything escaping main is a fault this test looks for
+                faults.append((where, value, f"{type(exc).__name__}: {exc}"))
+                continue
+            out, err = capsys.readouterr()
+            exits.add(code)
+            if code not in table:
+                faults.append((where, value, f"exit {code}"))
+            elif code in (EXIT_SCHEMA, EXIT_VALIDATION, EXIT_DOMAIN) and str(wp_file) not in err:
+                faults.append((where, value, f"unlocated: {err}"))
+            elif code == EXIT_OK:
+                (report, cfg), = replays
+                path = report.executed_path
+                points = SimpleNamespace(**{"joints": None, **path})
+                ref = oracle_nearest_chord(points, len(next(iter(path.values()))), traj, range(len(traj)), cfg)
+                if f"max_tracking_deviation={float(ref.max()):.6g}\n" not in out:
+                    faults.append((where, value, f"deviation: {out}"))
+    assert not faults, faults[:5]
+    assert {EXIT_OK, EXIT_SCHEMA, EXIT_VALIDATION, EXIT_DOMAIN} <= exits
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from conftest import ee_trajectory, joint_trajectory
 from oracles import oracle_nearest_chord
 from waypoint_extraction import reconstruction
-from waypoint_extraction.reconstruction import _nearest_chord, min_distances_to_polyline
+from waypoint_extraction.reconstruction import SegmentScorer, _nearest_chord, min_distances_to_polyline
 from waypoint_extraction.replay import FollowerConfig, max_deviation_from_polyline, replay_waypoints
 from waypoint_extraction.solver import ErrorBudget, extract_waypoints_dp
 from waypoint_extraction.state_space import MetricConfig, StateKind, Trajectory
@@ -65,13 +65,79 @@ def _chains(traj, metric, rng):
     return [range(T), wp.indices, [0, *interior.tolist(), T - 1]]
 
 
+def _anchors(traj: Trajectory, chain) -> Trajectory:
+    """The frames of chain as a trajectory, whose polyline through every
+    frame is traj's polyline through chain."""
+    chain = list(chain)
+    columns = {name: column[chain] for name, column in traj.state_columns.items()}
+    return Trajectory.from_columns(traj.name, traj.state_space, traj.frequency_hz, traj.t[chain],
+                                   gripper_dims=traj.gripper_dims, **columns)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_nearest_chord_equals_unpruned_reference(rng, family):
     for _ in range(2):
         traj, metric = _family(family, rng)
+        T = len(traj)
         for chain in _chains(traj, metric, rng):
-            got = _nearest_chord(traj, traj, chain, metric)
-            assert np.array_equal(got, oracle_nearest_chord(traj, len(traj), traj, chain, metric))
+            ref = oracle_nearest_chord(traj, T, traj, chain, metric)
+            worst = float(ref.max())
+            anywhere = rng.integers(0, len(chain) - 1, T)
+            assert np.array_equal(_nearest_chord(traj, traj, chain, metric, each=True), ref)
+            assert _nearest_chord(traj, traj, chain, metric) == worst
+            assert _nearest_chord(traj, traj, chain, metric, anywhere) == worst
+            assert SegmentScorer(traj, metric).global_loss(chain) == worst
+            anchors = _anchors(traj, chain)
+            assert np.array_equal(min_distances_to_polyline(traj.state_columns, anchors, metric), ref)
+            assert max_deviation_from_polyline(traj.state_columns, anchors, metric) == worst
+            assert max_deviation_from_polyline(traj.state_columns, anchors, metric, guess=anywhere) == worst
+
+
+def test_global_loss_through_every_frame_is_exactly_zero(rng):
+    for family in FAMILIES:
+        traj, metric = _family(family, rng)
+        assert SegmentScorer(traj, metric).global_loss(range(len(traj))) == 0.0
+
+
+def test_a_point_near_the_maximum_is_still_refined():
+    # eight points far from their guessed chord come first and set the
+    # running maximum to 1.0; the ninth's bound, 1.04, is its exact distance
+    # and the maximum, so only a point with U <= G may be dropped
+    traj = ee_trajectory([(0.0, 0.0, 0.0), (8.0, 0.0, 0.0), (8.0, 100.0, 0.0)])
+    heights = [1.0] * 8 + [1.04]
+    columns = {"pos": np.array([(0.5 + 0.5 * k, h, 0.0) for k, h in enumerate(heights)]),
+               "quat": np.tile(traj.quat[0], (9, 1)), "grip": np.full(9, traj.grip[0])}
+    metric = MetricConfig(orientation_weight=0.0)
+    assert np.array_equal(min_distances_to_polyline(columns, traj, metric), heights)
+    assert max_deviation_from_polyline(columns, traj, metric, guess=[1] * 8 + [0]) == 1.04
+
+
+def test_a_chord_on_the_ball_bound_is_scored(monkeypatch):
+    # exact dyadic geometry: point p = (0, 0.25, 0) sits 0.25 above the chord
+    # it guesses, and the chord (0, 1, 0) -> (0, y, 0) has LB - margin = 0.25
+    # exactly (size 1, margin 19 * 2**-44), so the rule LB - margin <= U
+    # scores it
+    y = 0.5 + 19 * 2.0**-44
+    traj = ee_trajectory([(-1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, y, 0.0)])
+    columns = {"pos": np.array([(0.0, 0.25, 0.0)]), "quat": traj.quat[:1], "grip": traj.grip[:1]}
+    metric = MetricConfig(orientation_weight=0.0)
+    scored = []
+    kernel = reconstruction._row_distances
+
+    def recording(points, anchors, t, src, dst, cfg):
+        scored.extend(np.broadcast_to(src, np.shape(t)).tolist())
+        return kernel(points, anchors, t, src, dst, cfg)
+
+    monkeypatch.setattr(reconstruction, "_row_distances", recording)
+    assert max_deviation_from_polyline(columns, traj, metric, guess=[0]) == 0.25
+    assert 2 in scored
+
+
+def test_guess_must_name_one_chord_per_point(rng):
+    traj = make_random_walk_trajectory(rng, 6)
+    for guess in ([0] * 5, [0] * 5 + [5], [-1] + [0] * 5):
+        with pytest.raises(ValueError, match=r"one chord index in \[0, 5\) per point"):
+            max_deviation_from_polyline(traj.state_columns, traj, guess=guess)
 
 
 @pytest.mark.parametrize("multiplier", [1, 10])
@@ -82,14 +148,16 @@ def test_replay_deviation_equals_unpruned_reference(rng, family, multiplier):
     else:
         traj, metric = _family(family, rng)
     wp, _ = extract_waypoints_dp(traj, ErrorBudget(0.05, metric))
-    steps = np.diff(_nearest_chord(traj, traj, [0, len(traj) - 1], metric))
+    steps = np.diff(_nearest_chord(traj, traj, [0, len(traj) - 1], metric, each=True))
     follower = FollowerConfig(max_step=float(np.abs(steps).max()) + 0.01, reach_tolerance=0.01,
                               control_multiplier=multiplier, metric=metric)
-    executed = replay_waypoints(traj, wp, follower).executed_path
+    report = replay_waypoints(traj, wp, follower)
+    executed = report.executed_path
     count = len(next(iter(executed.values())))
     ref = oracle_nearest_chord(SimpleNamespace(**{"joints": None, **executed}), count, traj, range(len(traj)), metric)
     assert np.array_equal(min_distances_to_polyline(executed, traj, metric), ref)
     assert max_deviation_from_polyline(executed, traj, metric) == float(ref.max())
+    assert report.max_tracking_deviation == float(ref.max())
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -112,7 +180,7 @@ def test_skipped_chords_are_farther_than_the_minimum(rng, monkeypatch, family):
         monkeypatch.setattr(reconstruction, "_PAIR_BLOCK", block)
         monkeypatch.setattr(reconstruction, "_CHUNK_ROWS", kernel_rows)
         scored[:] = False
-        got = _nearest_chord(traj, traj, range(T), metric)
+        got = _nearest_chord(traj, traj, range(T), metric, each=True)
         assert np.array_equal(got, exact.min(axis=1))
         assert np.all(exact[~scored] > np.broadcast_to(got[:, None], exact.shape)[~scored])
         if family == "orientation-only":
